@@ -6,8 +6,11 @@ worst contraction ratio observed over random pairs, for random dense and
 sparse row-stochastic matrices.
 
 Part 2 tracks the sampled image radius of the mixed-rotation qubit map under
-composition: the one-step map has infinite radius, every deeper composition
-is finite and shrinking, which is the uniform-horizon contraction picture.
+composition. Every printed radius is a sampled lower bound. The one-step map
+has Kraus rank 2 < 2n - 1 = 3, so its true radius is +inf, but the sampled
+projectors miss the pole and k = 1 prints a large finite value. The deeper
+compositions print finite and shrinking radii, which is the uniform-horizon
+contraction picture.
 
 Usage: python3 scripts/contraction_study.py [--seed N]
 """

@@ -543,9 +543,7 @@ def channel_fixed_point(
     residual_tol: float = 1e-10,
     degeneracy_gap: float = 1e-8,
     max_fallback_iterations: int = 10_000,
-    certify_samples: int = 0,
-    certify_power: int = 2,
-    certify_seed: int = 0,
+    bracket: DiameterBracket | None = None,
 ) -> FixedPointResult:
     """Stationary density of a trace-preserving channel.
 
@@ -557,9 +555,10 @@ def channel_fixed_point(
     fabricating a choice.
 
     Uniqueness is guaranteed only when some power of the dual map has finite
-    projective diameter. Pass `certify_samples > 0` to estimate a diameter
-    bracket for dual^certify_power and report whether that hypothesis was
-    (heuristically) certified.
+    projective diameter. Pass the `bracket` of some power of the dual map
+    (e.g. from :func:`diameter_bracket`) to have it attached to the result
+    and `hypothesis_certified` report whether its upper end is finite; that
+    certification is heuristic, since the bracket is sampled.
 
     Raises FixedPointError when no PSD trace-1 fixed point is found at
     `residual_tol`, which signals numerical breakdown for a valid map.
@@ -569,11 +568,7 @@ def channel_fixed_point(
     eigs = np.linalg.eigvals(M)
     multiplicity = int(np.sum(np.abs(eigs - 1.0) <= degeneracy_gap))
 
-    bracket = None
-    certified: bool | None = None
-    if certify_samples > 0:
-        bracket = diameter_bracket(kraus_power(psi, certify_power), certify_samples, certify_seed)
-        certified = bracket.upper.is_finite
+    certified = None if bracket is None else bracket.upper.is_finite
 
     if multiplicity <= 1:
         v0 = _hermitian_coords(np.eye(n, dtype=complex) / n)

@@ -287,29 +287,26 @@ def _as_nonneg_matrix(A) -> np.ndarray:
 def projective_diameter(A) -> ExtendedNonnegReal:
     """Projective diameter of a nonnegative matrix as a map on the orthant.
 
-    Exact enumeration of the cross-ratio sup over all index quadruples
-    (i, j, p, q):  log( a_ij a_pq / (a_iq a_pj) ).  Infinite exactly when a
-    quadruple has a positive numerator over a zero denominator. The O(n^4)
-    enumeration is intended for desk scale (n <= 32).
+    The sup of the cross ratios log( a_ij a_pq / (a_iq a_pj) ) equals the
+    largest Hilbert distance between two nonzero columns (Seneta 2006, 3.4),
+    computed here in O(n^3) time and O(n^2) memory. Infinite exactly when two
+    nonzero columns have different supports.
     """
     m = _as_nonneg_matrix(A)
     pos = m > 0.0
     if not pos.any(axis=1).all():
         i = int(np.argmin(pos.any(axis=1)))
         raise ValueError(f"row {i} is zero: not a map into the cone")
-    # axes: (i, j, p, q)
-    num = pos[:, :, None, None] & pos[None, None, :, :]
-    den = pos[:, None, None, :] & pos.T[None, :, :, None]
-    if np.any(num & ~den):
+    m = m[:, pos.any(axis=0)]
+    # with no zero row, the nonzero columns share one support exactly when
+    # that support is every row
+    if not np.all(m > 0.0):
         return ExtendedNonnegReal.infinite()
-    logs = np.where(pos, np.log(np.where(pos, m, 1.0)), 0.0)
-    vals = (
-        logs[:, :, None, None]
-        + logs[None, None, :, :]
-        - logs[:, None, None, :]
-        - logs.T[None, :, :, None]
-    )
-    return ExtendedNonnegReal(float(vals[num].max()))
+    # d[j, q] = max_i (log a_ij - log a_iq), one row at a time
+    d = np.full((m.shape[1], m.shape[1]), -np.inf)
+    for row in np.log(m):
+        np.maximum(d, row[:, None] - row[None, :], out=d)
+    return ExtendedNonnegReal(float((d + d.T).max()))
 
 
 @dataclass(frozen=True)

@@ -152,14 +152,17 @@ def _run_quantum_like(
     est = s.analysis.estimate_image_radius
     est_seed = seed_override if seed_override is not None else (est.seed if est else 0)
 
+    # one radius estimate per run: it certifies the fixed point and fills the
+    # image_radius block
+    bracket: DiameterBracket | None = None
+    if est is not None:
+        target = kraus_power(phi, est.power) if est.power > 1 else phi
+        estimate = estimate_image_radius(target, est.samples, est_seed)
+        bracket = DiameterBracket.from_radius(estimate.radius)
+
     fp: FixedPointResult | None = None
     if s.analysis.fixed_point:
-        fp = channel_fixed_point(
-            phi,
-            certify_samples=est.samples if est else 0,
-            certify_power=est.power if est else 2,
-            certify_seed=est_seed,
-        )
+        fp = channel_fixed_point(phi, bracket=bracket)
         summary["fixed_point"] = {
             "matrix": pairs_from_complex_array(fp.density.matrix),
             "residual": fp.residual,
@@ -181,11 +184,7 @@ def _run_quantum_like(
     else:
         trace = run_noncommutative_consensus(phi, state0, stop, limit)
 
-    bracket: DiameterBracket | None = None
     if est is not None:
-        target = kraus_power(phi, est.power) if est.power > 1 else phi
-        estimate = estimate_image_radius(target, est.samples, est_seed)
-        bracket = DiameterBracket.from_radius(estimate.radius)
         summary["image_radius"] = {
             "lower": bracket.lower.to_json(),
             "upper": bracket.upper.to_json(),

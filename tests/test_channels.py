@@ -399,11 +399,14 @@ class TestChannelFixedPoint:
         assert result.eigenvalue_one_multiplicity == 2
 
     def test_certification_settings(self):
-        certified = channel_fixed_point(spin_map(), certify_samples=500, certify_power=2)
+        certified = channel_fixed_point(
+            spin_map(), bracket=diameter_bracket(kraus_power(spin_map(), 2), 500)
+        )
         assert certified.hypothesis_certified is True
         assert certified.bracket is not None and certified.bracket.upper.is_finite
+        emission = make_spontaneous_emission_map(0.2)
         uncertified = channel_fixed_point(
-            make_spontaneous_emission_map(0.2), certify_samples=100
+            emission, bracket=diameter_bracket(kraus_power(emission, 2), 100)
         )
         assert uncertified.hypothesis_certified is False
         skipped = channel_fixed_point(spin_map())

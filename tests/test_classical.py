@@ -23,6 +23,8 @@ from conesim import (
     run_dual_consensus,
 )
 
+from helpers import quadruple_projective_diameter
+
 LEADER = np.array([[1.0, 0.0], [0.25, 0.75]])  # gamma^2 = 0.25
 
 
@@ -215,6 +217,39 @@ class TestProjectiveDiameter:
         else:
             assert d.is_finite
             assert d.value == pytest.approx(oracle, abs=1e-10)
+
+    def test_one_by_one(self):
+        assert projective_diameter(np.array([[1.0]])).value == 0.0
+
+    def test_zero_column_dropped(self):
+        a = np.array([[0.5, 0.5, 0.0], [0.3, 0.7, 0.0], [0.6, 0.4, 0.0]])
+        d = projective_diameter(a)
+        assert d.is_finite
+        assert d.value == pytest.approx(1.252762968495368, abs=1e-12)
+        assert d.value == pytest.approx(quadruple_projective_diameter(a).value, abs=1e-12)
+
+    def test_zero_row_rejected_with_zero_column(self):
+        a = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 0.0], [0.2, 0.8, 0.0]])
+        with pytest.raises(ValueError, match="row 1 is zero"):
+            projective_diameter(a)
+
+    @given(st.integers(1, 12), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=200)
+    def test_matches_quadruple_enumeration(self, n, dense, seed):
+        rng = np.random.default_rng(seed)
+        a = 10.0 ** rng.uniform(-8.0, 8.0, (n, n))
+        if not dense:
+            a[rng.uniform(size=(n, n)) < rng.uniform(0.0, 0.6)] = 0.0
+        kept = rng.uniform(size=n) >= 0.25
+        kept[rng.integers(n)] = True
+        a[:, ~kept] = 0.0
+        for i in np.flatnonzero(~(a > 0.0).any(axis=1)):
+            a[i, rng.choice(np.flatnonzero(kept))] = 10.0 ** rng.uniform(-8.0, 8.0)
+        new = projective_diameter(a)
+        old = quadruple_projective_diameter(a)
+        assert new.is_finite == old.is_finite
+        if old.is_finite:
+            assert abs(new.value - old.value) <= 1e-12
 
 
 class TestBirkhoffContraction:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 
+import conesim.channels
+import conesim.runner
 from conesim import TerminalStatus, builtin_example, parse_scenario, run_scenario
 from conesim.cli import main
 
@@ -146,6 +148,20 @@ class TestRunnerArtifacts:
         assert s["duality"]["ok"] is True
         fp = np.asarray(s["fixed_point"]["matrix"])
         np.testing.assert_allclose(fp[..., 0], np.eye(2) / 2, atol=1e-9)
+
+    def test_example2_estimates_image_radius_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = conesim.channels.estimate_image_radius
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(conesim.runner, "estimate_image_radius", counting)
+        monkeypatch.setattr(conesim.channels, "estimate_image_radius", counting)
+        s = run_scenario(builtin_example("example2"), out_dir=tmp_path).summary
+        assert len(calls) == 1
+        assert s["fixed_point"]["hypothesis_certified"] == (s["image_radius"]["upper"] != "+inf")
 
     def test_example3_summary_contents(self, tmp_path):
         result = run_scenario(builtin_example("example3"), out_dir=tmp_path)

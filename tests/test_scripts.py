@@ -1,0 +1,25 @@
+"""Smoke tests for the scripts under scripts/."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_contraction_study_runs_and_observed_within_certified():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "contraction_study.py"), "--seed", "0"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    part1 = proc.stdout.split("\n\n")[0].splitlines()[2:]
+    assert len(part1) == 6
+    for line in part1:
+        certified, observed = (float(v) for v in line.split()[-2:])
+        assert observed <= certified + 1e-9, line
