@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import repeat
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .hermitian import (
     is_positive_definite,
     spectral_interval,
 )
-from .trace import SimulationTrace, StoppingRule, TerminalStatus, TraceRecord
+from .trace import SimulationTrace, StoppingRule, TraceRecord, iterate
 
 __all__ = [
     "KrausMap",
@@ -127,12 +128,7 @@ def _kraus_iterator(maps) -> tuple[Iterator[KrausMap], KrausMap | None]:
     """Normalize a map argument to an iterator; second item is the constant
     map when the dynamics is time-invariant."""
     if isinstance(maps, KrausMap):
-
-        def gen() -> Iterator[KrausMap]:
-            while True:
-                yield maps
-
-        return gen(), maps
+        return repeat(maps), maps
     if isinstance(maps, (list, tuple)):
         for k, phi in enumerate(maps):
             if not isinstance(phi, KrausMap):
@@ -170,9 +166,10 @@ def _as_density_array(Z) -> np.ndarray:
     return DensityMatrix(as_hermitian_array(Z)).matrix
 
 
-def _check_dims(phi: KrausMap, X: np.ndarray) -> None:
+def _check_dims(phi: KrausMap, X: np.ndarray) -> np.ndarray:
     if X.shape[0] != phi.dimension:
         raise ValueError(f"dimension mismatch: map is {phi.dimension}, state is {X.shape[0]}")
+    return X
 
 
 def _symmetrize(M: np.ndarray) -> np.ndarray:
@@ -238,6 +235,24 @@ def kraus_power(phi: KrausMap, k: int) -> KrausMap:
     return reduce(compose, [phi] * k)
 
 
+def _spectral_record(limit, lyapunov: bool) -> Callable:
+    """Trace record of a matrix state: the spectral interval, the Frobenius
+    distance to `limit` when one is supplied and, when `lyapunov` is set and
+    the state is positive definite, the Hilbert distance to the identity ray
+    log(lambda_max / lambda_min). The run's level is the spectral width."""
+    limit_m = None if limit is None else as_hermitian_array(limit)
+
+    def record(t: int, M: np.ndarray) -> tuple[TraceRecord, float]:
+        ev = np.linalg.eigvalsh(M)
+        lyap = None
+        if lyapunov and is_positive_definite(ev):
+            lyap = float(math.log(ev[-1]) - math.log(ev[0]))
+        dist = None if limit_m is None else float(np.linalg.norm(M - limit_m))
+        return TraceRecord(t, lyap, float(ev[0]), float(ev[-1]), dist), float(ev[-1] - ev[0])
+
+    return record
+
+
 def run_noncommutative_consensus(
     maps, X0, stop: StoppingRule | None = None, limit=None
 ) -> SimulationTrace:
@@ -253,36 +268,10 @@ def run_noncommutative_consensus(
     stop = stop or StoppingRule()
     it, _ = _kraus_iterator(maps)
     X = np.array(as_hermitian_array(X0))
-    limit_m = None if limit is None else as_hermitian_array(limit)
-
-    records: list[TraceRecord] = []
-
-    def record(t: int, Xm: np.ndarray) -> float:
-        ev = np.linalg.eigvalsh(Xm)
-        lyap = float(math.log(ev[-1]) - math.log(ev[0])) if is_positive_definite(ev) else None
-        dist = None if limit_m is None else float(np.linalg.norm(Xm - limit_m))
-        records.append(TraceRecord(t, lyap, float(ev[0]), float(ev[-1]), dist))
-        return float(ev[-1] - ev[0])
-
-    width = record(0, X)
-    status = TerminalStatus.MAX_ITERATIONS
-    t = 0
-    if width < stop.tolerance:
-        status = TerminalStatus.CONVERGED
-    else:
-        while t < stop.max_iterations:
-            phi = next(it, None)
-            if phi is None:
-                status = TerminalStatus.INCOMPLETE_SEQUENCE
-                break
-            _check_dims(phi, X)
-            X = _apply_dual_raw(phi, X)
-            t += 1
-            width = record(t, X)
-            if width < stop.tolerance:
-                status = TerminalStatus.CONVERGED
-                break
-    return SimulationTrace(records, status, X, t)
+    record = _spectral_record(limit, lyapunov=True)
+    return iterate(
+        it, X, lambda phi, X: _apply_dual_raw(phi, _check_dims(phi, X)), record, stop
+    )
 
 
 def run_channel(maps, Z0, stop: StoppingRule | None = None, limit=None) -> SimulationTrace:
@@ -298,36 +287,15 @@ def run_channel(maps, Z0, stop: StoppingRule | None = None, limit=None) -> Simul
     it, constant = _kraus_iterator(maps)
     unital = constant is not None and constant.is_unital_channel
     Z = np.array(_as_density_array(Z0))
-    limit_m = None if limit is None else as_hermitian_array(limit)
-
-    records: list[TraceRecord] = []
-
-    def record(t: int, Zm: np.ndarray) -> None:
-        ev = np.linalg.eigvalsh(Zm)
-        lyap = None
-        if unital and is_positive_definite(ev):
-            lyap = float(math.log(ev[-1]) - math.log(ev[0]))
-        dist = None if limit_m is None else float(np.linalg.norm(Zm - limit_m))
-        records.append(TraceRecord(t, lyap, float(ev[0]), float(ev[-1]), dist))
-
-    record(0, Z)
-    status = TerminalStatus.MAX_ITERATIONS
-    t = 0
-    while t < stop.max_iterations:
-        psi = next(it, None)
-        if psi is None:
-            status = TerminalStatus.INCOMPLETE_SEQUENCE
-            break
-        _check_dims(psi, Z)
-        Z_new = _apply_channel_raw(psi, Z)
-        t += 1
-        record(t, Z_new)
-        step = float(np.linalg.norm(Z_new - Z))
-        Z = Z_new
-        if step < stop.tolerance:
-            status = TerminalStatus.CONVERGED
-            break
-    return SimulationTrace(records, status, Z, t)
+    record = _spectral_record(limit, lyapunov=unital)
+    return iterate(
+        it,
+        Z,
+        lambda psi, Z: _apply_channel_raw(psi, _check_dims(psi, Z)),
+        record,
+        stop,
+        move=lambda new, old: float(np.linalg.norm(new - old)),
+    )
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -14,7 +14,7 @@ from .cones import (
     hilbert_distance_orthant,
     tsitsiklis_lyapunov,
 )
-from .trace import SimulationTrace, StoppingRule, TerminalStatus, TraceRecord
+from .trace import SimulationTrace, StoppingRule, TraceRecord, iterate
 
 __all__ = [
     "StochasticMatrix",
@@ -109,12 +109,7 @@ class StochasticMatrixSequence:
     @classmethod
     def constant(cls, A) -> "StochasticMatrixSequence":
         mat = as_stochastic_matrix(A)
-
-        def gen() -> Iterator[StochasticMatrix]:
-            while True:
-                yield mat
-
-        return cls(mat.n, None, gen)
+        return cls(mat.n, None, lambda: repeat(mat))
 
     @classmethod
     def from_matrices(cls, matrices: Iterable) -> "StochasticMatrixSequence":
@@ -199,36 +194,13 @@ def run_consensus(sequence, x0, stop: StoppingRule | None = None, limit=None) ->
     x = _check_vector(x0, seq.dimension).copy()
     limit_v = None if limit is None else _check_vector(limit, seq.dimension)
 
-    records: list[TraceRecord] = []
-
-    def record(t: int, state: np.ndarray) -> float:
+    def record(t: int, state: np.ndarray) -> tuple[TraceRecord, float]:
         v = tsitsiklis_lyapunov(state)
         proj = birkhoff_lyapunov(state) if np.all(state > 0.0) else None
         dist = None if limit_v is None else float(np.max(np.abs(state - limit_v)))
-        records.append(
-            TraceRecord(t, v, float(state.min()), float(state.max()), dist, proj)
-        )
-        return v
+        return TraceRecord(t, v, float(state.min()), float(state.max()), dist, proj), v
 
-    v = record(0, x)
-    status = TerminalStatus.MAX_ITERATIONS
-    t = 0
-    if v < stop.tolerance:
-        status = TerminalStatus.CONVERGED
-    else:
-        it = iter(seq)
-        while t < stop.max_iterations:
-            A = next(it, None)
-            if A is None:
-                status = TerminalStatus.INCOMPLETE_SEQUENCE
-                break
-            x = A.entries @ x
-            t += 1
-            v = record(t, x)
-            if v < stop.tolerance:
-                status = TerminalStatus.CONVERGED
-                break
-    return SimulationTrace(records, status, x, t)
+    return iterate(seq, x, lambda A, x: A.entries @ x, record, stop)
 
 
 def run_dual_consensus(
@@ -245,30 +217,18 @@ def run_dual_consensus(
     z = _check_vector(z0, seq.dimension).copy()
     limit_v = None if limit is None else _check_vector(limit, seq.dimension)
 
-    records: list[TraceRecord] = []
-
-    def record(t: int, state: np.ndarray) -> None:
+    def record(t: int, state: np.ndarray) -> tuple[TraceRecord, None]:
         dist = None if limit_v is None else float(np.max(np.abs(state - limit_v)))
-        records.append(TraceRecord(t, None, float(state.min()), float(state.max()), dist))
+        return TraceRecord(t, None, float(state.min()), float(state.max()), dist), None
 
-    record(0, z)
-    status = TerminalStatus.MAX_ITERATIONS
-    t = 0
-    it = iter(seq)
-    while t < stop.max_iterations:
-        A = next(it, None)
-        if A is None:
-            status = TerminalStatus.INCOMPLETE_SEQUENCE
-            break
-        z_new = A.entries.T @ z
-        t += 1
-        record(t, z_new)
-        step = float(np.max(np.abs(z_new - z)))
-        z = z_new
-        if step < stop.tolerance:
-            status = TerminalStatus.CONVERGED
-            break
-    return SimulationTrace(records, status, z, t)
+    return iterate(
+        seq,
+        z,
+        lambda A, z: A.entries.T @ z,
+        record,
+        stop,
+        move=lambda new, old: float(np.max(np.abs(new - old))),
+    )
 
 
 def _as_nonneg_matrix(A) -> np.ndarray:

@@ -90,9 +90,22 @@ def run_scenario(
     }
 
     if s.kind in ("classical", "classical_dual"):
-        trace = _run_classical(s, stop, summary)
+        run = run_consensus if s.kind == "classical" else run_dual_consensus
+        trace = run(s.stochastic_sequence(), s.initial_vector(), stop, s.expected_limit_array())
     else:
         trace = _run_quantum_like(s, stop, summary, seed_override)
+
+    if s.analysis.compute_diameter:
+        # embedded runs start diagonal and stay diagonal, so the classical
+        # product-diameter certificate applies to their whole trajectory too
+        windows, first_k, factor = _diameter_windows(s)
+        summary["diameter"] = {
+            "windows": windows,
+            "first_finite_k": first_k,
+            "certified_contraction_factor": factor,
+        }
+        if trace.contraction_factor is None:
+            trace = trace.with_contraction_factor(factor)
 
     summary["status"] = trace.status.value
     summary["iterations"] = trace.iterations
@@ -114,25 +127,6 @@ def run_scenario(
 
     exit_code = 0 if trace.status is TerminalStatus.CONVERGED else 2
     return RunResult(trace.status, exit_code, trace_path, summary_path, summary, trace)
-
-
-def _run_classical(s: Scenario, stop: StoppingRule, summary: dict) -> SimulationTrace:
-    seq = s.stochastic_sequence()
-    x0 = s.initial_vector()
-    limit = s.expected_limit_array()
-    if s.kind == "classical":
-        trace = run_consensus(seq, x0, stop, limit)
-    else:
-        trace = run_dual_consensus(seq, x0, stop, limit)
-    if s.analysis.compute_diameter:
-        windows, first_k, factor = _diameter_windows(s)
-        summary["diameter"] = {
-            "windows": windows,
-            "first_finite_k": first_k,
-            "certified_contraction_factor": factor,
-        }
-        trace = trace.with_contraction_factor(factor)
-    return trace
 
 
 def _run_quantum_like(
@@ -197,18 +191,6 @@ def _run_quantum_like(
         }
         if bracket.upper.is_finite:
             trace = trace.with_contraction_factor(bracket.contraction_factor)
-
-    if s.analysis.compute_diameter:
-        # embedded runs start diagonal and stay diagonal, so the classical
-        # product-diameter certificate applies to the whole trajectory
-        windows, first_k, factor = _diameter_windows(s)
-        summary["diameter"] = {
-            "windows": windows,
-            "first_finite_k": first_k,
-            "certified_contraction_factor": factor,
-        }
-        if factor is not None and trace.contraction_factor is None:
-            trace = trace.with_contraction_factor(factor)
 
     if s.analysis.duality_check:
         if s.kind == "quantum_channel":

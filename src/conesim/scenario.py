@@ -214,16 +214,10 @@ class Dynamics:
     builder: SpinRotationSpec | SpontaneousEmissionSpec | None = None
 
     def to_jsonable(self) -> dict:
-        if self.matrix is not None:
-            return {"matrix": [list(r) for r in self.matrix]}
-        if self.matrices is not None:
-            return {"matrices": [[list(r) for r in m] for m in self.matrices]}
-        if self.kraus_operators is not None:
-            return {
-                "kraus_operators": [
-                    [[list(pair) for pair in row] for row in op] for op in self.kraus_operators
-                ]
-            }
+        for key in ("matrix", "matrices", "kraus_operators"):
+            value = getattr(self, key)
+            if value is not None:
+                return {key: _unfreeze(value)}
         assert self.builder is not None
         return {"builder": self.builder.to_jsonable()}
 
@@ -256,10 +250,6 @@ class Scenario:
     expected_limit: tuple | None = None
     trace_csv: str = "trace.csv"
     summary_path: str = "summary.json"
-
-    @property
-    def is_quantum(self) -> bool:
-        return self.kind in QUANTUM_KINDS
 
     def stochastic_sequence(self) -> StochasticMatrixSequence:
         if self.dynamics.matrix is not None:

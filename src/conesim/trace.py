@@ -115,3 +115,39 @@ class SimulationTrace:
             )
         path.write_text("\n".join(lines) + "\n", newline="\n")
         return path
+
+
+def iterate(maps, state, apply, record, stop: StoppingRule, move=None) -> SimulationTrace:
+    """Run state(t+1) = apply(map(t), state(t)) until `stop` fires.
+
+    `record(t, state)` returns the trace row and the run's level (its spread
+    or spectral width). Without `move` the run stops once the level is below
+    tolerance, checked from t = 0; with `move` it stops once
+    move(new, old) is below tolerance, so it takes at least one step. The
+    budget is tested before the next map is pulled: a finite sequence of
+    exactly max_iterations maps ends MAX_ITERATIONS, a shorter one
+    INCOMPLETE_SEQUENCE.
+    """
+    rec, level = record(0, state)
+    records = [rec]
+    t = 0
+    if move is None and level < stop.tolerance:
+        return SimulationTrace(records, TerminalStatus.CONVERGED, state, t)
+    status = TerminalStatus.MAX_ITERATIONS
+    it = iter(maps)
+    while t < stop.max_iterations:
+        m = next(it, None)
+        if m is None:
+            status = TerminalStatus.INCOMPLETE_SEQUENCE
+            break
+        new = apply(m, state)
+        t += 1
+        rec, level = record(t, new)
+        records.append(rec)
+        if move is not None:
+            level = move(new, state)
+        state = new
+        if level < stop.tolerance:
+            status = TerminalStatus.CONVERGED
+            break
+    return SimulationTrace(records, status, state, t)

@@ -1,0 +1,107 @@
+"""The stopping contract shared by the four consensus runs.
+
+`run_consensus` and `run_noncommutative_consensus` stop on their spread
+(spectral width), checked from t = 0; `run_dual_consensus` and `run_channel`
+stop on the move between successive states, so they always take a step. The
+iteration budget is tested before the next map is pulled.
+"""
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+from conesim import (
+    KrausMap,
+    StochasticMatrixSequence,
+    StoppingRule,
+    TerminalStatus,
+    make_spin_rotation_map,
+    run_channel,
+    run_consensus,
+    run_dual_consensus,
+    run_noncommutative_consensus,
+)
+
+LAZY = np.array([[0.9, 0.1], [0.1, 0.9]])  # doubly stochastic, slow mixing
+SPIN = make_spin_rotation_map(0.3, 0.7, 0.5)  # unital as a channel
+
+
+@dataclass(frozen=True)
+class Case:
+    run: object
+    stops_on_level: bool
+    quantum: bool
+    moving: object  # a state far from the limit
+    fixed: object  # a state every map leaves unchanged
+
+    def maps(self, count):
+        if self.quantum:
+            return [SPIN] * count
+        return StochasticMatrixSequence.from_matrices([LAZY] * count)
+
+    def constant(self):
+        return SPIN if self.quantum else LAZY
+
+
+CASES = {
+    "consensus": Case(run_consensus, True, False, [0.0, 1.0], [1.0, 1.0]),
+    "dual_consensus": Case(run_dual_consensus, False, False, [0.0, 1.0], [1.0, 1.0]),
+    "noncommutative": Case(
+        run_noncommutative_consensus, True, True, np.diag([1.0, 0.0]), np.eye(2)
+    ),
+    "channel": Case(run_channel, False, True, np.diag([1.0, 0.0]), np.eye(2) / 2),
+}
+
+params = pytest.mark.parametrize("case", list(CASES.values()), ids=list(CASES))
+
+
+@params
+@pytest.mark.parametrize("length", [1, 5])
+def test_sequence_of_exactly_the_budget_ends_max_iters(case, length):
+    trace = case.run(case.maps(length), case.moving, StoppingRule(1e-10, length))
+    assert trace.status is TerminalStatus.MAX_ITERATIONS
+    assert trace.iterations == length
+    assert [r.t for r in trace.records] == list(range(length + 1))
+
+
+@params
+@pytest.mark.parametrize("length", [1, 5])
+def test_sequence_shorter_than_the_budget_ends_incomplete(case, length):
+    trace = case.run(case.maps(length), case.moving, StoppingRule(1e-10, length + 1))
+    assert trace.status is TerminalStatus.INCOMPLETE_SEQUENCE
+    assert trace.iterations == length
+    assert len(trace.records) == length + 1
+
+
+@params
+def test_fixed_state_stops_at_zero_on_level_after_one_step_on_move(case):
+    trace = case.run(case.constant(), case.fixed, StoppingRule(1e-10, 10))
+    assert trace.status is TerminalStatus.CONVERGED
+    expected = 0 if case.stops_on_level else 1
+    assert trace.iterations == expected
+    assert len(trace.records) == expected + 1
+    np.testing.assert_allclose(trace.final_state, case.fixed, atol=1e-15)
+
+
+@params
+def test_zero_tolerance_runs_the_whole_budget(case):
+    trace = case.run(case.constant(), case.fixed, StoppingRule(0.0, 7))
+    assert trace.status is TerminalStatus.MAX_ITERATIONS
+    assert trace.iterations == 7
+    assert len(trace.records) == 8
+
+
+@pytest.mark.parametrize("name", ["noncommutative", "channel"])
+def test_wrong_dimension_map_raises_at_its_step(name):
+    case = CASES[name]
+    wrong = KrausMap(tuple(np.kron(V, np.eye(2)) for V in SPIN.operators))
+    pulled = []
+
+    def maps():
+        for phi in [SPIN, SPIN, wrong, SPIN]:
+            pulled.append(phi)
+            yield phi
+
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        case.run(maps(), case.moving, StoppingRule(1e-10, 10))
+    assert len(pulled) == 3

@@ -1,4 +1,5 @@
 """Smoke tests for the scripts under scripts/."""
+import json
 import os
 import subprocess
 import sys
@@ -23,3 +24,20 @@ def test_contraction_study_runs_and_observed_within_certified():
     for line in part1:
         certified, observed = (float(v) for v in line.split()[-2:])
         assert observed <= certified + 1e-9, line
+
+
+def test_run_examples_writes_converged_summaries(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_examples.py"), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summaries = sorted(tmp_path.glob("*/summary.json"))
+    assert [p.parent.name for p in summaries] == ["example1", "example2", "example3"]
+    for path in summaries:
+        assert json.loads(path.read_text())["status"] == "converged", path
