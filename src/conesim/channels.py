@@ -12,14 +12,13 @@ import numpy as np
 
 from .cones import ExtendedNonnegReal, contraction_ratio
 from .hermitian import (
-    PD_FLOOR,
     HermitianMatrix,
     SpectralInterval,
     as_hermitian_array,
     is_positive_definite,
     spectral_interval,
 )
-from .trace import SimulationTrace, StoppingRule, TraceRecord, iterate
+from .trace import SimulationTrace, StoppingRule, iterate
 
 __all__ = [
     "KrausMap",
@@ -235,22 +234,33 @@ def kraus_power(phi: KrausMap, k: int) -> KrausMap:
     return reduce(compose, [phi] * k)
 
 
-def _spectral_record(limit, lyapunov: bool) -> Callable:
-    """Trace record of a matrix state: the spectral interval, the Frobenius
-    distance to `limit` when one is supplied and, when `lyapunov` is set and
-    the state is positive definite, the Hilbert distance to the identity ray
-    log(lambda_max / lambda_min). The run's level is the spectral width."""
+def _spectral_measure(limit, lyapunov: bool) -> Callable:
+    """Trace columns of matrix states: the spectral interval, the Frobenius
+    distance to `limit` when one is supplied and, when `lyapunov` is set, the
+    Hilbert distance to the identity ray log(lambda_max / lambda_min) of the
+    positive definite states. The run's level is the spectral width."""
     limit_m = None if limit is None else as_hermitian_array(limit)
 
-    def record(t: int, M: np.ndarray) -> tuple[TraceRecord, float]:
-        ev = np.linalg.eigvalsh(M)
+    def measure(states: np.ndarray):
+        ev = np.linalg.eigvalsh(states)
+        lo, hi = ev[:, 0], ev[:, -1]
         lyap = None
-        if lyapunov and is_positive_definite(ev):
-            lyap = float(math.log(ev[-1]) - math.log(ev[0]))
-        dist = None if limit_m is None else float(np.linalg.norm(M - limit_m))
-        return TraceRecord(t, lyap, float(ev[0]), float(ev[-1]), dist), float(ev[-1] - ev[0])
+        if lyapunov:
+            pd = is_positive_definite(ev).tolist()
+            # math.log, as np.log may differ from it in the last bit
+            lyap = np.array(
+                [math.log(b) - math.log(a) if p else math.nan for a, b, p in zip(lo, hi, pd)]
+            )
+        dist = None if limit_m is None else _frobenius(states - limit_m)
+        return (lyap, lo, hi, dist, None), hi - lo
 
-    return record
+    return measure
+
+
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    # one norm per matrix: a batched norm differs from np.linalg.norm(M) in
+    # the last bit
+    return np.array([np.linalg.norm(M) for M in stack])
 
 
 def run_noncommutative_consensus(
@@ -263,14 +273,14 @@ def run_noncommutative_consensus(
     positive definite, the Hilbert distance to the identity ray
     log(lambda_max / lambda_min), which is non-increasing along the run.
     The initial state may be any Hermitian matrix; translation by a multiple
-    of the identity commutes with the dynamics.
+    of the identity commutes with the dynamics. Maps are applied in blocks,
+    so a one-shot iterator of maps may be advanced past the stopping index.
     """
-    stop = stop or StoppingRule()
     it, _ = _kraus_iterator(maps)
     X = np.array(as_hermitian_array(X0))
-    record = _spectral_record(limit, lyapunov=True)
+    measure = _spectral_measure(limit, lyapunov=True)
     return iterate(
-        it, X, lambda phi, X: _apply_dual_raw(phi, _check_dims(phi, X)), record, stop
+        it, X, lambda phi, X: _apply_dual_raw(phi, _check_dims(phi, X)), measure, stop
     )
 
 
@@ -281,20 +291,20 @@ def run_channel(maps, Z0, stop: StoppingRule | None = None, limit=None) -> Simul
     a multiple of the identity), so the run stops when successive states
     differ by less than tolerance in Frobenius norm. For a constant unital
     channel the Hilbert distance to the identity is recorded as the Lyapunov
-    column; otherwise the column is left empty.
+    column; otherwise the column is left empty. Maps are applied in blocks,
+    so a one-shot iterator of maps may be advanced past the stopping index.
     """
-    stop = stop or StoppingRule()
     it, constant = _kraus_iterator(maps)
     unital = constant is not None and constant.is_unital_channel
     Z = np.array(_as_density_array(Z0))
-    record = _spectral_record(limit, lyapunov=unital)
+    measure = _spectral_measure(limit, lyapunov=unital)
     return iterate(
         it,
         Z,
         lambda psi, Z: _apply_channel_raw(psi, _check_dims(psi, Z)),
-        record,
+        measure,
         stop,
-        move=lambda new, old: float(np.linalg.norm(new - old)),
+        move=lambda states: _frobenius(np.diff(states, axis=0)),
     )
 
 
@@ -365,13 +375,12 @@ def estimate_image_radius(
         nonlocal best_val, best_proj, drawn
         images = _apply_dual_stack(phi, batch)
         ev = np.linalg.eigvalsh(images)
-        lam_min, lam_max = ev[:, 0], ev[:, -1]
-        singular = lam_min <= PD_FLOOR * np.maximum(1.0, lam_max)
+        singular = ~is_positive_definite(ev)
         if singular.any():
             k = int(np.argmax(singular))
             drawn += k + 1
             return np.array(batch[k])
-        vals = np.log(lam_max) - np.log(lam_min)
+        vals = np.log(ev[:, -1]) - np.log(ev[:, 0])
         k = int(np.argmax(vals))
         if vals[k] > best_val:
             best_val = float(vals[k])

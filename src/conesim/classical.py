@@ -14,7 +14,7 @@ from .cones import (
     hilbert_distance_orthant,
     tsitsiklis_lyapunov,
 )
-from .trace import SimulationTrace, StoppingRule, TraceRecord, iterate
+from .trace import SimulationTrace, StoppingRule, iterate
 
 __all__ = [
     "StochasticMatrix",
@@ -45,22 +45,22 @@ class StochasticMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=float)
+        m = np.array(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError("StochasticMatrix requires a square 2-d array")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("StochasticMatrix entries must be finite")
-        if np.any(m < 0.0):
-            i, j = np.unravel_index(int(np.argmin(m)), m.shape)
-            raise ValueError(f"negative entry at ({i},{j}): {m[i, j]}")
-        sums = m.sum(axis=1)
-        bad = np.abs(sums - 1.0) > ROW_SUM_TOL
-        if np.any(bad):
-            i = int(np.argmax(bad))
+        # one check on the passing path: a NaN or negative entry fails the
+        # minimum, an infinite entry its row sum; the diagnosis comes after
+        if not (m.min() >= 0.0 and np.abs(m.sum(axis=1) - 1.0).max() <= ROW_SUM_TOL):
+            if not np.all(np.isfinite(m)):
+                raise ValueError("StochasticMatrix entries must be finite")
+            if np.any(m < 0.0):
+                i, j = np.unravel_index(int(np.argmin(m)), m.shape)
+                raise ValueError(f"negative entry at ({i},{j}): {m[i, j]}")
+            sums = m.sum(axis=1)
+            i = int(np.argmax(np.abs(sums - 1.0) > ROW_SUM_TOL))
             raise ValueError(
                 f"row {i} sums to {float(sums[i])!r}, expected 1 within {ROW_SUM_TOL}"
             )
-        m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
@@ -189,18 +189,20 @@ def run_consensus(sequence, x0, stop: StoppingRule | None = None, limit=None) ->
     supplied. A finite sequence that runs out before the stopping rule fires
     yields status ``incomplete_sequence``.
     """
-    stop = stop or StoppingRule()
     seq = as_stochastic_sequence(sequence)
     x = _check_vector(x0, seq.dimension).copy()
     limit_v = None if limit is None else _check_vector(limit, seq.dimension)
 
-    def record(t: int, state: np.ndarray) -> tuple[TraceRecord, float]:
-        v = tsitsiklis_lyapunov(state)
-        proj = birkhoff_lyapunov(state) if np.all(state > 0.0) else None
-        dist = None if limit_v is None else float(np.max(np.abs(state - limit_v)))
-        return TraceRecord(t, v, float(state.min()), float(state.max()), dist, proj), v
+    def measure(states: np.ndarray):
+        lo, hi = states.min(axis=1), states.max(axis=1)
+        # a state's spread is that of its extremes; a non-finite state raises
+        spread = tsitsiklis_lyapunov(np.column_stack((lo, hi)))
+        positive = lo > 0.0
+        proj = np.full(len(states), np.nan)
+        proj[positive] = birkhoff_lyapunov(states[positive])
+        return (spread, lo, hi, _sup_distance(states, limit_v), proj), spread
 
-    return iterate(seq, x, lambda A, x: A.entries @ x, record, stop)
+    return iterate(seq, x, lambda A, x: A.entries @ x, measure, stop)
 
 
 def run_dual_consensus(
@@ -212,23 +214,26 @@ def run_dual_consensus(
     so the Lyapunov column is left empty and the run stops when successive
     states differ by less than tolerance in sup norm.
     """
-    stop = stop or StoppingRule()
     seq = as_stochastic_sequence(sequence)
     z = _check_vector(z0, seq.dimension).copy()
     limit_v = None if limit is None else _check_vector(limit, seq.dimension)
 
-    def record(t: int, state: np.ndarray) -> tuple[TraceRecord, None]:
-        dist = None if limit_v is None else float(np.max(np.abs(state - limit_v)))
-        return TraceRecord(t, None, float(state.min()), float(state.max()), dist), None
+    def measure(states: np.ndarray):
+        lo, hi = states.min(axis=1), states.max(axis=1)
+        return (None, lo, hi, _sup_distance(states, limit_v), None), None
 
     return iterate(
         seq,
         z,
         lambda A, z: A.entries.T @ z,
-        record,
+        measure,
         stop,
-        move=lambda new, old: float(np.max(np.abs(new - old))),
+        move=lambda states: np.abs(np.diff(states, axis=0)).max(axis=1),
     )
+
+
+def _sup_distance(states: np.ndarray, limit: np.ndarray | None) -> np.ndarray | None:
+    return None if limit is None else np.abs(states - limit).max(axis=1)
 
 
 def _as_nonneg_matrix(A) -> np.ndarray:

@@ -169,22 +169,29 @@ def thompson_distance_orthant(x, y) -> float:
     return float(max(r.max(), -r.min()))
 
 
-def tsitsiklis_lyapunov(x) -> float:
-    """Spread max_i x_i - min_i x_i, defined for any real vector."""
+def tsitsiklis_lyapunov(x):
+    """Spread max_i x_i - min_i x_i of a real vector; a 2-d array is a stack
+    of vectors and gives the array of their spreads."""
     v = np.asarray(x, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("expected a nonempty 1-d real vector")
+    if v.ndim not in (1, 2) or v.shape[-1] < 1:
+        raise ValueError("expected a nonempty real vector or a stack of them")
     if not np.all(np.isfinite(v)):
         raise ValueError("entries must be finite")
-    return float(v.max() - v.min())
+    spread = v.max(axis=-1) - v.min(axis=-1)
+    return float(spread) if v.ndim == 1 else spread
 
-def birkhoff_lyapunov(x) -> float:
+
+def birkhoff_lyapunov(x):
     """Hilbert distance from x to the all-ones consensus ray.
 
     Equals the spread of the entrywise logarithm, so it is scaling-invariant
-    where :func:`tsitsiklis_lyapunov` is translation-invariant.
+    where :func:`tsitsiklis_lyapunov` is translation-invariant; a stack of
+    vectors gives the array of their distances.
     """
-    return tsitsiklis_lyapunov(as_positive_vector(x).log)
+    v = np.asarray(x.entries if isinstance(x, PositiveVector) else x, dtype=float)
+    if not np.all(v > 0.0):
+        raise ValueError("entries must be strictly positive")
+    return tsitsiklis_lyapunov(np.log(v))
 
 
 def contraction_ratio(diameter) -> float:

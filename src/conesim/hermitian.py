@@ -82,11 +82,10 @@ def spectral_interval(X) -> SpectralInterval:
     return SpectralInterval(float(ev[0]), float(ev[-1]))
 
 
-def is_positive_definite(evals: np.ndarray) -> bool:
-    """PD test on a precomputed ascending spectrum, relative floor PD_FLOOR."""
-    lam_min = float(evals[0])
-    lam_max = float(evals[-1])
-    return lam_min > PD_FLOOR * max(1.0, lam_max)
+def is_positive_definite(evals: np.ndarray):
+    """PD test on a precomputed ascending spectrum, relative floor PD_FLOOR;
+    a stack of spectra (along the last axis) gives one answer per spectrum."""
+    return evals[..., 0] > PD_FLOOR * np.maximum(1.0, evals[..., -1])
 
 
 def _require_pd(X, name: str) -> np.ndarray:

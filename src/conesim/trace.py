@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain, islice, repeat, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -117,37 +118,88 @@ class SimulationTrace:
         return path
 
 
-def iterate(maps, state, apply, record, stop: StoppingRule, move=None) -> SimulationTrace:
+# States are measured in blocks of _FIRST_BLOCK, doubling up to _MAX_BLOCK
+# states and _BLOCK_BYTES. The state cap bounds the maps applied past the
+# stopping index (a 2x2 run that stops at t = 1250 applies 1272 maps with
+# it, 2040 without), the byte cap a block's memory; a first block of 8
+# spares short runs several tiny blocks.
+_FIRST_BLOCK = 8
+_MAX_BLOCK = 256
+_BLOCK_BYTES = 1 << 16
+
+
+def iterate(maps, state, apply, measure, stop: StoppingRule | None, move=None) -> SimulationTrace:
     """Run state(t+1) = apply(map(t), state(t)) until `stop` fires.
 
-    `record(t, state)` returns the trace row and the run's level (its spread
-    or spectral width). Without `move` the run stops once the level is below
-    tolerance, checked from t = 0; with `move` it stops once
-    move(new, old) is below tolerance, so it takes at least one step. The
-    budget is tested before the next map is pulled: a finite sequence of
-    exactly max_iterations maps ends MAX_ITERATIONS, a shorter one
-    INCOMPLETE_SEQUENCE.
+    Maps are applied one at a time into a block of states. `measure(states)`
+    returns the block's columns (lyapunov, lambda_min, lambda_max,
+    dist_to_limit, projective_lyapunov: None for a column the run does not
+    record, NaN for an undefined value) and the level of each state; it must
+    raise on a block exactly when it raises on one of its states. Without
+    `move` the run stops at the first level below tolerance, from t = 0; with
+    `move` at the first move(states)[k], a state's distance from the one
+    before, below it, so after one step at least. The budget is tested before
+    a map is pulled: a finite sequence of exactly max_iterations maps ends
+    MAX_ITERATIONS, a shorter one INCOMPLETE_SEQUENCE. Maps applied past the
+    stopping index, and errors raised on them, never reach the result.
     """
-    rec, level = record(0, state)
-    records = [rec]
-    t = 0
-    if move is None and level < stop.tolerance:
-        return SimulationTrace(records, TerminalStatus.CONVERGED, state, t)
+    stop = stop or StoppingRule()
+    columns, level = measure(state[None])
+    blocks, t = [columns], 0
+    if move is None and level[0] < stop.tolerance:
+        return _trace(blocks, TerminalStatus.CONVERGED, state, t)
     status = TerminalStatus.MAX_ITERATIONS
-    it = iter(maps)
+    cap = max(1, min(_MAX_BLOCK, _BLOCK_BYTES // state.nbytes))
+    size = min(_FIRST_BLOCK, cap)
+    it = takewhile(lambda m: m is not None, maps)  # a None map ends the sequence
     while t < stop.max_iterations:
-        m = next(it, None)
-        if m is None:
-            status = TerminalStatus.INCOMPLETE_SEQUENCE
-            break
-        new = apply(m, state)
-        t += 1
-        rec, level = record(t, new)
-        records.append(rec)
-        if move is not None:
-            level = move(new, state)
-        state = new
-        if level < stop.tolerance:
+        n = min(size, stop.max_iterations - t)
+        states = np.empty((n + 1,) + state.shape, state.dtype)
+        states[0] = state
+        pulled = []
+        try:
+            for k, m in enumerate(islice(it, n), 1):
+                pulled.append(m)
+                states[k] = apply(m, states[k - 1])
+            states = states[: len(pulled) + 1]
+            columns, level = measure(states[1:])
+            if move is not None:
+                level = move(states)
+        except Exception as exc:
+            if n == 1:
+                raise
+            # replay the block one map at a time, ending with the error: it
+            # is raised only if no earlier state stops the run
+            it, size = chain(pulled, _raising(exc)), 1
+            continue
+        hits = np.flatnonzero(level < stop.tolerance)
+        k = int(hits[0]) + 1 if hits.size else len(pulled)
+        blocks.append([None if c is None else c[:k] for c in columns])
+        t += k
+        state = states[k].copy()
+        if hits.size:
             status = TerminalStatus.CONVERGED
             break
+        if len(pulled) < n:
+            status = TerminalStatus.INCOMPLETE_SEQUENCE
+            break
+        size = min(2 * size, cap)
+    return _trace(blocks, status, state, t)
+
+
+def _raising(exc: Exception):
+    """An iterator whose first item raises `exc`."""
+    raise exc
+    yield
+
+
+def _trace(blocks, status: TerminalStatus, state, t: int) -> SimulationTrace:
+    lyap, lo, hi, dist, proj = (
+        repeat(None) if parts[0] is None else np.concatenate(parts).tolist()
+        for parts in zip(*blocks)
+    )
+    records = [
+        TraceRecord(i, None if v != v else v, a, b, d, None if p != p else p)
+        for i, (v, a, b, d, p) in enumerate(zip(lyap, lo, hi, dist, proj))
+    ]
     return SimulationTrace(records, status, state, t)
