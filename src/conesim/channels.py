@@ -39,7 +39,6 @@ __all__ = [
     "check_spectral_nesting",
     "estimate_image_radius",
     "diameter_bracket",
-    "transfer_matrix",
     "channel_fixed_point",
     "duality_invariant_check",
     "build_classical_embedding",
@@ -61,6 +60,7 @@ class KrausMap:
     (see :func:`apply_dual`) and the trace-preserving channel
     Z -> sum V_i Z V_i* (see :func:`apply_channel`). `is_unital_channel` is
     set when additionally sum V_i V_i* = I, the doubly-stochastic analog.
+    `superoperator` gives both actions as one n^2 x n^2 matrix.
     """
 
     operators: tuple[np.ndarray, ...]
@@ -103,6 +103,13 @@ class KrausMap:
     @property
     def operator_count(self) -> int:
         return len(self.operators)
+
+    @property
+    def superoperator(self) -> np.ndarray:
+        """Liouville matrix S = sum_i V_i (x) conj(V_i), built afresh on each
+        access: with row-major vec, vec(channel(Z)) = S vec(Z) and
+        vec(dual(X)) = S^* vec(X)."""
+        return sum(np.kron(V, V.conj()) for V in self.operators)
 
     @classmethod
     def from_operators(cls, operators, renormalize: bool = False) -> "KrausMap":
@@ -172,7 +179,8 @@ def _check_dims(phi: KrausMap, X: np.ndarray) -> np.ndarray:
 
 
 def _symmetrize(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.conj().T)
+    """Hermitian part of a matrix or of each matrix in a stack."""
+    return 0.5 * (M + M.swapaxes(-1, -2).conj())
 
 
 def _apply_dual_raw(phi: KrausMap, X: np.ndarray) -> np.ndarray:
@@ -205,13 +213,6 @@ def apply_channel(psi: KrausMap, Z) -> np.ndarray:
     Zm = as_hermitian_array(Z)
     _check_dims(psi, Zm)
     return _apply_channel_raw(psi, Zm)
-
-
-def _apply_dual_stack(phi: KrausMap, stack: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(stack)
-    for V in phi.operators:
-        out += np.einsum("ab,sbc,cd->sad", V.conj().T, stack, V, optimize=True)
-    return 0.5 * (out + np.conj(np.transpose(out, (0, 2, 1))))
 
 
 def compose(outer: KrausMap, inner: KrausMap) -> KrausMap:
@@ -367,13 +368,14 @@ def estimate_image_radius(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     n = phi.dimension
+    dual = phi.superoperator.conj()  # vec(X)^T conj(S) = (S^* vec(X))^T
     best_val = -math.inf
     best_proj: np.ndarray | None = None
     drawn = 0
 
     def process(batch: np.ndarray) -> np.ndarray | None:
         nonlocal best_val, best_proj, drawn
-        images = _apply_dual_stack(phi, batch)
+        images = _symmetrize((batch.reshape(-1, n * n) @ dual).reshape(batch.shape))
         ev = np.linalg.eigvalsh(images)
         singular = ~is_positive_definite(ev)
         if singular.any():
@@ -438,38 +440,6 @@ def diameter_bracket(phi: KrausMap, samples: int, seed: int = 0) -> DiameterBrac
 
 # --- fixed points ----------------------------------------------------------
 
-# Hermitian matrices are coordinatized by n^2 reals: the diagonal, then the
-# real and imaginary parts of the upper triangle. The channel becomes a real
-# n^2 x n^2 transfer matrix in these coordinates.
-
-
-def _hermitian_coords(X: np.ndarray) -> np.ndarray:
-    n = X.shape[0]
-    iu = np.triu_indices(n, k=1)
-    return np.concatenate([np.diagonal(X).real, X[iu].real, X[iu].imag])
-
-
-def _hermitian_from_coords(v: np.ndarray, n: int) -> np.ndarray:
-    X = np.zeros((n, n), dtype=complex)
-    m = n * (n - 1) // 2
-    iu = np.triu_indices(n, k=1)
-    X[iu] = v[n : n + m] + 1j * v[n + m :]
-    X = X + X.conj().T
-    X[np.diag_indices(n)] = v[:n]
-    return X
-
-
-def transfer_matrix(psi: KrausMap) -> np.ndarray:
-    """Real matrix of the channel action in Hermitian coordinates."""
-    n = psi.dimension
-    n2 = n * n
-    M = np.empty((n2, n2))
-    for c in range(n2):
-        e = np.zeros(n2)
-        e[c] = 1.0
-        M[:, c] = _hermitian_coords(_apply_channel_raw(psi, _hermitian_from_coords(e, n)))
-    return M
-
 
 class FixedPointError(RuntimeError):
     pass
@@ -485,36 +455,6 @@ class FixedPointResult:
     hypothesis_certified: bool | None = None
 
 
-def _inverse_iteration(M: np.ndarray, v0: np.ndarray, residual_tol: float) -> np.ndarray:
-    n2 = M.shape[0]
-    for shift in (1.0, 1.0 + 1e-12, 1.0 - 1e-12):
-        T = M - shift * np.eye(n2)
-        v = v0 / np.linalg.norm(v0)
-        best: np.ndarray | None = None
-        best_res = np.inf
-        failed = False
-        for _ in range(100):
-            try:
-                w = np.linalg.solve(T, v)
-            except np.linalg.LinAlgError:
-                failed = True
-                break
-            norm = np.linalg.norm(w)
-            if not np.isfinite(norm) or norm == 0.0:
-                failed = True
-                break
-            v = w / norm
-            res = float(np.linalg.norm(M @ v - v))
-            if res < best_res:
-                best, best_res = v, res
-            elif best_res <= residual_tol:
-                # past the target and no longer improving
-                break
-        if not failed and best is not None and best_res <= residual_tol:
-            return best
-    raise FixedPointError("inverse iteration failed to reach the residual target")
-
-
 def channel_fixed_point(
     psi: KrausMap,
     residual_tol: float = 1e-10,
@@ -524,12 +464,17 @@ def channel_fixed_point(
 ) -> FixedPointResult:
     """Stationary density of a trace-preserving channel.
 
-    The eigenvalue-1 eigenvector of the real transfer matrix is extracted by
-    shifted inverse iteration, re-Hermitized, and normalized to unit trace.
-    When the eigenvalue-1 space has numerical dimension > 1 (gap
-    `degeneracy_gap`) the fixed point is not unique; the routine then falls
-    back to power iteration from I/n and flags non-uniqueness rather than
-    fabricating a choice.
+    The fixed point spans the null space of S - I, S the Liouville matrix of
+    the channel (:attr:`KrausMap.superoperator`). Its dimension, reported as
+    `eigenvalue_one_multiplicity`, is the number of singular values of S - I
+    at most `degeneracy_gap`: the geometric multiplicity of eigenvalue 1.
+    When it is at most 1, one linear solve gives the fixed point: trace
+    preservation makes the rows of S - I at the diagonal positions sum to
+    zero, so the first of them is replaced by the unit-trace condition
+    tr(Z) = 1. The solution is re-Hermitized. When the multiplicity exceeds 1
+    the fixed point is not unique; the routine then falls back to power
+    iteration from I/n and flags non-uniqueness rather than fabricating a
+    choice.
 
     Uniqueness is guaranteed only when some power of the dual map has finite
     projective diameter. Pass the `bracket` of some power of the dual map
@@ -541,20 +486,21 @@ def channel_fixed_point(
     `residual_tol`, which signals numerical breakdown for a valid map.
     """
     n = psi.dimension
-    M = transfer_matrix(psi)
-    eigs = np.linalg.eigvals(M)
-    multiplicity = int(np.sum(np.abs(eigs - 1.0) <= degeneracy_gap))
+    A = psi.superoperator
+    A[np.diag_indices_from(A)] -= 1.0
+    multiplicity = int(np.sum(np.linalg.svd(A, compute_uv=False) <= degeneracy_gap))
 
     certified = None if bracket is None else bracket.upper.is_finite
 
     if multiplicity <= 1:
-        v0 = _hermitian_coords(np.eye(n, dtype=complex) / n)
-        v = _inverse_iteration(M, v0, residual_tol)
-        Z = _hermitian_from_coords(v, n)
-        tr = float(np.trace(Z).real)
-        if abs(tr) < 1e-8:
-            raise FixedPointError("fixed direction has numerically zero trace")
-        Z = Z / tr
+        A[0] = np.eye(n).ravel()
+        e0 = np.zeros(n * n)
+        e0[0] = 1.0
+        try:
+            v = np.linalg.solve(A, e0)
+        except np.linalg.LinAlgError:
+            raise FixedPointError("fixed direction has numerically zero trace") from None
+        Z = _symmetrize(v.reshape(n, n))
         unique = True
     else:
         Z = np.eye(n, dtype=complex) / n

@@ -195,7 +195,7 @@ def run_consensus(sequence, x0, stop: StoppingRule | None = None, limit=None) ->
 
     def measure(states: np.ndarray):
         lo, hi = states.min(axis=1), states.max(axis=1)
-        # a state's spread is that of its extremes; a non-finite state raises
+        # a state's spread is that of its extremes
         spread = tsitsiklis_lyapunov(np.column_stack((lo, hi)))
         positive = lo > 0.0
         proj = np.full(len(states), np.nan)

@@ -140,8 +140,9 @@ def iterate(maps, state, apply, measure, stop: StoppingRule | None, move=None) -
     `move` at the first move(states)[k], a state's distance from the one
     before, below it, so after one step at least. The budget is tested before
     a map is pulled: a finite sequence of exactly max_iterations maps ends
-    MAX_ITERATIONS, a shorter one INCOMPLETE_SEQUENCE. Maps applied past the
-    stopping index, and errors raised on them, never reach the result.
+    MAX_ITERATIONS, a shorter one INCOMPLETE_SEQUENCE. A state with a
+    non-finite entry raises ValueError. Maps applied past the stopping index,
+    and errors raised on them, never reach the result.
     """
     stop = stop or StoppingRule()
     columns, level = measure(state[None])
@@ -162,6 +163,8 @@ def iterate(maps, state, apply, measure, stop: StoppingRule | None, move=None) -
                 pulled.append(m)
                 states[k] = apply(m, states[k - 1])
             states = states[: len(pulled) + 1]
+            if not np.isfinite(states).all():
+                raise ValueError("state entries must be finite")
             columns, level = measure(states[1:])
             if move is not None:
                 level = move(states)

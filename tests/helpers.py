@@ -15,6 +15,11 @@ from conesim import (
     tsitsiklis_lyapunov,
 )
 from conesim.channels import (
+    DensityMatrix,
+    FixedPointError,
+    FixedPointResult,
+    ImageRadiusEstimate,
+    KrausMap,
     _apply_channel_raw,
     _apply_dual_raw,
     _as_density_array,
@@ -22,7 +27,7 @@ from conesim.channels import (
     _kraus_iterator,
 )
 from conesim.classical import _as_nonneg_matrix, _check_vector, as_stochastic_sequence
-from conesim.hermitian import PD_FLOOR, as_hermitian_array
+from conesim.hermitian import PD_FLOOR, as_hermitian_array, is_positive_definite
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -182,3 +187,143 @@ def reference_run_channel(maps, Z0, stop=None, limit=None) -> SimulationTrace:
         stop,
         move=lambda new, old: float(np.linalg.norm(new - old)),
     )
+
+
+# --- the Hermitian-coordinate fixed point and the Kraus-sum radius images --
+# that `KrausMap.superoperator` replaced
+
+
+def _hermitian_coords(X: np.ndarray) -> np.ndarray:
+    """The diagonal, then the real and imaginary parts of the upper triangle."""
+    n = X.shape[0]
+    iu = np.triu_indices(n, k=1)
+    return np.concatenate([np.diagonal(X).real, X[iu].real, X[iu].imag])
+
+
+def _hermitian_from_coords(v: np.ndarray, n: int) -> np.ndarray:
+    X = np.zeros((n, n), dtype=complex)
+    m = n * (n - 1) // 2
+    iu = np.triu_indices(n, k=1)
+    X[iu] = v[n : n + m] + 1j * v[n + m :]
+    X = X + X.conj().T
+    X[np.diag_indices(n)] = v[:n]
+    return X
+
+
+def transfer_matrix(psi: KrausMap) -> np.ndarray:
+    """Real matrix of the channel action in Hermitian coordinates, built one
+    column at a time."""
+    n = psi.dimension
+    n2 = n * n
+    M = np.empty((n2, n2))
+    for c in range(n2):
+        e = np.zeros(n2)
+        e[c] = 1.0
+        M[:, c] = _hermitian_coords(_apply_channel_raw(psi, _hermitian_from_coords(e, n)))
+    return M
+
+
+def _inverse_iteration(M: np.ndarray, v0: np.ndarray, residual_tol: float) -> np.ndarray:
+    n2 = M.shape[0]
+    for shift in (1.0, 1.0 + 1e-12, 1.0 - 1e-12):
+        T = M - shift * np.eye(n2)
+        v = v0 / np.linalg.norm(v0)
+        best: np.ndarray | None = None
+        best_res = np.inf
+        failed = False
+        for _ in range(100):
+            try:
+                w = np.linalg.solve(T, v)
+            except np.linalg.LinAlgError:
+                failed = True
+                break
+            norm = np.linalg.norm(w)
+            if not np.isfinite(norm) or norm == 0.0:
+                failed = True
+                break
+            v = w / norm
+            res = float(np.linalg.norm(M @ v - v))
+            if res < best_res:
+                best, best_res = v, res
+            elif best_res <= residual_tol:
+                break
+        if not failed and best is not None and best_res <= residual_tol:
+            return best
+    raise FixedPointError("inverse iteration failed to reach the residual target")
+
+
+def reference_channel_fixed_point(
+    psi: KrausMap,
+    residual_tol: float = 1e-10,
+    degeneracy_gap: float = 1e-8,
+    max_fallback_iterations: int = 10_000,
+) -> FixedPointResult:
+    """Reference kernel: the eigenvalue-one multiplicity from `eigvals` of the
+    transfer matrix, the fixed direction by three-shift inverse iteration."""
+    n = psi.dimension
+    M = transfer_matrix(psi)
+    eigs = np.linalg.eigvals(M)
+    multiplicity = int(np.sum(np.abs(eigs - 1.0) <= degeneracy_gap))
+    if multiplicity <= 1:
+        v0 = _hermitian_coords(np.eye(n, dtype=complex) / n)
+        v = _inverse_iteration(M, v0, residual_tol)
+        Z = _hermitian_from_coords(v, n)
+        tr = float(np.trace(Z).real)
+        if abs(tr) < 1e-8:
+            raise FixedPointError("fixed direction has numerically zero trace")
+        Z = Z / tr
+        unique = True
+    else:
+        Z = np.eye(n, dtype=complex) / n
+        for _ in range(max_fallback_iterations):
+            Z_new = _apply_channel_raw(psi, Z)
+            settled = float(np.linalg.norm(Z_new - Z)) <= residual_tol
+            Z = Z_new
+            if settled:
+                break
+        else:
+            raise FixedPointError(
+                "degenerate fixed-point space and power iteration did not settle"
+            )
+        unique = False
+    residual = float(np.linalg.norm(_apply_channel_raw(psi, Z) - Z))
+    if residual > residual_tol:
+        raise FixedPointError(f"fixed-point residual {residual:.3e} exceeds {residual_tol}")
+    try:
+        density = DensityMatrix(Z)
+    except ValueError as exc:
+        raise FixedPointError(f"no PSD trace-1 fixed point at tolerance: {exc}") from exc
+    return FixedPointResult(density, residual, unique, multiplicity)
+
+
+def reference_apply_dual_stack(phi: KrausMap, stack: np.ndarray) -> np.ndarray:
+    """Reference kernel: the dual of each matrix of a stack as a Kraus sum."""
+    out = np.zeros_like(stack)
+    for V in phi.operators:
+        out += np.einsum("ab,sbc,cd->sad", V.conj().T, stack, V, optimize=True)
+    return 0.5 * (out + np.conj(np.transpose(out, (0, 2, 1))))
+
+
+def reference_estimate_image_radius(phi: KrausMap, samples: int, seed: int = 0):
+    """`estimate_image_radius` with its images from `reference_apply_dual_stack`:
+    basis probes first, then Haar-random projectors in one batch, which draws
+    the same projectors as the estimator for samples up to its chunk, 4096."""
+    n = phi.dimension
+    basis = np.zeros((n, n, n), dtype=complex)
+    basis[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    best_val, best_proj, drawn = -math.inf, None, 0
+    for batch in (basis, np.einsum("si,sj->sij", g, g.conj())):
+        ev = np.linalg.eigvalsh(reference_apply_dual_stack(phi, batch))
+        singular = ~is_positive_definite(ev)
+        if singular.any():
+            k = int(np.argmax(singular))
+            return ImageRadiusEstimate(ExtendedNonnegReal.infinite(), batch[k], drawn + k + 1)
+        vals = np.log(ev[:, -1]) - np.log(ev[:, 0])
+        k = int(np.argmax(vals))
+        if vals[k] > best_val:
+            best_val, best_proj = float(vals[k]), batch[k]
+        drawn += batch.shape[0]
+    return ImageRadiusEstimate(ExtendedNonnegReal(best_val), best_proj, drawn)

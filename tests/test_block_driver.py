@@ -21,6 +21,7 @@ from conesim import (
     StoppingRule,
     TerminalStatus,
     birkhoff_lyapunov,
+    make_spin_rotation_map,
     random_kraus_map,
     random_stochastic_matrix,
     run_channel,
@@ -226,18 +227,24 @@ def test_wrong_dimension_map_after_convergence_is_never_reached(name):
     assert_same(trace, ref_run(maps, state, stop))
 
 
-def test_non_finite_dual_states_are_recorded_as_in_the_reference():
+def test_non_finite_dual_states_raise():
     # the columns of [[1, 0], [1, 0]] sum to 2 and 0: the dual overflows to
-    # inf, then 0 * inf gives NaN, and the run never converges
+    # inf, then 0 * inf gives NaN
     big = np.finfo(float).max
     A = np.array([[1.0, 0.0], [1.0, 0.0]])
-    stop = StoppingRule(1e-10, 12)
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = run_dual_consensus(A, [big, big], stop, limit=[1.0, 1.0])
-        ref = reference_run_dual_consensus(A, [big, big], stop, limit=[1.0, 1.0])
-    assert trace.status is TerminalStatus.MAX_ITERATIONS
-    assert any(math.isnan(r.dist_to_limit) for r in trace.records)
-    assert_same(trace, ref)
+        with pytest.raises(ValueError, match="state entries must be finite"):
+            run_dual_consensus(A, [big, big], StoppingRule(1e-10, 12), limit=[1.0, 1.0])
+
+
+def test_overflowing_matrix_states_raise():
+    # the first step is finite, the second overflows; eigvalsh of a state with
+    # a NaN entry returns finite values, so only the driver sees it
+    X0 = np.full((2, 2), np.finfo(float).max / 2, dtype=complex)
+    phi = make_spin_rotation_map(0.7, 1.1, 0.3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="state entries must be finite"):
+            run_noncommutative_consensus(phi, X0, StoppingRule(1e-10, 12))
 
 
 def _scale(m, x):
@@ -252,7 +259,8 @@ def _measure(states):
 
 
 def _maps(bad):
-    # levels 1, 0.5, 0.25, then a map whose pull, step or measure raises
+    # levels 1, 0.5, 0.25, then a map whose pull or step raises, or whose
+    # state is NaN (the measure raises) or inf (the driver raises)
     yield 0.5
     yield 0.5
     if bad == "pull":
@@ -262,7 +270,9 @@ def _maps(bad):
 
 
 @pytest.mark.parametrize(
-    "bad", [math.nan, "not a map", "pull"], ids=["measure", "apply", "pull"]
+    "bad",
+    [math.nan, math.inf, "not a map", "pull"],
+    ids=["measure", "non_finite", "apply", "pull"],
 )
 def test_error_past_the_stopping_index_never_surfaces(bad):
     trace = iterate(_maps(bad), np.array([1.0]), _scale, _measure, StoppingRule(0.3, 10))

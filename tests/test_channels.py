@@ -32,7 +32,6 @@ from conesim import (
     run_noncommutative_consensus,
     spin_rotation_special_cases,
     spontaneous_emission_spectral_shift,
-    transfer_matrix,
 )
 from helpers import random_density, random_hermitian, random_positive_definite
 
@@ -425,24 +424,33 @@ class TestChannelFixedPoint:
         assert np.max(np.abs(apply_channel(psi, z) - z)) <= 1e-9
 
 
-class TestTransferMatrix:
-    def test_real_and_square(self):
-        m = transfer_matrix(spin_map())
-        assert m.shape == (4, 4) and m.dtype == np.float64
-
-    def test_reproduces_channel_action(self):
-        rng = np.random.default_rng(6)
-        psi = random_kraus_map(3, 2, rng)
-        m = transfer_matrix(psi)
-        from conesim.channels import _hermitian_coords, _hermitian_from_coords
-
-        z = random_hermitian(rng, 3)
-        lhs = m @ _hermitian_coords(z)
-        rhs = _hermitian_coords(apply_channel(psi, z))
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+class TestSuperoperator:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=25)
+    def test_acts_as_channel_and_adjoint_as_dual(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6))
+        psi = random_kraus_map(n, int(rng.integers(1, 5)), rng)
+        S = psi.superoperator
+        assert S.shape == (n * n, n * n)
+        z, x = random_hermitian(rng, n), random_hermitian(rng, n)
+        np.testing.assert_allclose(S @ z.ravel(), apply_channel(psi, z).ravel(), atol=1e-12)
         np.testing.assert_allclose(
-            _hermitian_from_coords(_hermitian_coords(z), 3), z, atol=1e-15
+            S.conj().T @ x.ravel(), apply_dual(psi, x).ravel(), atol=1e-12
         )
+
+    def test_composition_is_the_product(self):
+        rng = np.random.default_rng(6)
+        a, b = random_kraus_map(3, 2, rng), random_kraus_map(3, 3, rng)
+        np.testing.assert_allclose(
+            compose(a, b).superoperator, a.superoperator @ b.superoperator, atol=1e-12
+        )
+
+    def test_each_access_builds_a_fresh_matrix(self):
+        psi = spin_map()
+        first = psi.superoperator
+        first[:] = 0.0
+        assert np.abs(psi.superoperator).max() > 0.5
 
 
 class TestDuality:
