@@ -54,7 +54,8 @@ KRAUS_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class KrausMap:
-    """Operator list {V_i} with sum_i V_i* V_i = I.
+    """Operators {V_i} with sum_i V_i* V_i = I, held as one read-only
+    (m, n, n) complex array.
 
     One object carries both actions: the unital dual X -> sum V_i* X V_i
     (see :func:`apply_dual`) and the trace-preserving channel
@@ -63,42 +64,46 @@ class KrausMap:
     `superoperator` gives both actions as one n^2 x n^2 matrix.
     """
 
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray
     is_unital_channel: bool = field(init=False, default=False)
+    # the stacks (V_i) and (V_i*) with their flattened adjoints, see _kraus_sum
+    _dual: tuple = field(init=False, repr=False)
+    _channel: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.operators) < 1:
             raise ValueError("KrausMap needs at least one operator")
-        ops = []
-        n = None
-        for k, op in enumerate(self.operators):
-            m = np.asarray(op, dtype=complex)
+        ops = [np.asarray(op, dtype=complex) for op in self.operators]
+        for k, m in enumerate(ops):
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"operator {k} is not square: shape {m.shape}")
-            if n is None:
-                n = m.shape[0]
-            elif m.shape[0] != n:
-                raise ValueError(f"operator {k} has dimension {m.shape[0]}, expected {n}")
-            if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+            if m.shape[0] != ops[0].shape[0]:
+                raise ValueError(
+                    f"operator {k} has dimension {m.shape[0]}, expected {ops[0].shape[0]}"
+                )
+            if not np.all(np.isfinite(m)):
                 raise ValueError(f"operator {k} has non-finite entries")
-            m = m.copy()
-            m.flags.writeable = False
-            ops.append(m)
+        A = np.array(ops)
+        A.flags.writeable = False
+        n = A.shape[1]
+        dual = (A, A.reshape(-1, n).conj().T)
+        C = np.ascontiguousarray(A.conj().swapaxes(1, 2))
+        channel = (C, C.reshape(-1, n).conj().T)
         eye = np.eye(n)
-        gram = sum(V.conj().T @ V for V in ops)
-        dev = float(np.max(np.abs(gram - eye)))
+        dev = float(np.max(np.abs(dual[1] @ A.reshape(-1, n) - eye)))
         if dev > KRAUS_TOL:
             raise ValueError(
                 f"sum V*V deviates from identity by {dev:.3e} (tolerance {KRAUS_TOL})"
             )
-        dual_gram = sum(V @ V.conj().T for V in ops)
-        unital = float(np.max(np.abs(dual_gram - eye))) <= KRAUS_TOL
-        object.__setattr__(self, "operators", tuple(ops))
+        unital = float(np.max(np.abs(channel[1] @ C.reshape(-1, n) - eye))) <= KRAUS_TOL
+        object.__setattr__(self, "operators", A)
         object.__setattr__(self, "is_unital_channel", unital)
+        object.__setattr__(self, "_dual", dual)
+        object.__setattr__(self, "_channel", channel)
 
     @property
     def dimension(self) -> int:
-        return int(self.operators[0].shape[0])
+        return int(self.operators.shape[1])
 
     @property
     def operator_count(self) -> int:
@@ -109,7 +114,11 @@ class KrausMap:
         """Liouville matrix S = sum_i V_i (x) conj(V_i), built afresh on each
         access: with row-major vec, vec(channel(Z)) = S vec(Z) and
         vec(dual(X)) = S^* vec(X)."""
-        return sum(np.kron(V, V.conj()) for V in self.operators)
+        m, n, _ = self.operators.shape
+        A = self.operators.reshape(m, n * n)
+        # (A^T conj(A))[(a, c), (b, d)] = sum_i V_i[a, c] conj(V_i[b, d])
+        S = (A.T @ A.conj()).reshape(n, n, n, n)
+        return S.transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
     @classmethod
     def from_operators(cls, operators, renormalize: bool = False) -> "KrausMap":
@@ -183,18 +192,19 @@ def _symmetrize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.swapaxes(-1, -2).conj())
 
 
+def _kraus_sum(form: tuple, X: np.ndarray) -> np.ndarray:
+    """sum_i A_i* X A_i as two products: `form` is the stack A, (m, n, n), and
+    the adjoint of its (m n, n) flattening, whose columns run over the A_i*."""
+    A, AH = form
+    return AH @ (X @ A).reshape(AH.shape[1], -1)
+
+
 def _apply_dual_raw(phi: KrausMap, X: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(X)
-    for V in phi.operators:
-        out += V.conj().T @ X @ V
-    return _symmetrize(out)
+    return _symmetrize(_kraus_sum(phi._dual, X))
 
 
 def _apply_channel_raw(psi: KrausMap, Z: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(Z)
-    for V in psi.operators:
-        out += V @ Z @ V.conj().T
-    return _symmetrize(out)
+    return _symmetrize(_kraus_sum(psi._channel, Z))
 
 
 def apply_dual(phi: KrausMap, X) -> np.ndarray:
@@ -223,10 +233,10 @@ def compose(outer: KrausMap, inner: KrausMap) -> KrausMap:
     orderings coincide. Operator count multiplies, so deep compositions grow
     as m^k.
     """
-    if outer.dimension != inner.dimension:
+    n = outer.dimension
+    if n != inner.dimension:
         raise ValueError("cannot compose maps of different dimensions")
-    ops = tuple(O @ I for O in outer.operators for I in inner.operators)
-    return KrausMap(ops)
+    return KrausMap((outer.operators[:, None] @ inner.operators[None]).reshape(-1, n, n))
 
 
 def kraus_power(phi: KrausMap, k: int) -> KrausMap:
@@ -741,5 +751,4 @@ def random_kraus_map(n: int, m: int, seed_or_rng=0) -> KrausMap:
     )
     g = rng.standard_normal((m * n, n)) + 1j * rng.standard_normal((m * n, n))
     q, _ = np.linalg.qr(g)
-    ops = tuple(q[i * n : (i + 1) * n, :] for i in range(m))
-    return KrausMap(ops)
+    return KrausMap(q.reshape(m, n, n))

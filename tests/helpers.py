@@ -25,6 +25,7 @@ from conesim.channels import (
     _as_density_array,
     _check_dims,
     _kraus_iterator,
+    _symmetrize,
 )
 from conesim.classical import _as_nonneg_matrix, _check_vector, as_stochastic_sequence
 from conesim.hermitian import PD_FLOOR, as_hermitian_array, is_positive_definite
@@ -163,17 +164,21 @@ def _reference_spectral_record(limit, lyapunov):
     return record
 
 
-def reference_run_noncommutative_consensus(maps, X0, stop=None, limit=None) -> SimulationTrace:
+def reference_run_noncommutative_consensus(
+    maps, X0, stop=None, limit=None, step=_apply_dual_raw
+) -> SimulationTrace:
+    """The per-step reference run of the dual; `step` applies one map."""
     stop = stop or StoppingRule()
     it, _ = _kraus_iterator(maps)
     X = np.array(as_hermitian_array(X0))
     record = _reference_spectral_record(limit, lyapunov=True)
-    return reference_iterate(
-        it, X, lambda phi, X: _apply_dual_raw(phi, _check_dims(phi, X)), record, stop
-    )
+    return reference_iterate(it, X, lambda phi, X: step(phi, _check_dims(phi, X)), record, stop)
 
 
-def reference_run_channel(maps, Z0, stop=None, limit=None) -> SimulationTrace:
+def reference_run_channel(
+    maps, Z0, stop=None, limit=None, step=_apply_channel_raw
+) -> SimulationTrace:
+    """The per-step reference run of the channel; `step` applies one map."""
     stop = stop or StoppingRule()
     it, constant = _kraus_iterator(maps)
     unital = constant is not None and constant.is_unital_channel
@@ -182,11 +187,35 @@ def reference_run_channel(maps, Z0, stop=None, limit=None) -> SimulationTrace:
     return reference_iterate(
         it,
         Z,
-        lambda psi, Z: _apply_channel_raw(psi, _check_dims(psi, Z)),
+        lambda psi, Z: step(psi, _check_dims(psi, Z)),
         record,
         stop,
         move=lambda new, old: float(np.linalg.norm(new - old)),
     )
+
+
+# --- the Kraus-sum loops that the stacked step and superoperator replaced ---
+
+
+def reference_apply_dual(phi: KrausMap, X: np.ndarray) -> np.ndarray:
+    """Reference kernel: the dual step as a loop over the Kraus operators."""
+    out = np.zeros_like(X)
+    for V in phi.operators:
+        out += V.conj().T @ X @ V
+    return _symmetrize(out)
+
+
+def reference_apply_channel(psi: KrausMap, Z: np.ndarray) -> np.ndarray:
+    """Reference kernel: the channel step as a loop over the Kraus operators."""
+    out = np.zeros_like(Z)
+    for V in psi.operators:
+        out += V @ Z @ V.conj().T
+    return _symmetrize(out)
+
+
+def reference_superoperator(phi: KrausMap) -> np.ndarray:
+    """Reference kernel: the Liouville matrix as a sum of Kronecker products."""
+    return sum(np.kron(V, V.conj()) for V in phi.operators)
 
 
 # --- the Hermitian-coordinate fixed point and the Kraus-sum radius images --
