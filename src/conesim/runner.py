@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -44,10 +43,8 @@ class RunResult:
 def _diameter_windows(s: Scenario) -> tuple[list[dict], int | None, float | None]:
     """Projective diameters of the cumulative matrix products over the first
     diameter_powers steps (plain powers for a constant matrix)."""
-    if s.kind == "embedded":
-        seq = [s.base_matrix()] * s.analysis.diameter_powers
-    else:
-        seq = list(islice(iter(s.stochastic_sequence()), s.analysis.diameter_powers))
+    k = s.analysis.diameter_powers
+    seq = s.dynamics[:k] if isinstance(s.dynamics, tuple) else [s.dynamics] * k
     transpose = s.kind == "classical_dual"
     windows: list[dict] = []
     first_finite_k: int | None = None
@@ -91,7 +88,7 @@ def run_scenario(
 
     if s.kind in ("classical", "classical_dual"):
         run = run_consensus if s.kind == "classical" else run_dual_consensus
-        trace = run(s.stochastic_sequence(), s.initial_vector(), stop, s.expected_limit_array())
+        trace = run(s.dynamics, s.initial_state, stop, s.expected_limit)
     else:
         trace = _run_quantum_like(s, stop, summary, seed_override)
 
@@ -133,15 +130,14 @@ def _run_quantum_like(
     s: Scenario, stop: StoppingRule, summary: dict, seed_override: int | None
 ) -> SimulationTrace:
     if s.kind == "embedded":
-        embedding = build_classical_embedding(s.base_matrix())
-        phi = embedding.kraus_map
-        state0 = np.diag(s.initial_vector()).astype(complex)
+        phi = build_classical_embedding(s.dynamics).kraus_map
+        state0 = np.diag(s.initial_state).astype(complex)
     else:
-        phi = s.kraus_map()
-        state0 = s.initial_matrix()
+        phi = s.dynamics
+        state0 = s.initial_state
 
-    if isinstance(s.dynamics.builder, SpinRotationSpec):
-        summary["spin_rotation_special_cases"] = list(s.dynamics.builder.special_cases())
+    if isinstance(s.builder, SpinRotationSpec):
+        summary["spin_rotation_special_cases"] = list(s.builder.special_cases())
 
     est = s.analysis.estimate_image_radius
     est_seed = seed_override if seed_override is not None else (est.seed if est else 0)
@@ -165,7 +161,7 @@ def _run_quantum_like(
             "hypothesis_certified": fp.hypothesis_certified,
         }
 
-    limit = s.expected_limit_array()
+    limit = s.expected_limit
     if limit is None and fp is not None:
         if s.kind == "quantum_channel":
             limit = fp.density.matrix

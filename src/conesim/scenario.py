@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
+from pathlib import PurePath
 
 import numpy as np
 
@@ -47,13 +48,12 @@ from .channels import (
     make_spontaneous_emission_map,
     spin_rotation_special_cases,
 )
-from .classical import StochasticMatrix, StochasticMatrixSequence
+from .classical import StochasticMatrix
 from .trace import StoppingRule
 
 __all__ = [
     "ScenarioError",
     "Scenario",
-    "Dynamics",
     "SpinRotationSpec",
     "SpontaneousEmissionSpec",
     "EstimateSettings",
@@ -109,42 +109,46 @@ def _require_keys(obj: dict, allowed: set[str], path: str) -> None:
         raise _err(path, f"unknown field(s): {sorted(unknown)}")
 
 
-def _parse_real_matrix(data, n: int, path: str) -> tuple:
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _require_pair(pair, path: str) -> tuple[float, float]:
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise _err(path, "complex entries are [re, im] pairs")
+    return _require_number(pair[0], f"{path}[0]"), _require_number(pair[1], f"{path}[1]")
+
+
+def _parse_rows(data, n: int, path: str, entry) -> list:
+    """n rows of n entries, each checked by entry(value, path)."""
     if not isinstance(data, list) or len(data) != n:
         raise _err(path, f"expected {n} rows")
     rows = []
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != n:
             raise _err(f"{path}[{i}]", f"expected {n} entries")
-        rows.append(tuple(_require_number(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)))
-    return tuple(rows)
+        rows.append([entry(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
+    return rows
 
 
-def _parse_real_vector(data, n: int, path: str) -> tuple:
+def _parse_stochastic_matrix(data, n: int, path: str) -> StochasticMatrix:
+    try:
+        return StochasticMatrix(np.array(_parse_rows(data, n, path, _require_number)))
+    except ValueError as exc:
+        raise _err(path, str(exc)) from exc
+
+
+def _parse_real_vector(data, n: int, path: str) -> np.ndarray:
     if not isinstance(data, list) or len(data) != n:
         raise _err(path, f"expected a vector of length {n}")
-    return tuple(_require_number(v, f"{path}[{i}]") for i, v in enumerate(data))
+    return _read_only(
+        np.array([_require_number(v, f"{path}[{i}]") for i, v in enumerate(data)])
+    )
 
 
-def _parse_complex_matrix(data, n: int, path: str) -> tuple:
-    if not isinstance(data, list) or len(data) != n:
-        raise _err(path, f"expected {n} rows")
-    rows = []
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != n:
-            raise _err(f"{path}[{i}]", f"expected {n} entries")
-        entries = []
-        for j, pair in enumerate(row):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise _err(f"{path}[{i}][{j}]", "complex entries are [re, im] pairs")
-            entries.append(
-                (
-                    _require_number(pair[0], f"{path}[{i}][{j}][0]"),
-                    _require_number(pair[1], f"{path}[{i}][{j}][1]"),
-                )
-            )
-        rows.append(tuple(entries))
-    return tuple(rows)
+def _parse_complex_matrix(data, n: int, path: str) -> np.ndarray:
+    return _read_only(complex_array_from_pairs(_parse_rows(data, n, path, _require_pair)))
 
 
 def complex_array_from_pairs(data) -> np.ndarray:
@@ -165,7 +169,7 @@ def _parse_fraction(value, path: str) -> Fraction:
             raise TypeError
         if isinstance(value, (int, float)):
             return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError):
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError):
         pass
     raise _err(path, f"expected a rational number (e.g. \"7/32\" or 0.5), got {value!r}")
 
@@ -175,13 +179,6 @@ class SpinRotationSpec:
     alpha_over_pi: Fraction
     beta_over_pi: Fraction
     p: float
-
-    def build(self) -> KrausMap:
-        return make_spin_rotation_map(
-            float(self.alpha_over_pi) * math.pi,
-            float(self.beta_over_pi) * math.pi,
-            self.p,
-        )
 
     def special_cases(self) -> tuple[str, ...]:
         return spin_rotation_special_cases(self.alpha_over_pi, self.beta_over_pi)
@@ -199,27 +196,8 @@ class SpinRotationSpec:
 class SpontaneousEmissionSpec:
     gamma: float
 
-    def build(self) -> KrausMap:
-        return make_spontaneous_emission_map(self.gamma)
-
     def to_jsonable(self) -> dict:
         return {"name": "spontaneous_emission", "gamma": self.gamma}
-
-
-@dataclass(frozen=True)
-class Dynamics:
-    matrix: tuple | None = None
-    matrices: tuple | None = None
-    kraus_operators: tuple | None = None
-    builder: SpinRotationSpec | SpontaneousEmissionSpec | None = None
-
-    def to_jsonable(self) -> dict:
-        for key in ("matrix", "matrices", "kraus_operators"):
-            value = getattr(self, key)
-            if value is not None:
-                return {key: _unfreeze(value)}
-        assert self.builder is not None
-        return {"builder": self.builder.to_jsonable()}
 
 
 @dataclass(frozen=True)
@@ -239,53 +217,31 @@ class AnalysisFlags:
     duality_steps: int = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
+    """A validated scenario, as `parse_scenario` returns it.
+
+    `dynamics` is a StochasticMatrix for `matrix`, a tuple of them for
+    `matrices`, and a KrausMap for `kraus_operators` and both builders;
+    `builder` keeps a builder's exact parameters. The states are read-only
+    arrays: real vectors for the classical kinds and `embedded`, complex
+    matrices otherwise (`expected_limit` of `embedded` is a matrix too).
+    """
+
     kind: str
     dimension: int
-    dynamics: Dynamics
-    initial_state: tuple
+    dynamics: StochasticMatrix | tuple[StochasticMatrix, ...] | KrausMap
+    initial_state: np.ndarray
     stop: StoppingRule = field(default_factory=StoppingRule)
     analysis: AnalysisFlags = field(default_factory=AnalysisFlags)
-    expected_limit: tuple | None = None
+    expected_limit: np.ndarray | None = None
     trace_csv: str = "trace.csv"
     summary_path: str = "summary.json"
-
-    def stochastic_sequence(self) -> StochasticMatrixSequence:
-        if self.dynamics.matrix is not None:
-            return StochasticMatrixSequence.constant(np.asarray(self.dynamics.matrix))
-        assert self.dynamics.matrices is not None
-        return StochasticMatrixSequence.from_matrices(
-            [np.asarray(m) for m in self.dynamics.matrices]
-        )
-
-    def base_matrix(self) -> StochasticMatrix:
-        assert self.dynamics.matrix is not None
-        return StochasticMatrix(np.asarray(self.dynamics.matrix))
-
-    def kraus_map(self) -> KrausMap:
-        if self.dynamics.builder is not None:
-            return self.dynamics.builder.build()
-        assert self.dynamics.kraus_operators is not None
-        return KrausMap(
-            tuple(complex_array_from_pairs(op) for op in self.dynamics.kraus_operators)
-        )
-
-    def initial_vector(self) -> np.ndarray:
-        return np.asarray(self.initial_state, dtype=float)
-
-    def initial_matrix(self) -> np.ndarray:
-        return complex_array_from_pairs(self.initial_state)
-
-    def expected_limit_array(self) -> np.ndarray | None:
-        if self.expected_limit is None:
-            return None
-        if self.kind in CLASSICAL_KINDS:
-            return np.asarray(self.expected_limit, dtype=float)
-        return complex_array_from_pairs(self.expected_limit)
+    builder: SpinRotationSpec | SpontaneousEmissionSpec | None = None
 
 
-def _parse_dynamics(data, kind: str, n: int) -> Dynamics:
+def _parse_dynamics(data, kind: str, n: int):
+    """(dynamics, builder) as held by Scenario."""
     path = "dynamics"
     if not isinstance(data, dict):
         raise _err(path, "expected an object")
@@ -303,40 +259,29 @@ def _parse_dynamics(data, kind: str, n: int) -> Dynamics:
         raise _err(path, f"kind {kind!r} requires 'kraus_operators' or 'builder'")
 
     if spec == "matrix":
-        rows = _parse_real_matrix(data["matrix"], n, f"{path}.matrix")
-        try:
-            StochasticMatrix(np.asarray(rows))
-        except ValueError as exc:
-            raise _err(f"{path}.matrix", str(exc)) from exc
-        return Dynamics(matrix=rows)
+        return _parse_stochastic_matrix(data["matrix"], n, f"{path}.matrix"), None
 
     if spec == "matrices":
         seq = data["matrices"]
         if not isinstance(seq, list) or not seq:
             raise _err(f"{path}.matrices", "expected a nonempty list of matrices")
-        mats = []
-        for t, m in enumerate(seq):
-            rows = _parse_real_matrix(m, n, f"{path}.matrices[{t}]")
-            try:
-                StochasticMatrix(np.asarray(rows))
-            except ValueError as exc:
-                raise _err(f"{path}.matrices[{t}]", str(exc)) from exc
-            mats.append(rows)
-        return Dynamics(matrices=tuple(mats))
+        mats = tuple(
+            _parse_stochastic_matrix(m, n, f"{path}.matrices[{t}]") for t, m in enumerate(seq)
+        )
+        return mats, None
 
     if spec == "kraus_operators":
         seq = data["kraus_operators"]
         if not isinstance(seq, list) or not seq:
             raise _err(f"{path}.kraus_operators", "expected a nonempty list of operators")
-        ops = tuple(
+        ops = [
             _parse_complex_matrix(op, n, f"{path}.kraus_operators[{k}]")
             for k, op in enumerate(seq)
-        )
+        ]
         try:
-            KrausMap(tuple(complex_array_from_pairs(op) for op in ops))
+            return KrausMap(ops), None
         except ValueError as exc:
             raise _err(f"{path}.kraus_operators", str(exc)) from exc
-        return Dynamics(kraus_operators=ops)
 
     builder = data["builder"]
     bpath = f"{path}.builder"
@@ -353,13 +298,13 @@ def _parse_dynamics(data, kind: str, n: int) -> Dynamics:
         p = _require_number(builder["p"], f"{bpath}.p")
         if not (0.0 < p < 1.0):
             raise _err(f"{bpath}.p", f"must be in (0, 1), got {p}")
-        return Dynamics(
-            builder=SpinRotationSpec(
-                _parse_fraction(builder["alpha_over_pi"], f"{bpath}.alpha_over_pi"),
-                _parse_fraction(builder["beta_over_pi"], f"{bpath}.beta_over_pi"),
-                p,
-            )
-        )
+        alpha = _parse_fraction(builder["alpha_over_pi"], f"{bpath}.alpha_over_pi")
+        beta = _parse_fraction(builder["beta_over_pi"], f"{bpath}.beta_over_pi")
+        try:
+            phi = make_spin_rotation_map(float(alpha) * math.pi, float(beta) * math.pi, p)
+        except (ValueError, OverflowError) as exc:
+            raise _err(bpath, str(exc)) from exc
+        return phi, SpinRotationSpec(alpha, beta, p)
     if name == "spontaneous_emission":
         _require_keys(builder, {"name", "gamma"}, bpath)
         if "gamma" not in builder:
@@ -369,18 +314,17 @@ def _parse_dynamics(data, kind: str, n: int) -> Dynamics:
         gamma = _require_number(builder["gamma"], f"{bpath}.gamma")
         if not (0.0 < gamma < 1.0):
             raise _err(f"{bpath}.gamma", f"must be in (0, 1), got {gamma}")
-        return Dynamics(builder=SpontaneousEmissionSpec(gamma))
+        return make_spontaneous_emission_map(gamma), SpontaneousEmissionSpec(gamma)
     raise _err(
         bpath, f"unknown builder {name!r}; supported: spin_rotation, spontaneous_emission"
     )
 
 
-def _parse_initial_state(data, kind: str, n: int) -> tuple:
+def _parse_initial_state(data, kind: str, n: int) -> np.ndarray:
     path = "initial_state"
     if kind in CLASSICAL_KINDS or kind == "embedded":
         return _parse_real_vector(data, n, path)
-    rows = _parse_complex_matrix(data, n, path)
-    arr = complex_array_from_pairs(rows)
+    arr = _parse_complex_matrix(data, n, path)
     dev = float(np.max(np.abs(arr - arr.conj().T)))
     if dev > HERMITIAN_INPUT_TOL:
         raise _err(path, f"not Hermitian: max |X - X*| = {dev:.3e}")
@@ -389,7 +333,7 @@ def _parse_initial_state(data, kind: str, n: int) -> tuple:
             DensityMatrix(arr)
         except ValueError as exc:
             raise _err(path, f"not a density matrix: {exc}") from exc
-    return rows
+    return arr
 
 
 def _parse_stop(data) -> StoppingRule:
@@ -414,18 +358,8 @@ def _parse_analysis(data, kind: str) -> AnalysisFlags:
     path = "analysis"
     if not isinstance(data, dict):
         raise _err(path, "expected an object")
-    _require_keys(
-        data,
-        {
-            "compute_diameter",
-            "diameter_powers",
-            "estimate_image_radius",
-            "fixed_point",
-            "duality_check",
-            "duality_steps",
-        },
-        path,
-    )
+    # the document's keys are the field names
+    _require_keys(data, {f.name for f in fields(AnalysisFlags)}, path)
     compute_diameter = _require_bool(data.get("compute_diameter", False), f"{path}.compute_diameter")
     diameter_powers = _require_int(data.get("diameter_powers", 1), f"{path}.diameter_powers", 1)
     fixed_point = _require_bool(data.get("fixed_point", False), f"{path}.fixed_point")
@@ -462,7 +396,7 @@ def _parse_analysis(data, kind: str) -> AnalysisFlags:
     )
 
 
-def _parse_expected_limit(data, kind: str, n: int) -> tuple | None:
+def _parse_expected_limit(data, kind: str, n: int) -> np.ndarray | None:
     if data is None:
         return None
     path = "expected_limit"
@@ -483,6 +417,17 @@ def _parse_output(data) -> tuple[str, str]:
     for name, value in (("trace_csv", trace_csv), ("summary", summary)):
         if not isinstance(value, str) or not value:
             raise _err(f"{path}.{name}", "expected a nonempty string")
+        # subdirectories are fine, the runner creates them
+        name_path = PurePath(value)
+        if not name_path.parts or name_path.is_absolute() or ".." in name_path.parts:
+            raise _err(
+                f"{path}.{name}",
+                f"must be a file path inside the output directory, got {value!r}",
+            )
+    # one name may not be the other, nor a directory on the other's path
+    a, b = PurePath(trace_csv), PurePath(summary)
+    if a == b or a in b.parents or b in a.parents:
+        raise _err(f"{path}.summary", f"collides with {path}.trace_csv: {summary!r}, {trace_csv!r}")
     return trace_csv, summary
 
 
@@ -490,8 +435,8 @@ def parse_scenario(source) -> Scenario:
     """Parse and fully validate a scenario from JSON text or a dict.
 
     All matrix invariants (row sums, Kraus sums, Hermitian/density initial
-    states) are checked here so that a returned Scenario always materializes
-    cleanly; errors name the offending field and the violated invariant.
+    states) are checked here, on the objects the returned Scenario holds;
+    errors name the offending field and the violated invariant.
     """
     if isinstance(source, (str, bytes)):
         try:
@@ -524,7 +469,7 @@ def parse_scenario(source) -> Scenario:
         raise _err("kind", f"expected one of {list(KINDS)}, got {kind!r}")
     n = _require_int(obj["dimension"], "dimension", 1)
 
-    dynamics = _parse_dynamics(obj["dynamics"], kind, n)
+    dynamics, builder = _parse_dynamics(obj["dynamics"], kind, n)
     initial_state = _parse_initial_state(obj["initial_state"], kind, n)
     stop = _parse_stop(obj.get("stop"))
     analysis = _parse_analysis(obj.get("analysis"), kind)
@@ -541,42 +486,41 @@ def parse_scenario(source) -> Scenario:
         expected_limit=expected,
         trace_csv=trace_csv,
         summary_path=summary_path,
+        builder=builder,
     )
 
 
+def _state_to_jsonable(x: np.ndarray) -> list:
+    return pairs_from_complex_array(x) if np.iscomplexobj(x) else x.tolist()
+
+
+def _dynamics_to_jsonable(s: Scenario) -> dict:
+    if s.builder is not None:
+        return {"builder": s.builder.to_jsonable()}
+    if isinstance(s.dynamics, KrausMap):
+        return {"kraus_operators": pairs_from_complex_array(s.dynamics.operators)}
+    if isinstance(s.dynamics, tuple):
+        return {"matrices": [m.entries.tolist() for m in s.dynamics]}
+    return {"matrix": s.dynamics.entries.tolist()}
+
+
 def scenario_to_jsonable(s: Scenario) -> dict:
-    analysis: dict = {
-        "compute_diameter": s.analysis.compute_diameter,
-        "diameter_powers": s.analysis.diameter_powers,
-        "fixed_point": s.analysis.fixed_point,
-        "duality_check": s.analysis.duality_check,
-        "duality_steps": s.analysis.duality_steps,
-    }
-    if s.analysis.estimate_image_radius is not None:
-        e = s.analysis.estimate_image_radius
-        analysis["estimate_image_radius"] = {
-            "samples": e.samples,
-            "seed": e.seed,
-            "power": e.power,
-        }
+    # the document's keys are the field names, as in _parse_analysis
+    analysis = asdict(s.analysis)
+    if analysis["estimate_image_radius"] is None:
+        del analysis["estimate_image_radius"]
     out: dict = {
         "kind": s.kind,
         "dimension": s.dimension,
-        "dynamics": s.dynamics.to_jsonable(),
-        "initial_state": _unfreeze(s.initial_state),
-        "stop": {"tolerance": s.stop.tolerance, "max_iterations": s.stop.max_iterations},
+        "dynamics": _dynamics_to_jsonable(s),
+        "initial_state": _state_to_jsonable(s.initial_state),
+        "stop": asdict(s.stop),
         "analysis": analysis,
         "output": {"trace_csv": s.trace_csv, "summary": s.summary_path},
     }
     if s.expected_limit is not None:
-        out["expected_limit"] = _unfreeze(s.expected_limit)
+        out["expected_limit"] = _state_to_jsonable(s.expected_limit)
     return out
-
-
-def _unfreeze(x):
-    if isinstance(x, tuple):
-        return [_unfreeze(v) for v in x]
-    return x
 
 
 def serialize_scenario(s: Scenario) -> str:
@@ -598,52 +542,62 @@ BUILTIN_EXAMPLES = {
     ),
 }
 
-_IDENTITY_2 = (((1.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (1.0, 0.0)))
-_DIAG_10 = (((1.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 0.0)))
-_HALF_IDENTITY_2 = (((0.5, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.5, 0.0)))
+
+def _qubit_diagonal(a: float, b: float) -> list:
+    return [[[a, 0.0], [0.0, 0.0]], [[0.0, 0.0], [b, 0.0]]]
+
+
+# the built-ins are documents like any scenario file and go through the same
+# validation
+_BUILTIN_DOCUMENTS = {
+    "example1": {
+        "kind": "classical",
+        "dimension": 2,
+        "dynamics": {"matrix": [[1.0, 0.0], [0.25, 0.75]]},
+        "initial_state": [1.0, 2.0],
+        "stop": {"tolerance": 1e-10, "max_iterations": 1000},
+        "analysis": {"compute_diameter": True, "diameter_powers": 10},
+        "expected_limit": [1.0, 1.0],
+    },
+    "example2": {
+        "kind": "quantum_channel",
+        "dimension": 2,
+        "dynamics": {
+            "builder": {
+                "name": "spin_rotation",
+                "alpha_over_pi": "7/32",
+                "beta_over_pi": "11/32",
+                "p": 0.3,
+            }
+        },
+        "initial_state": _qubit_diagonal(1.0, 0.0),
+        "stop": {"tolerance": 1e-12, "max_iterations": 5000},
+        "analysis": {
+            "estimate_image_radius": {"samples": 2000, "seed": 7, "power": 2},
+            "fixed_point": True,
+            "duality_check": True,
+        },
+        "expected_limit": _qubit_diagonal(0.5, 0.5),
+    },
+    "example3": {
+        "kind": "quantum_dual",
+        "dimension": 2,
+        "dynamics": {"builder": {"name": "spontaneous_emission", "gamma": 0.2}},
+        "initial_state": _qubit_diagonal(1.0, 0.0),
+        "stop": {"tolerance": 1e-10, "max_iterations": 2000},
+        "analysis": {
+            "estimate_image_radius": {"samples": 500, "seed": 7, "power": 1},
+            "fixed_point": True,
+            "duality_check": True,
+        },
+        "expected_limit": _qubit_diagonal(1.0, 1.0),
+    },
+}
 
 
 def builtin_example(name: str) -> Scenario:
-    if name == "example1":
-        return Scenario(
-            kind="classical",
-            dimension=2,
-            dynamics=Dynamics(matrix=((1.0, 0.0), (0.25, 0.75))),
-            initial_state=(1.0, 2.0),
-            stop=StoppingRule(1e-10, 1000),
-            analysis=AnalysisFlags(compute_diameter=True, diameter_powers=10),
-            expected_limit=(1.0, 1.0),
-        )
-    if name == "example2":
-        return Scenario(
-            kind="quantum_channel",
-            dimension=2,
-            dynamics=Dynamics(
-                builder=SpinRotationSpec(Fraction(7, 32), Fraction(11, 32), 0.3)
-            ),
-            initial_state=_DIAG_10,
-            stop=StoppingRule(1e-12, 5000),
-            analysis=AnalysisFlags(
-                estimate_image_radius=EstimateSettings(samples=2000, seed=7, power=2),
-                fixed_point=True,
-                duality_check=True,
-            ),
-            expected_limit=_HALF_IDENTITY_2,
-        )
-    if name == "example3":
-        return Scenario(
-            kind="quantum_dual",
-            dimension=2,
-            dynamics=Dynamics(builder=SpontaneousEmissionSpec(0.2)),
-            initial_state=_DIAG_10,
-            stop=StoppingRule(1e-10, 2000),
-            analysis=AnalysisFlags(
-                estimate_image_radius=EstimateSettings(samples=500, seed=7, power=1),
-                fixed_point=True,
-                duality_check=True,
-            ),
-            expected_limit=_IDENTITY_2,
-        )
+    if name in _BUILTIN_DOCUMENTS:
+        return parse_scenario(_BUILTIN_DOCUMENTS[name])
     raise ScenarioError(
         f"unknown example {name!r}; available: {', '.join(sorted(BUILTIN_EXAMPLES))}"
     )

@@ -12,6 +12,7 @@ from conesim import (
     TerminalStatus,
     TraceRecord,
     birkhoff_lyapunov,
+    serialize_scenario,
     tsitsiklis_lyapunov,
 )
 from conesim.channels import (
@@ -356,3 +357,29 @@ def reference_estimate_image_radius(phi: KrausMap, samples: int, seed: int = 0):
             best_val, best_proj = float(vals[k]), batch[k]
         drawn += batch.shape[0]
     return ImageRadiusEstimate(ExtendedNonnegReal(best_val), best_proj, drawn)
+
+
+def scenario_arrays(s) -> list[np.ndarray]:
+    """The arrays a parsed Scenario holds: dynamics, then the states."""
+    d = s.dynamics
+    if isinstance(d, KrausMap):
+        arrays = [d.operators]
+    elif isinstance(d, tuple):
+        arrays = [m.entries for m in d]
+    else:
+        arrays = [d.entries]
+    arrays.append(s.initial_state)
+    if s.expected_limit is not None:
+        arrays.append(s.expected_limit)
+    return arrays
+
+
+def assert_same_scenario(a, b) -> None:
+    """Scenarios are compared by their serialised text and their arrays."""
+    assert serialize_scenario(a) == serialize_scenario(b)
+    assert type(a.dynamics) is type(b.dynamics)
+    assert (a.builder, a.stop, a.analysis) == (b.builder, b.stop, b.analysis)
+    xs, ys = scenario_arrays(a), scenario_arrays(b)
+    assert len(xs) == len(ys)
+    for x, y in zip(xs, ys):
+        assert x.dtype == y.dtype and np.array_equal(x, y)

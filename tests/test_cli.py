@@ -6,6 +6,7 @@ import conesim.channels
 import conesim.runner
 from conesim import TerminalStatus, builtin_example, parse_scenario, run_scenario
 from conesim.cli import main
+from helpers import assert_same_scenario
 
 IDENTITY_SCENARIO = {
     "kind": "classical",
@@ -32,7 +33,7 @@ class TestExamplesCommand:
     def test_emit_produces_parseable_scenario(self, capsys):
         assert main(["examples", "emit", "example1"]) == 0
         emitted = capsys.readouterr().out
-        assert parse_scenario(emitted) == builtin_example("example1")
+        assert_same_scenario(parse_scenario(emitted), builtin_example("example1"))
 
     def test_emit_unknown_name_fails(self, capsys):
         assert main(["examples", "emit", "example9"]) == 1

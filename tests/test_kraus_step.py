@@ -134,7 +134,7 @@ def test_example_runs_match_the_operator_loop(name):
     s = builtin_example(name)
     channel = s.kind == "quantum_channel"
     run = run_channel if channel else run_noncommutative_consensus
-    args = (s.kraus_map(), s.initial_matrix(), s.stop, s.expected_limit_array())
+    args = (s.dynamics, s.initial_state, s.stop, s.expected_limit)
     assert_same_run(run(*args), _reference_run(channel, *args), _scale(args[1], args[3]))
 
 
