@@ -23,7 +23,6 @@ from .trace import SimulationTrace, StoppingRule, iterate
 __all__ = [
     "KrausMap",
     "DensityMatrix",
-    "ClassicalEmbedding",
     "SpectralNestingReport",
     "ImageRadiusEstimate",
     "DiameterBracket",
@@ -38,7 +37,6 @@ __all__ = [
     "run_channel",
     "check_spectral_nesting",
     "estimate_image_radius",
-    "diameter_bracket",
     "channel_fixed_point",
     "duality_invariant_check",
     "build_classical_embedding",
@@ -119,24 +117,6 @@ class KrausMap:
         # (A^T conj(A))[(a, c), (b, d)] = sum_i V_i[a, c] conj(V_i[b, d])
         S = (A.T @ A.conj()).reshape(n, n, n, n)
         return S.transpose(0, 2, 1, 3).reshape(n * n, n * n)
-
-    @classmethod
-    def from_operators(cls, operators, renormalize: bool = False) -> "KrausMap":
-        """Build a map, optionally polar-correcting V_i -> V_i S^{-1/2} so the
-        Kraus sum is exactly the identity.
-
-        Renormalization is off by default: scenario files should fail loudly,
-        generators may opt in.
-        """
-        ops = [np.asarray(op, dtype=complex) for op in operators]
-        if renormalize:
-            gram = sum(V.conj().T @ V for V in ops)
-            w, U = np.linalg.eigh(0.5 * (gram + gram.conj().T))
-            if w[0] <= 0.0:
-                raise ValueError("Kraus sum is singular, cannot renormalize")
-            corr = (U * (1.0 / np.sqrt(w))) @ U.conj().T
-            ops = [V @ corr for V in ops]
-        return cls(tuple(ops))
 
 
 def _kraus_iterator(maps) -> tuple[Iterator[KrausMap], KrausMap | None]:
@@ -443,11 +423,6 @@ class DiameterBracket:
         return contraction_ratio(self.upper)
 
 
-def diameter_bracket(phi: KrausMap, samples: int, seed: int = 0) -> DiameterBracket:
-    est = estimate_image_radius(phi, samples, seed)
-    return DiameterBracket.from_radius(est.radius)
-
-
 # --- fixed points ----------------------------------------------------------
 
 
@@ -461,8 +436,6 @@ class FixedPointResult:
     residual: float
     unique: bool
     eigenvalue_one_multiplicity: int
-    bracket: DiameterBracket | None = None
-    hypothesis_certified: bool | None = None
 
 
 def channel_fixed_point(
@@ -470,7 +443,6 @@ def channel_fixed_point(
     residual_tol: float = 1e-10,
     degeneracy_gap: float = 1e-8,
     max_fallback_iterations: int = 10_000,
-    bracket: DiameterBracket | None = None,
 ) -> FixedPointResult:
     """Stationary density of a trace-preserving channel.
 
@@ -487,10 +459,7 @@ def channel_fixed_point(
     choice.
 
     Uniqueness is guaranteed only when some power of the dual map has finite
-    projective diameter. Pass the `bracket` of some power of the dual map
-    (e.g. from :func:`diameter_bracket`) to have it attached to the result
-    and `hypothesis_certified` report whether its upper end is finite; that
-    certification is heuristic, since the bracket is sampled.
+    projective diameter.
 
     Raises FixedPointError when no PSD trace-1 fixed point is found at
     `residual_tol`, which signals numerical breakdown for a valid map.
@@ -499,8 +468,6 @@ def channel_fixed_point(
     A = psi.superoperator
     A[np.diag_indices_from(A)] -= 1.0
     multiplicity = int(np.sum(np.linalg.svd(A, compute_uv=False) <= degeneracy_gap))
-
-    certified = None if bracket is None else bracket.upper.is_finite
 
     if multiplicity <= 1:
         A[0] = np.eye(n).ravel()
@@ -533,7 +500,7 @@ def channel_fixed_point(
         density = DensityMatrix(Z)
     except ValueError as exc:
         raise FixedPointError(f"no PSD trace-1 fixed point at tolerance: {exc}") from exc
-    return FixedPointResult(density, residual, unique, multiplicity, bracket, certified)
+    return FixedPointResult(density, residual, unique, multiplicity)
 
 
 @dataclass(frozen=True)
@@ -585,61 +552,25 @@ def duality_invariant_check(
 # --- classical embedding ----------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class ClassicalEmbedding:
-    """Kraus factorization V_i = S_i W_i of a row-stochastic matrix.
-
-    S_i is the cyclic shift by i and W_i a diagonal nonnegative weight with
-    sum_i W_i^2 = I. The induced dual map leaves diagonal matrices diagonal
-    and acts on their diagonals exactly as the original averaging matrix.
-    """
-
-    permutations: tuple[np.ndarray, ...]
-    weights: tuple[np.ndarray, ...]
-    kraus_map: KrausMap
-
-    def __post_init__(self) -> None:
-        n = self.permutations[0].shape[0]
-        eye = np.eye(n)
-        for k, S in enumerate(self.permutations):
-            ok = (
-                np.all((S == 0.0) | (S == 1.0))
-                and np.all(S.sum(axis=0) == 1.0)
-                and np.all(S.sum(axis=1) == 1.0)
-            )
-            if not ok or np.max(np.abs(S.T @ S - eye)) != 0.0:
-                raise ValueError(f"permutation {k} is not a permutation matrix")
-        total = sum(W @ W for W in self.weights)
-        dev = float(np.max(np.abs(total - eye)))
-        if dev > 1e-12:
-            raise ValueError(f"sum of squared weights deviates from identity by {dev:.3e}")
-
-
-def build_classical_embedding(A) -> ClassicalEmbedding:
+def build_classical_embedding(A) -> KrausMap:
     """Embed x -> A x as a Kraus dual map acting on diagonal matrices.
 
-    Uses shift permutations S_i e_k = e_{(k+i) mod n} and weights
-    (W_i)_kk = sqrt(a_{k,(k+i) mod n}); the squared weights then resum the
-    rows of A, so the Kraus condition is exactly row-stochasticity.
+    The operators factor as V_i = S_i W_i: shift permutations
+    S_i e_k = e_{(k+i) mod n} and diagonal weights
+    (W_i)_kk = sqrt(a_{k,(k+i) mod n}). The squared weights resum the rows of
+    A, so the Kraus condition is exactly row-stochasticity, and the dual map
+    leaves diagonal matrices diagonal, acting on their diagonals as A does.
     """
     from .classical import as_stochastic_matrix
 
-    mat = as_stochastic_matrix(A)
-    a = mat.entries
-    n = mat.n
-    perms = []
-    weights = []
-    ops = []
-    for i in range(n):
-        S = np.zeros((n, n))
-        for c in range(n):
-            S[(c + i) % n, c] = 1.0
-        cols = (np.arange(n) + i) % n
-        W = np.diag(np.sqrt(a[np.arange(n), cols]))
-        perms.append(S)
-        weights.append(W)
-        ops.append((S @ W).astype(complex))
-    return ClassicalEmbedding(tuple(perms), tuple(weights), KrausMap(tuple(ops)))
+    a = as_stochastic_matrix(A).entries
+    n = len(a)
+    k = np.arange(n)
+    rows = (k + k[:, None]) % n  # rows[i, k] = (k + i) mod n
+    ops = np.zeros((n, n, n), dtype=complex)
+    # + 0.0 makes the root of a -0.0 entry 0.0, as the product S_i W_i does
+    ops[k[:, None], rows, k] = np.sqrt(a[k, rows]) + 0.0
+    return KrausMap(ops)
 
 
 # --- built-in two-level maps -------------------------------------------------

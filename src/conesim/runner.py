@@ -86,28 +86,33 @@ def run_scenario(
         "stopping": {"tolerance": stop.tolerance, "max_iterations": stop.max_iterations},
     }
 
+    # the reported factor tanh(Δ/4): a finite image-radius bracket wins,
+    # otherwise the first finite product diameter gives it
+    factor: float | None = None
     if s.kind in ("classical", "classical_dual"):
         run = run_consensus if s.kind == "classical" else run_dual_consensus
         trace = run(s.dynamics, s.initial_state, stop, s.expected_limit)
     else:
-        trace = _run_quantum_like(s, stop, summary, seed_override)
+        trace, bracket = _run_quantum_like(s, stop, summary, seed_override)
+        if bracket is not None and bracket.upper.is_finite:
+            factor = bracket.contraction_factor
 
     if s.analysis.compute_diameter:
         # embedded runs start diagonal and stay diagonal, so the classical
         # product-diameter certificate applies to their whole trajectory too
-        windows, first_k, factor = _diameter_windows(s)
+        windows, first_k, diameter_factor = _diameter_windows(s)
         summary["diameter"] = {
             "windows": windows,
             "first_finite_k": first_k,
-            "certified_contraction_factor": factor,
+            "certified_contraction_factor": diameter_factor,
         }
-        if trace.contraction_factor is None:
-            trace = trace.with_contraction_factor(factor)
+        if factor is None:
+            factor = diameter_factor
 
     summary["status"] = trace.status.value
     summary["iterations"] = trace.iterations
     summary["final_lyapunov"] = trace.final_lyapunov
-    summary["certified_contraction_factor"] = trace.contraction_factor
+    summary["certified_contraction_factor"] = factor
     last = trace.records[-1]
     summary["expected_limit_distance_final"] = last.dist_to_limit
     if s.kind in ("classical", "classical_dual"):
@@ -128,9 +133,11 @@ def run_scenario(
 
 def _run_quantum_like(
     s: Scenario, stop: StoppingRule, summary: dict, seed_override: int | None
-) -> SimulationTrace:
+) -> tuple[SimulationTrace, DiameterBracket | None]:
+    """Run a Kraus map scenario and its analyses; also return the image-radius
+    bracket when one was estimated."""
     if s.kind == "embedded":
-        phi = build_classical_embedding(s.dynamics).kraus_map
+        phi = build_classical_embedding(s.dynamics)
         state0 = np.diag(s.initial_state).astype(complex)
     else:
         phi = s.dynamics
@@ -142,8 +149,9 @@ def _run_quantum_like(
     est = s.analysis.estimate_image_radius
     est_seed = seed_override if seed_override is not None else (est.seed if est else 0)
 
-    # one radius estimate per run: it certifies the fixed point and fills the
-    # image_radius block
+    # one radius estimate per run: it decides the fixed point's
+    # hypothesis_certified and the run's factor, and fills the image_radius
+    # block
     bracket: DiameterBracket | None = None
     if est is not None:
         target = kraus_power(phi, est.power) if est.power > 1 else phi
@@ -152,13 +160,13 @@ def _run_quantum_like(
 
     fp: FixedPointResult | None = None
     if s.analysis.fixed_point:
-        fp = channel_fixed_point(phi, bracket=bracket)
+        fp = channel_fixed_point(phi)
         summary["fixed_point"] = {
             "matrix": pairs_from_complex_array(fp.density.matrix),
             "residual": fp.residual,
             "unique": fp.unique,
             "eigenvalue_one_multiplicity": fp.eigenvalue_one_multiplicity,
-            "hypothesis_certified": fp.hypothesis_certified,
+            "hypothesis_certified": None if bracket is None else bracket.upper.is_finite,
         }
 
     limit = s.expected_limit
@@ -185,8 +193,6 @@ def _run_quantum_like(
             "samples_drawn": estimate.samples_drawn,
             "witness": pairs_from_complex_array(estimate.attained_at),
         }
-        if bracket.upper.is_finite:
-            trace = trace.with_contraction_factor(bracket.contraction_factor)
 
     if s.analysis.duality_check:
         if s.kind == "quantum_channel":
@@ -211,4 +217,4 @@ def _run_quantum_like(
             "limit_value": report.limit_value,
             "limit_error": report.limit_error,
         }
-    return trace
+    return trace, bracket

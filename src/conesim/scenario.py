@@ -153,7 +153,11 @@ def _parse_complex_matrix(data, n: int, path: str) -> np.ndarray:
 
 def complex_array_from_pairs(data) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]
+    # assigned, not re + 1j * im, which loses the sign of a -0.0 part
+    out = np.empty(arr.shape[:-1], dtype=complex)
+    out.real = arr[..., 0]
+    out.imag = arr[..., 1]
+    return out
 
 
 def pairs_from_complex_array(arr: np.ndarray) -> list:
@@ -396,6 +400,32 @@ def _parse_analysis(data, kind: str) -> AnalysisFlags:
     )
 
 
+# complex entries (64 MB) the Kraus power of an image-radius estimate may hold
+MAX_POWER_ENTRIES = 1 << 22
+
+
+def _check_power_size(estimate: EstimateSettings | None, dynamics, n: int) -> None:
+    """Reject an estimate whose Kraus power, m^power operators of n x n
+    entries, would exceed MAX_POWER_ENTRIES; counted, nothing is built."""
+    if estimate is None:
+        return
+    m = dynamics.operator_count if isinstance(dynamics, KrausMap) else n  # embedded: n
+    p = estimate.power
+    if m > 1 and p > 1024:
+        # far over the limit; m^p itself would be a huge integer
+        count = f"more than 2^{p}"
+    else:
+        entries = m**p * n * n
+        if entries <= MAX_POWER_ENTRIES:
+            return
+        count = str(entries)
+    raise _err(
+        "analysis.estimate_image_radius.power",
+        f"{m}^{p} operators of {n}x{n} make {count} complex entries, "
+        f"limit {MAX_POWER_ENTRIES}",
+    )
+
+
 def _parse_expected_limit(data, kind: str, n: int) -> np.ndarray | None:
     if data is None:
         return None
@@ -473,6 +503,7 @@ def parse_scenario(source) -> Scenario:
     initial_state = _parse_initial_state(obj["initial_state"], kind, n)
     stop = _parse_stop(obj.get("stop"))
     analysis = _parse_analysis(obj.get("analysis"), kind)
+    _check_power_size(analysis.estimate_image_radius, dynamics, n)
     expected = _parse_expected_limit(obj.get("expected_limit"), kind, n)
     trace_csv, summary_path = _parse_output(obj.get("output"))
 

@@ -1,7 +1,7 @@
 """Per-iteration trace records shared by the classical and quantum runners."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice, repeat, takewhile
 from pathlib import Path
@@ -72,7 +72,6 @@ class SimulationTrace:
     status: TerminalStatus
     final_state: np.ndarray
     iterations: int
-    contraction_factor: float | None = field(default=None)
 
     @property
     def final_lyapunov(self) -> float | None:
@@ -83,9 +82,6 @@ class SimulationTrace:
 
     def lyapunov_values(self) -> list[float]:
         return [r.lyapunov for r in self.records if r.lyapunov is not None]
-
-    def with_contraction_factor(self, factor: float | None) -> "SimulationTrace":
-        return replace(self, contraction_factor=factor)
 
     def check_lyapunov_monotone(self) -> None:
         prev: float | None = None

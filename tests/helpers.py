@@ -28,7 +28,12 @@ from conesim.channels import (
     _kraus_iterator,
     _symmetrize,
 )
-from conesim.classical import _as_nonneg_matrix, _check_vector, as_stochastic_sequence
+from conesim.classical import (
+    _as_nonneg_matrix,
+    _check_vector,
+    as_stochastic_matrix,
+    as_stochastic_sequence,
+)
 from conesim.hermitian import PD_FLOOR, as_hermitian_array, is_positive_definite
 
 
@@ -324,6 +329,23 @@ def reference_channel_fixed_point(
     except ValueError as exc:
         raise FixedPointError(f"no PSD trace-1 fixed point at tolerance: {exc}") from exc
     return FixedPointResult(density, residual, unique, multiplicity)
+
+
+def reference_classical_embedding(A) -> KrausMap:
+    """Reference kernel: the embedding's operators as the products S_i W_i of
+    a shift permutation S_i e_k = e_{(k+i) mod n} and the diagonal weight
+    (W_i)_kk = sqrt(a_{k,(k+i) mod n}), built one matrix at a time."""
+    a = as_stochastic_matrix(A).entries
+    n = len(a)
+    ops = []
+    for i in range(n):
+        S = np.zeros((n, n))
+        for c in range(n):
+            S[(c + i) % n, c] = 1.0
+        cols = (np.arange(n) + i) % n
+        W = np.diag(np.sqrt(a[np.arange(n), cols]))
+        ops.append((S @ W).astype(complex))
+    return KrausMap(tuple(ops))
 
 
 def reference_apply_dual_stack(phi: KrausMap, stack: np.ndarray) -> np.ndarray:

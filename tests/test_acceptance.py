@@ -238,12 +238,12 @@ def test_criterion_10_embedding_equivalence():
             n = 2 + trial % 5
             a = random_stochastic_matrix(n, rng)
             embedding = build_classical_embedding(a)
-            gram = sum(v.conj().T @ v for v in embedding.kraus_map.operators)
+            gram = sum(v.conj().T @ v for v in embedding.operators)
             assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
             x = rng.uniform(0.1, 3.0, n)
             state = np.diag(x).astype(complex)
             for _ in range(100):
-                state = apply_dual(embedding.kraus_map, state)
+                state = apply_dual(embedding, state)
                 x = a.entries @ x
                 assert np.max(np.abs(np.diagonal(state).real - x)) <= 1e-11
 

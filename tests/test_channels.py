@@ -18,7 +18,6 @@ from conesim import (
     channel_fixed_point,
     check_spectral_nesting,
     compose,
-    diameter_bracket,
     duality_invariant_check,
     eigenvalues,
     estimate_image_radius,
@@ -33,7 +32,12 @@ from conesim import (
     spin_rotation_special_cases,
     spontaneous_emission_spectral_shift,
 )
-from helpers import random_density, random_hermitian, random_positive_definite
+from helpers import (
+    random_density,
+    random_hermitian,
+    random_positive_definite,
+    reference_classical_embedding,
+)
 
 SPIN = dict(alpha=0.7, beta=1.1, p=0.3)
 
@@ -47,13 +51,10 @@ class TestKrausMap:
         with pytest.raises(ValueError, match="deviates from identity"):
             KrausMap((np.eye(2, dtype=complex) * 0.9,))
 
-    def test_renormalization_opt_in(self):
+    def test_no_silent_renormalization(self):
         ops = (0.9 * np.eye(2, dtype=complex), 0.2 * np.array([[0, 1], [1, 0]], dtype=complex))
-        with pytest.raises(ValueError):
-            KrausMap.from_operators(ops)
-        fixed = KrausMap.from_operators(ops, renormalize=True)
-        gram = sum(V.conj().T @ V for V in fixed.operators)
-        assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
+        with pytest.raises(ValueError, match="deviates from identity"):
+            KrausMap(ops)
 
     def test_unital_flags(self):
         assert spin_map().is_unital_channel
@@ -397,20 +398,6 @@ class TestChannelFixedPoint:
         assert not result.unique
         assert result.eigenvalue_one_multiplicity == 2
 
-    def test_certification_settings(self):
-        certified = channel_fixed_point(
-            spin_map(), bracket=diameter_bracket(kraus_power(spin_map(), 2), 500)
-        )
-        assert certified.hypothesis_certified is True
-        assert certified.bracket is not None and certified.bracket.upper.is_finite
-        emission = make_spontaneous_emission_map(0.2)
-        uncertified = channel_fixed_point(
-            emission, bracket=diameter_bracket(kraus_power(emission, 2), 100)
-        )
-        assert uncertified.hypothesis_certified is False
-        skipped = channel_fixed_point(spin_map())
-        assert skipped.hypothesis_certified is None and skipped.bracket is None
-
     @given(st.integers(0, 2**32 - 1))
     @settings(deadline=None, max_examples=25)
     def test_random_channels_yield_valid_fixed_points(self, seed):
@@ -487,13 +474,13 @@ class TestClassicalEmbedding:
     def test_identity_matrix_embeds_to_identity_action(self):
         emb = build_classical_embedding(np.eye(3))
         x = np.diag([1.0, 2.0, 3.0]).astype(complex)
-        np.testing.assert_allclose(apply_dual(emb.kraus_map, x), x, atol=1e-14)
+        np.testing.assert_allclose(apply_dual(emb, x), x, atol=1e-14)
 
     def test_doubly_stochastic_two_by_two_display(self):
         p = 0.3
         A = np.array([[p, 1 - p], [1 - p, p]])
         emb = build_classical_embedding(A)
-        out = apply_dual(emb.kraus_map, np.diag([1.0, 2.0]).astype(complex))
+        out = apply_dual(emb, np.diag([1.0, 2.0]).astype(complex))
         np.testing.assert_allclose(
             out, np.diag([p + 2 * (1 - p), 2 * p + (1 - p)]), atol=1e-14
         )
@@ -504,8 +491,8 @@ class TestClassicalEmbedding:
         A = np.array([[1.0, 0.0], [gamma**2, 1.0 - gamma**2]])
         emb = build_classical_embedding(A)
         psi = make_spontaneous_emission_map(gamma)
-        np.testing.assert_allclose(emb.kraus_map.operators[0], psi.operators[0], atol=1e-15)
-        np.testing.assert_allclose(emb.kraus_map.operators[1], psi.operators[1], atol=1e-15)
+        np.testing.assert_allclose(emb.operators[0], psi.operators[0], atol=1e-15)
+        np.testing.assert_allclose(emb.operators[1], psi.operators[1], atol=1e-15)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(deadline=None, max_examples=40)
@@ -514,10 +501,10 @@ class TestClassicalEmbedding:
         n = int(rng.integers(2, 7))
         A = random_stochastic_matrix(n, rng)
         emb = build_classical_embedding(A)
-        gram = sum(V.conj().T @ V for V in emb.kraus_map.operators)
+        gram = sum(V.conj().T @ V for V in emb.operators)
         assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
         x = rng.uniform(0.1, 5.0, n)
-        out = apply_dual(emb.kraus_map, np.diag(x).astype(complex))
+        out = apply_dual(emb, np.diag(x).astype(complex))
         np.testing.assert_allclose(np.diagonal(out).real, A.entries @ x, atol=1e-12)
         off = out - np.diag(np.diagonal(out))
         assert np.max(np.abs(off)) <= 1e-15
@@ -525,6 +512,22 @@ class TestClassicalEmbedding:
     def test_rejects_non_stochastic(self):
         with pytest.raises(ValueError):
             build_classical_embedding(np.array([[0.5, 0.4], [0.5, 0.5]]))
+
+    @given(
+        st.integers(1, 8),
+        st.sampled_from([None, 0.2, 0.5]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_operators_bit_identical_to_reference(self, n, density, negative_zeros, seed):
+        entries = random_stochastic_matrix(n, np.random.default_rng(seed), density).entries
+        if negative_zeros:
+            entries = np.where(entries == 0.0, -0.0, entries)
+        ops = build_classical_embedding(entries).operators
+        ref = reference_classical_embedding(entries).operators
+        assert ops.shape == ref.shape == (n, n, n) and ops.dtype == ref.dtype
+        assert ops.tobytes() == ref.tobytes()
 
 
 class TestSpinRotationMap:

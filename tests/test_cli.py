@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import conesim.channels
 import conesim.runner
@@ -212,6 +213,32 @@ class TestRunnerArtifacts:
         assert all(isinstance(w["value"], float) for w in windows)
         assert result.summary["diameter"]["first_finite_k"] == 1
         assert 0.0 < result.summary["certified_contraction_factor"] < 1.0
+        # a fixed point without an image-radius estimate is left undecided
+        assert result.summary["fixed_point"]["hypothesis_certified"] is None
+
+    def test_infinite_image_radius_leaves_the_diameter_factor(self, tmp_path):
+        # A has a zero in every column, so a basis probe maps to a singular
+        # image; A^2 is positive and gives the run its factor
+        doc = {
+            "kind": "embedded",
+            "dimension": 3,
+            "dynamics": {"matrix": [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]},
+            "initial_state": [0.0, 1.0, 2.0],
+            "stop": {"tolerance": 1e-10, "max_iterations": 500},
+            "analysis": {
+                "compute_diameter": True,
+                "diameter_powers": 2,
+                "fixed_point": True,
+                "estimate_image_radius": {"samples": 50, "seed": 3, "power": 1},
+            },
+        }
+        s = run_scenario(parse_scenario(doc), out_dir=tmp_path).summary
+        assert s["image_radius"]["upper"] == "+inf"
+        assert s["image_radius"]["contraction_factor"] == 1.0
+        assert s["fixed_point"]["hypothesis_certified"] is False
+        assert s["diameter"]["first_finite_k"] == 2
+        assert s["diameter"]["certified_contraction_factor"] == pytest.approx(1.0 / 3.0)
+        assert s["certified_contraction_factor"] == s["diameter"]["certified_contraction_factor"]
 
     def test_classical_dual_scenario_runs(self, tmp_path):
         doc = {

@@ -55,7 +55,7 @@ def kraus_maps(draw, max_n=16):
     if kind == "embedding":
         # n operators of dimension n
         n = draw(st.integers(1, min(max_n, 8)))
-        return build_classical_embedding(random_stochastic_matrix(n, rng)).kraus_map
+        return build_classical_embedding(random_stochastic_matrix(n, rng))
     if kind == "emission":
         return make_spontaneous_emission_map(draw(st.floats(0.01, 0.99)))
     angle = st.floats(-3.0, 3.0)

@@ -41,7 +41,7 @@ def kraus_maps(draw):
         return random_kraus_map(draw(st.integers(2, 6)), draw(st.integers(1, 4)), rng)
     if kind == "embedding":
         A = random_stochastic_matrix(draw(st.integers(2, 6)), rng)
-        return build_classical_embedding(A).kraus_map
+        return build_classical_embedding(A)
     if kind == "emission":
         return make_spontaneous_emission_map(draw(st.floats(0.01, 0.99)))
     angle = st.sampled_from(ANGLES).map(lambda a: a * math.pi) | st.floats(-3.0, 3.0)

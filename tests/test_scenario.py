@@ -1,6 +1,9 @@
+import importlib.util
 import json
 import math
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +23,13 @@ from conesim import (
 )
 from conesim.channels import KrausMap
 from conesim.classical import StochasticMatrix, as_stochastic_sequence
+import conesim.channels
 from conesim.scenario import (
+    MAX_POWER_ENTRIES,
     SpinRotationSpec,
     SpontaneousEmissionSpec,
     complex_array_from_pairs,
+    scenario_to_jsonable,
 )
 from helpers import assert_same_scenario, random_density, random_hermitian
 
@@ -39,6 +45,16 @@ EMISSION_SCENARIO = {
     "dimension": 2,
     "dynamics": {"builder": {"name": "spontaneous_emission", "gamma": 0.2}},
     "initial_state": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+}
+
+EXAMPLE2 = scenario_to_jsonable(builtin_example("example2"))
+
+EMBEDDED_4 = {
+    "kind": "embedded",
+    "dimension": 4,
+    "dynamics": {"matrix": (np.ones((4, 4)) / 4).tolist()},
+    "initial_state": [0.0, 1.0, 2.0, 3.0],
+    "analysis": {"estimate_image_radius": {"samples": 1}},
 }
 
 
@@ -163,6 +179,48 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="samples"):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize(
+        "doc, m, n, power",
+        [
+            (EXAMPLE2, 2, 2, 20),  # 2^20 * 4 = 2^22 entries
+            (EXAMPLE2, 2, 2, 21),
+            (EXAMPLE2, 2, 2, 40),
+            (EMBEDDED_4, 4, 4, 9),  # an embedding has n operators: 4^9 * 16 = 2^22
+            (EMBEDDED_4, 4, 4, 10),
+        ],
+    )
+    def test_image_radius_power_is_bounded(self, doc, m, n, power):
+        doc = json.loads(json.dumps(doc))
+        doc["analysis"]["estimate_image_radius"]["power"] = power
+        entries = m**power * n * n
+        if entries <= MAX_POWER_ENTRIES:
+            parse_scenario(doc)
+            return
+        with pytest.raises(
+            ScenarioError,
+            match=rf"^analysis\.estimate_image_radius\.power: {m}\^{power} operators of "
+            rf"{n}x{n} make {entries} complex entries, limit {MAX_POWER_ENTRIES}$",
+        ):
+            parse_scenario(doc)
+
+    def test_power_rejection_builds_nothing(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a Kraus power was built")
+
+        monkeypatch.setattr(conesim.channels, "compose", fail)
+        monkeypatch.setattr(conesim.channels, "kraus_power", fail)
+        doc = json.loads(json.dumps(EXAMPLE2))
+        for power in (40, 10**18):
+            doc["analysis"]["estimate_image_radius"]["power"] = power
+            tracemalloc.start()
+            try:
+                with pytest.raises(ScenarioError, match="estimate_image_radius.power"):
+                    parse_scenario(doc)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+
     def test_expected_limit_shape(self):
         doc = dict(MINIMAL_CLASSICAL, expected_limit=[1.0, 2.0, 3.0])
         with pytest.raises(ScenarioError, match="expected_limit"):
@@ -280,6 +338,11 @@ class TestMaterialization:
         arr = complex_array_from_pairs([[[1.0, 2.0], [0.0, -1.0]], [[0.0, 1.0], [3.0, 0.0]]])
         assert arr[0, 0] == 1 + 2j and arr[1, 0] == 1j
 
+    def test_complex_pairs_keep_signed_zeros(self):
+        arr = complex_array_from_pairs([[-0.0, 1.0], [1.0, -0.0], [-0.0, -0.0], [0.0, 0.0]])
+        assert np.signbit(arr.real).tolist() == [True, False, True, False]
+        assert np.signbit(arr.imag).tolist() == [False, True, True, False]
+
     def test_sequence_materialization(self):
         doc = dict(
             MINIMAL_CLASSICAL,
@@ -392,24 +455,40 @@ def random_document(form, n, rng):
     return doc
 
 
+def _sign_zeros(pairs, rng):
+    """The complex matrix `pairs` with each zero part drawn as 0.0 or -0.0."""
+    arr = np.array(pairs, dtype=float)
+    zero = arr == 0.0
+    arr[zero] = np.where(rng.integers(2, size=int(zero.sum())) == 1, -0.0, 0.0)
+    return arr.tolist()
+
+
 def _holds(arr, value):
-    """arr is read-only and holds the document's numbers bit for bit."""
+    """arr is read-only and holds the document's numbers bit for bit, signs
+    of zeros included."""
     doc_arr = np.array(value, dtype=float)
     if np.iscomplexobj(arr):
         same = (
             arr.shape == doc_arr.shape[:-1]
-            and np.array_equal(arr.real, doc_arr[..., 0])
-            and np.array_equal(arr.imag, doc_arr[..., 1])
+            and arr.real.tobytes() == doc_arr[..., 0].tobytes()
+            and arr.imag.tobytes() == doc_arr[..., 1].tobytes()
         )
     else:
-        same = arr.dtype == np.float64 and np.array_equal(arr, doc_arr)
+        same = arr.dtype == np.float64 and arr.tobytes() == doc_arr.tobytes()
     return same and not arr.flags.writeable
 
 
 @given(st.sampled_from(FORMS), st.integers(1, 6), st.integers(0, 2**32 - 1))
 @settings(deadline=None, max_examples=80)
 def test_serialise_parse_round_trip(form, n, seed):
-    doc = random_document(form, n, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    doc = random_document(form, n, rng)
+    if doc["kind"] in ("quantum_dual", "quantum_channel"):
+        # the zero imaginary parts of the state's diagonal and the zero
+        # entries of a diagonal limit take either sign
+        doc["initial_state"] = _sign_zeros(doc["initial_state"], rng)
+        if "expected_limit" in doc:
+            doc["expected_limit"] = _sign_zeros(doc["expected_limit"], rng)
     s = parse_scenario(doc)
     text = serialize_scenario(s)
     again = parse_scenario(text)
@@ -435,11 +514,26 @@ def test_serialise_parse_round_trip(form, n, seed):
             assert s.builder == SpontaneousEmissionSpec(b["gamma"])
             ref = make_spontaneous_emission_map(b["gamma"])
         assert np.array_equal(s.dynamics.operators, ref.operators)
-    assert _holds(s.initial_state, doc["initial_state"])
-    if "expected_limit" in doc:
-        assert _holds(s.expected_limit, doc["expected_limit"])
-    else:
-        assert s.expected_limit is None
+    for parsed in (s, again):
+        assert _holds(parsed.initial_state, doc["initial_state"])
+        if "expected_limit" in doc:
+            assert _holds(parsed.expected_limit, doc["expected_limit"])
+        else:
+            assert parsed.expected_limit is None
+
+
+def test_benchmark_documents_parse():
+    # the image-radius power bound leaves every generated benchmark document valid
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    count = 0
+    for name in ("classical-trajectories", "quantum-trajectories", "certificates"):
+        for case in workloads.generate(name, 7):
+            parse_scenario(case["doc"])
+            count += 1
+    assert count == 53
 
 
 @pytest.mark.parametrize("form", FORMS)
