@@ -113,8 +113,8 @@ def run_scenario(
     summary["iterations"] = trace.iterations
     summary["final_lyapunov"] = trace.final_lyapunov
     summary["certified_contraction_factor"] = factor
-    last = trace.records[-1]
-    summary["expected_limit_distance_final"] = last.dist_to_limit
+    dist = trace.dist_to_limit[-1]
+    summary["expected_limit_distance_final"] = None if np.isnan(dist) else float(dist)
     if s.kind in ("classical", "classical_dual"):
         summary["final_state"] = [float(v) for v in trace.final_state]
     else:

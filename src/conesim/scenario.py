@@ -400,17 +400,23 @@ def _parse_analysis(data, kind: str) -> AnalysisFlags:
     )
 
 
-# complex entries (64 MB) the Kraus power of an image-radius estimate may hold
+# complex entries (64 MB) that the Kraus power of an image-radius estimate,
+# or the n^2 x n^2 Liouville matrix of an estimate or fixed point, may hold
 MAX_POWER_ENTRIES = 1 << 22
 
 
-def _check_power_size(estimate: EstimateSettings | None, dynamics, n: int) -> None:
-    """Reject an estimate whose Kraus power, m^power operators of n x n
-    entries, would exceed MAX_POWER_ENTRIES; counted, nothing is built."""
-    if estimate is None:
+def _check_sizes(analysis: AnalysisFlags, dynamics, n: int) -> None:
+    """Reject an analysis whose Liouville matrix (n^4 entries) or Kraus power
+    (m^power operators of n x n entries) would exceed MAX_POWER_ENTRIES;
+    counted, nothing is built."""
+    for name in ("fixed_point", "estimate_image_radius"):
+        if getattr(analysis, name) and n**4 > MAX_POWER_ENTRIES:
+            count = f"the {n * n}x{n * n} Liouville matrix has {n**4} complex entries"
+            raise _err(f"analysis.{name}", f"{count}, limit {MAX_POWER_ENTRIES}")
+    if analysis.estimate_image_radius is None:
         return
     m = dynamics.operator_count if isinstance(dynamics, KrausMap) else n  # embedded: n
-    p = estimate.power
+    p = analysis.estimate_image_radius.power
     if m > 1 and p > 1024:
         # far over the limit; m^p itself would be a huge integer
         count = f"more than 2^{p}"
@@ -503,7 +509,7 @@ def parse_scenario(source) -> Scenario:
     initial_state = _parse_initial_state(obj["initial_state"], kind, n)
     stop = _parse_stop(obj.get("stop"))
     analysis = _parse_analysis(obj.get("analysis"), kind)
-    _check_power_size(analysis.estimate_image_radius, dynamics, n)
+    _check_sizes(analysis, dynamics, n)
     expected = _parse_expected_limit(obj.get("expected_limit"), kind, n)
     trace_csv, summary_path = _parse_output(obj.get("output"))
 

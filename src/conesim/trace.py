@@ -1,9 +1,9 @@
-"""Per-iteration trace records shared by the classical and quantum runners."""
+"""Run traces shared by the classical and quantum runners, and the one run loop."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import chain, islice, repeat, takewhile
+from itertools import chain, islice, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,7 @@ class StoppingRule:
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One iteration snapshot.
+    """One step of a trace, as `SimulationTrace.records` derives it.
 
     `lyapunov` is the run's certified non-increasing quantity (may be absent
     for states where it is undefined). `projective_lyapunov` additionally
@@ -62,55 +62,62 @@ class TraceInvariantError(RuntimeError):
     pass
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else f"{x:.17g}"
-
-
 @dataclass
 class SimulationTrace:
-    records: list[TraceRecord]
+    """A run's trace as float64 columns, one entry per step t = 0..iterations;
+    NaN marks an absent value, and fills a column the run does not record."""
+
+    lyapunov: np.ndarray
+    lambda_min: np.ndarray
+    lambda_max: np.ndarray
+    dist_to_limit: np.ndarray
+    projective_lyapunov: np.ndarray
     status: TerminalStatus
     final_state: np.ndarray
     iterations: int
 
     @property
+    def records(self) -> list[TraceRecord]:
+        """One TraceRecord per step, None for an absent value; built on access."""
+        columns = (getattr(self, f.name).tolist() for f in fields(TraceRecord)[1:])
+        rows = zip(*([None if x != x else x for x in c] for c in columns))
+        return [TraceRecord(t, *row) for t, row in enumerate(rows)]
+
+    @property
     def final_lyapunov(self) -> float | None:
-        for rec in reversed(self.records):
-            if rec.lyapunov is not None:
-                return rec.lyapunov
-        return None
+        values = self.lyapunov_values()
+        return values[-1] if values else None
 
     def lyapunov_values(self) -> list[float]:
-        return [r.lyapunov for r in self.records if r.lyapunov is not None]
+        return self.lyapunov[~np.isnan(self.lyapunov)].tolist()
 
     def check_lyapunov_monotone(self) -> None:
-        prev: float | None = None
-        prev_t = None
-        for rec in self.records:
-            if rec.lyapunov is None:
-                continue
-            if prev is not None and rec.lyapunov > prev + 1e-12 * max(1.0, abs(prev)):
-                raise TraceInvariantError(
-                    f"Lyapunov column increased: V({prev_t})={prev!r} -> "
-                    f"V({rec.t})={rec.lyapunov!r}"
-                )
-            prev, prev_t = rec.lyapunov, rec.t
+        ts = np.flatnonzero(~np.isnan(self.lyapunov))
+        v = self.lyapunov[ts]
+        prev = v[:-1]
+        with np.errstate(all="ignore"):  # Python floats overflow silently too
+            up = np.flatnonzero(v[1:] > prev + 1e-12 * np.maximum(1.0, np.abs(prev)))
+        if up.size:
+            k = up[0]
+            raise TraceInvariantError(
+                f"Lyapunov column increased: V({ts[k]})={v[k].item()!r} -> "
+                f"V({ts[k + 1]})={v[k + 1].item()!r}"
+            )
 
     def write_csv(self, path: str | Path) -> Path:
-        """Write the trace with 17 significant digits per float.
+        """Write the trace with 17 significant digits per float, an empty cell
+        for an absent value.
 
         The Lyapunov column is asserted non-increasing before anything is
         written; a violation aborts with the offending step in the message.
         """
         self.check_lyapunov_monotone()
         path = Path(path)
-        lines = [CSV_HEADER]
-        for r in self.records:
-            lines.append(
-                f"{r.t},{_fmt(r.lyapunov)},{_fmt(r.lambda_min)},"
-                f"{_fmt(r.lambda_max)},{_fmt(r.dist_to_limit)}"
-            )
-        path.write_text("\n".join(lines) + "\n", newline="\n")
+        columns = (self.lyapunov, self.lambda_min, self.lambda_max, self.dist_to_limit)
+        cells = np.column_stack((np.arange(len(self.lyapunov)), *columns))
+        # one format for the whole table; Python prints every NaN as "nan"
+        body = ("\n%d,%.17g,%.17g,%.17g,%.17g" * len(cells)) % tuple(cells.ravel().tolist())
+        path.write_text(CSV_HEADER + body.replace(",nan", ",") + "\n", newline="\n")
         return path
 
 
@@ -193,12 +200,8 @@ def _raising(exc: Exception):
 
 
 def _trace(blocks, status: TerminalStatus, state, t: int) -> SimulationTrace:
-    lyap, lo, hi, dist, proj = (
-        repeat(None) if parts[0] is None else np.concatenate(parts).tolist()
+    columns = (
+        np.full(t + 1, np.nan) if parts[0] is None else np.concatenate(parts, dtype=float)
         for parts in zip(*blocks)
     )
-    records = [
-        TraceRecord(i, None if v != v else v, a, b, d, None if p != p else p)
-        for i, (v, a, b, d, p) in enumerate(zip(lyap, lo, hi, dist, proj))
-    ]
-    return SimulationTrace(records, status, state, t)
+    return SimulationTrace(*columns, status, state, t)

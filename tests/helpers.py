@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from conesim.classical import (
     as_stochastic_sequence,
 )
 from conesim.hermitian import PD_FLOOR, as_hermitian_array, is_positive_definite
+from conesim.trace import CSV_HEADER, TraceInvariantError
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -92,6 +95,49 @@ def quadruple_projective_diameter(A) -> ExtendedNonnegReal:
     return ExtendedNonnegReal(float(vals[num].max()))
 
 
+# --- traces as records, and the per-row kernels the columnar trace replaced ---
+
+
+def trace_from_records(records, status, final_state, iterations) -> SimulationTrace:
+    """A SimulationTrace holding the values of `records`, None as NaN."""
+    rows = [[math.nan if v is None else v for v in astuple(r)[1:]] for r in records]
+    columns = np.array(rows, dtype=float).reshape(len(records), -1).T
+    return SimulationTrace(*columns, status, final_state, iterations)
+
+
+def reference_check_lyapunov_monotone(records) -> None:
+    """Reference kernel: the Lyapunov check as a loop over the records."""
+    prev: float | None = None
+    prev_t = None
+    for rec in records:
+        if rec.lyapunov is None:
+            continue
+        if prev is not None and rec.lyapunov > prev + 1e-12 * max(1.0, abs(prev)):
+            raise TraceInvariantError(
+                f"Lyapunov column increased: V({prev_t})={prev!r} -> "
+                f"V({rec.t})={rec.lyapunov!r}"
+            )
+        prev, prev_t = rec.lyapunov, rec.t
+
+
+def _fmt(x: float | None) -> str:
+    return "" if x is None else f"{x:.17g}"
+
+
+def reference_write_csv(records, path) -> Path:
+    """Reference kernel: the CSV writer as one formatted line per record."""
+    reference_check_lyapunov_monotone(records)
+    path = Path(path)
+    lines = [CSV_HEADER]
+    for r in records:
+        lines.append(
+            f"{r.t},{_fmt(r.lyapunov)},{_fmt(r.lambda_min)},"
+            f"{_fmt(r.lambda_max)},{_fmt(r.dist_to_limit)}"
+        )
+    path.write_text("\n".join(lines) + "\n", newline="\n")
+    return path
+
+
 def reference_iterate(maps, state, apply, record, stop, move=None) -> SimulationTrace:
     """Reference driver: the per-step loop that `conesim.trace.iterate`
     replaced. `record(t, state)` returns the trace row and the level; `move`
@@ -100,7 +146,7 @@ def reference_iterate(maps, state, apply, record, stop, move=None) -> Simulation
     records = [rec]
     t = 0
     if move is None and level < stop.tolerance:
-        return SimulationTrace(records, TerminalStatus.CONVERGED, state, t)
+        return trace_from_records(records, TerminalStatus.CONVERGED, state, t)
     status = TerminalStatus.MAX_ITERATIONS
     it = iter(maps)
     while t < stop.max_iterations:
@@ -118,7 +164,7 @@ def reference_iterate(maps, state, apply, record, stop, move=None) -> Simulation
         if level < stop.tolerance:
             status = TerminalStatus.CONVERGED
             break
-    return SimulationTrace(records, status, state, t)
+    return trace_from_records(records, status, state, t)
 
 
 def reference_run_consensus(sequence, x0, stop=None, limit=None) -> SimulationTrace:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conesim import (
@@ -30,6 +30,7 @@ from helpers import reference_channel_fixed_point, reference_estimate_image_radi
 
 ANGLES = [0.0, 0.25, 0.5, 1.0, 1.5, 1 / 3]  # multiples of pi, special and not
 EPS = np.finfo(float).eps
+GAP = 1e-8  # the default degeneracy_gap of both fixed-point kernels
 
 
 @st.composite
@@ -57,6 +58,13 @@ def _outcome(kernel, psi):
 
 def assert_same_fixed_point(psi):
     new = _outcome(channel_fixed_point, psi)
+    n = psi.dimension
+    sv = np.linalg.svd(psi.superoperator - np.eye(n * n), compute_uv=False)
+    if np.any((sv >= GAP / 2) & (sv <= 2 * GAP)):
+        # a singular value this close to the gap is counted or not as rounding
+        # falls, in either kernel: hold the new one to its definition instead
+        assert new.eigenvalue_one_multiplicity == int(np.sum(sv <= GAP))
+        return
     ref = _outcome(reference_channel_fixed_point, psi)
     assert type(new) is type(ref)
     if isinstance(ref, FixedPointError):
@@ -69,13 +77,12 @@ def assert_same_fixed_point(psi):
     # a special angle it falls below 1e-6 and both kernels are that far apart
     bound = 1e-12
     if ref.unique:
-        n = psi.dimension
-        gap = np.linalg.svd(psi.superoperator - np.eye(n * n), compute_uv=False)[-2]
-        bound = max(bound, EPS / gap)
+        bound = max(bound, EPS / sv[-2])
     assert np.abs(new.density.matrix - ref.density.matrix).max() <= bound
 
 
 @given(kraus_maps())
+@example(make_spin_rotation_map(0.0, 1e-8, 0.5))  # singular values of S - I at the gap
 @settings(deadline=None, max_examples=150)
 def test_fixed_points_match_the_transfer_matrix_reference(psi):
     assert_same_fixed_point(psi)

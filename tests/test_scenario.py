@@ -203,6 +203,31 @@ class TestParsing:
         ):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize("n", [45, 46, 64])
+    @pytest.mark.parametrize("field", ["fixed_point", "estimate_image_radius"])
+    def test_liouville_analyses_are_bounded(self, n, field):
+        # an n x n scenario's Liouville matrix holds n^4 complex entries:
+        # 45^4 is under the limit, 46^4 over it
+        analysis = {"fixed_point": True}
+        if field == "estimate_image_radius":
+            analysis = {"estimate_image_radius": {"samples": 1}}
+        doc = {
+            "kind": "embedded",
+            "dimension": n,
+            "dynamics": {"matrix": (np.ones((n, n)) / n).tolist()},
+            "initial_state": np.arange(n, dtype=float).tolist(),
+            "analysis": analysis,
+        }
+        if n**4 <= MAX_POWER_ENTRIES:
+            parse_scenario(doc)
+            return
+        with pytest.raises(
+            ScenarioError,
+            match=rf"^analysis\.{field}: the {n * n}x{n * n} Liouville matrix has {n**4} "
+            rf"complex entries, limit {MAX_POWER_ENTRIES}$",
+        ):
+            parse_scenario(doc)
+
     def test_power_rejection_builds_nothing(self, monkeypatch):
         def fail(*args):
             raise AssertionError("a Kraus power was built")

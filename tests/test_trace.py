@@ -1,15 +1,28 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conesim import SimulationTrace, StoppingRule, TerminalStatus, TraceRecord
+import conesim.trace
+from conesim import (
+    StoppingRule,
+    TerminalStatus,
+    TraceRecord,
+    builtin_example,
+    parse_scenario,
+    run_scenario,
+)
 from conesim.trace import TraceInvariantError
+from helpers import reference_check_lyapunov_monotone, reference_write_csv, trace_from_records
 
 
 def make_trace(lyapunov_values):
     records = [
         TraceRecord(t, v, 0.0, 1.0, None) for t, v in enumerate(lyapunov_values)
     ]
-    return SimulationTrace(records, TerminalStatus.CONVERGED, np.zeros(2), len(records) - 1)
+    return trace_from_records(records, TerminalStatus.CONVERGED, np.zeros(2), len(records) - 1)
 
 
 class TestStoppingRule:
@@ -35,7 +48,7 @@ class TestCsvWriter:
         assert parsed == value
 
     def test_empty_cells_for_missing_values(self, tmp_path):
-        trace = SimulationTrace(
+        trace = trace_from_records(
             [TraceRecord(0, None, 0.0, 1.0, None)], TerminalStatus.MAX_ITERATIONS, np.zeros(1), 0
         )
         path = trace.write_csv(tmp_path / "t.csv")
@@ -54,10 +67,99 @@ class TestCsvWriter:
             TraceRecord(2, None, 0.0, 1.0),
             TraceRecord(3, 1.0, 0.0, 1.0),
         ]
-        trace = SimulationTrace(records, TerminalStatus.CONVERGED, np.zeros(1), 3)
+        trace = trace_from_records(records, TerminalStatus.CONVERGED, np.zeros(1), 3)
         trace.write_csv(tmp_path / "t.csv")
 
     def test_final_lyapunov_skips_missing(self):
         records = [TraceRecord(0, 3.0, 0.0, 1.0), TraceRecord(1, None, 0.0, 1.0)]
-        trace = SimulationTrace(records, TerminalStatus.CONVERGED, np.zeros(1), 1)
+        trace = trace_from_records(records, TerminalStatus.CONVERGED, np.zeros(1), 1)
         assert trace.final_lyapunov == 3.0
+
+
+# --- the columnar writer and check against the per-row kernels they replaced ---
+
+# signed zeros, subnormals, +-1e308, integral floats, infinities and NaN
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.225e-308 / 3, 1e308, -1e308, 1.0, 1e16]
+SPECIAL += [-3.0, math.inf, -math.inf, math.nan]
+
+
+def _values(rng, n):
+    """Floats from the whole exponent range, integral floats, the special
+    values above and NaN gaps, mixed at random."""
+    wide = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1080, 1025, n))
+    integral = np.round(rng.uniform(-1e6, 1e6, n))
+    special = rng.choice(SPECIAL, n)
+    return np.choose(rng.integers(0, 4, n), [wide, integral, special, np.full(n, math.nan)])
+
+
+def _lyapunov_chain(rng, n):
+    """A column that moves down, stays, or rises within the check's tolerance,
+    with NaN gaps; in half the columns it rises past the tolerance at times."""
+    value, values = float(_values(rng, 1)[0]), []
+    rise = rng.choice([0.0, 0.02])
+    for _ in range(n):
+        values.append(math.nan if rng.uniform() < 0.2 else value)
+        if math.isfinite(value):
+            tol = 1e-12 * max(1.0, abs(value))
+            steps = [0.0, -abs(value) * rng.uniform(), -1.0, 0.5 * tol, 2.0 * tol]
+            value += steps[rng.choice(5, p=[0.3, 0.3, 0.1, 0.3 - rise, rise])]
+    return values
+
+
+def _error(check):
+    try:
+        check()
+    except TraceInvariantError as exc:
+        return str(exc)
+    return None
+
+
+@given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1), chain=st.booleans())
+@settings(deadline=None, max_examples=200)
+def test_columnar_writer_and_check_match_the_per_row_reference(n, seed, chain, tmp_path_factory):
+    rng = np.random.default_rng(seed)
+    lyap = _lyapunov_chain(rng, n) if chain else _values(rng, n).tolist()
+    rest = [_values(rng, n).tolist() for _ in range(4)]
+    records = [
+        TraceRecord(t, *(None if x != x else x for x in row))
+        for t, row in enumerate(zip(lyap, *rest))
+    ]
+    tmp = tmp_path_factory.mktemp("csv")
+    trace = trace_from_records(records, TerminalStatus.CONVERGED, np.zeros(1), n - 1)
+    assert repr(trace.records) == repr(records)
+    error = _error(trace.check_lyapunov_monotone)
+    assert error == _error(lambda: reference_check_lyapunov_monotone(records))
+    if error is None:
+        new = trace.write_csv(tmp / "new.csv").read_bytes()
+        assert new == reference_write_csv(records, tmp / "ref.csv").read_bytes()
+    else:
+        with pytest.raises(TraceInvariantError):
+            trace.write_csv(tmp / "new.csv")
+        assert not (tmp / "new.csv").exists()
+
+
+def test_no_trace_record_is_built_on_the_run_path(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a TraceRecord was built")
+
+    monkeypatch.setattr(conesim.trace, "TraceRecord", fail)
+    dual = parse_scenario(
+        {
+            "kind": "classical_dual",
+            "dimension": 3,
+            "dynamics": {"matrix": [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]},
+            "initial_state": [1.0, 0.0, 2.0],
+            "stop": {"tolerance": 1e-12, "max_iterations": 500},
+            "expected_limit": [1.0, 1.0, 1.0],
+        }
+    )
+    for name, scenario in [
+        ("example1", builtin_example("example1")),
+        ("example2", builtin_example("example2")),
+        ("dual", dual),
+    ]:
+        result = run_scenario(scenario, out_dir=tmp_path / name)
+        assert result.exit_code == 0
+        rows = result.trace_path.read_text().splitlines()
+        assert len(rows) == result.trace.iterations + 2
+        assert result.summary_path.read_text().startswith("{")
