@@ -15,6 +15,7 @@ contraction picture.
 Usage: python3 scripts/contraction_study.py [--seed N]
 """
 import argparse
+import math
 
 import numpy as np
 
@@ -40,8 +41,9 @@ def stochastic_matrix_study(seed: int) -> None:
             ]
             report = check_birkhoff_contraction(a, pairs)
             observed = report.worst_ratio if report.worst_ratio is not None else float("nan")
+            diameter = report.diameter if math.isfinite(report.diameter) else "+inf"
             print(
-                f"{n:>3} {str(density):>8} {str(report.diameter):>12.12} "
+                f"{n:>3} {str(density):>8} {str(diameter):>12.12} "
                 f"{report.contraction_bound:>10.6f} {observed:>10.6f}"
             )
 
@@ -54,10 +56,10 @@ def spin_rotation_study(seed: int) -> None:
     for k in (1, 2, 3, 4, 6):
         estimate = estimate_image_radius(kraus_power(phi, k), samples=4000, seed=seed + k)
         radius = estimate.radius
-        if radius.is_finite:
+        if math.isfinite(radius):
             upper = 2.0 * radius
-            factor = np.tanh(upper.value / 4.0)
-            print(f"{k:>3} {radius.value:>12.6f} {upper.value:>14.6f} {factor:>17.6f}")
+            factor = np.tanh(upper / 4.0)
+            print(f"{k:>3} {radius:>12.6f} {upper:>14.6f} {factor:>17.6f}")
         else:
             print(f"{k:>3} {'+inf':>12} {'+inf':>14} {1.0:>17.6f}")
 

@@ -10,7 +10,6 @@ from itertools import repeat
 
 import numpy as np
 
-from .cones import ExtendedNonnegReal, contraction_ratio
 from .hermitian import (
     HermitianMatrix,
     SpectralInterval,
@@ -25,7 +24,6 @@ __all__ = [
     "DensityMatrix",
     "SpectralNestingReport",
     "ImageRadiusEstimate",
-    "DiameterBracket",
     "FixedPointResult",
     "DualityReport",
     "FixedPointError",
@@ -48,6 +46,13 @@ __all__ = [
 ]
 
 KRAUS_TOL = 1e-10
+# projectors mapped per batch by estimate_image_radius
+RADIUS_CHUNK = 4096
+# channel_fixed_point: residual gate, singular-value threshold of S - I, and
+# the step budget of its power-iteration fallback
+RESIDUAL_TOL = 1e-10
+DEGENERACY_GAP = 1e-8
+MAX_FALLBACK_ITERATIONS = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,10 +335,10 @@ class ImageRadiusEstimate:
 
     The supremum is attained on rank-1 projectors, so the estimator sweeps
     those; `attained_at` is the maximizing projector (or the first witness
-    mapped to a singular matrix when the radius is infinite).
+    mapped to a singular matrix when the radius is ``math.inf``).
     """
 
-    radius: ExtendedNonnegReal
+    radius: float
     attained_at: np.ndarray
     samples_drawn: int
 
@@ -343,7 +348,6 @@ def estimate_image_radius(
     samples: int,
     seed: int = 0,
     include_basis_probes: bool = True,
-    chunk: int = 4096,
 ) -> ImageRadiusEstimate:
     """Estimate the image radius of a (possibly composed) dual map by sampling
     rank-1 projectors.
@@ -351,9 +355,10 @@ def estimate_image_radius(
     The standard basis projectors are probed first (deterministically), then
     `samples` Haar-uniform ones; degeneracies pinned to coordinate axes would
     otherwise be missed almost surely. Whenever an image is singular at the
-    relative floor the radius is infinite and that projector is returned as
-    the witness. Otherwise the result is a running maximum: a lower bound
-    that converges to the true radius from below as samples grow.
+    relative floor the radius is ``math.inf`` and that projector is returned
+    as the witness. Otherwise the result is a running maximum: a lower bound
+    that converges to the true radius from below as samples grow. Projectors
+    are mapped in batches of `RADIUS_CHUNK`.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -386,41 +391,21 @@ def estimate_image_radius(
             basis[k, k, k] = 1.0
         witness = process(basis)
         if witness is not None:
-            return ImageRadiusEstimate(ExtendedNonnegReal.infinite(), witness, drawn)
+            return ImageRadiusEstimate(math.inf, witness, drawn)
 
     rng = np.random.default_rng(seed)
     remaining = samples
     while remaining > 0:
-        b = min(chunk, remaining)
+        b = min(RADIUS_CHUNK, remaining)
         g = rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         projectors = np.einsum("si,sj->sij", g, g.conj())
         witness = process(projectors)
         if witness is not None:
-            return ImageRadiusEstimate(ExtendedNonnegReal.infinite(), witness, drawn)
+            return ImageRadiusEstimate(math.inf, witness, drawn)
         remaining -= b
     assert best_proj is not None
-    return ImageRadiusEstimate(ExtendedNonnegReal(best_val), best_proj, drawn)
-
-
-@dataclass(frozen=True)
-class DiameterBracket:
-    """Bracket [radius, 2 radius] for the projective diameter of a dual map.
-
-    The lower end is a sampled lower bound only; the upper end feeds
-    :func:`conesim.cones.contraction_ratio` for the certified factor.
-    """
-
-    lower: ExtendedNonnegReal
-    upper: ExtendedNonnegReal
-
-    @classmethod
-    def from_radius(cls, radius: ExtendedNonnegReal) -> "DiameterBracket":
-        return cls(radius, 2.0 * radius)
-
-    @property
-    def contraction_factor(self) -> float:
-        return contraction_ratio(self.upper)
+    return ImageRadiusEstimate(best_val, best_proj, drawn)
 
 
 # --- fixed points ----------------------------------------------------------
@@ -438,36 +423,31 @@ class FixedPointResult:
     eigenvalue_one_multiplicity: int
 
 
-def channel_fixed_point(
-    psi: KrausMap,
-    residual_tol: float = 1e-10,
-    degeneracy_gap: float = 1e-8,
-    max_fallback_iterations: int = 10_000,
-) -> FixedPointResult:
+def channel_fixed_point(psi: KrausMap) -> FixedPointResult:
     """Stationary density of a trace-preserving channel.
 
     The fixed point spans the null space of S - I, S the Liouville matrix of
     the channel (:attr:`KrausMap.superoperator`). Its dimension, reported as
     `eigenvalue_one_multiplicity`, is the number of singular values of S - I
-    at most `degeneracy_gap`: the geometric multiplicity of eigenvalue 1.
+    at most `DEGENERACY_GAP`: the geometric multiplicity of eigenvalue 1.
     When it is at most 1, one linear solve gives the fixed point: trace
     preservation makes the rows of S - I at the diagonal positions sum to
     zero, so the first of them is replaced by the unit-trace condition
     tr(Z) = 1. The solution is re-Hermitized. When the multiplicity exceeds 1
-    the fixed point is not unique; the routine then falls back to power
-    iteration from I/n and flags non-uniqueness rather than fabricating a
-    choice.
+    the fixed point is not unique; the routine then falls back to at most
+    `MAX_FALLBACK_ITERATIONS` steps of power iteration from I/n and flags
+    non-uniqueness rather than fabricating a choice.
 
     Uniqueness is guaranteed only when some power of the dual map has finite
     projective diameter.
 
     Raises FixedPointError when no PSD trace-1 fixed point is found at
-    `residual_tol`, which signals numerical breakdown for a valid map.
+    `RESIDUAL_TOL`, which signals numerical breakdown for a valid map.
     """
     n = psi.dimension
     A = psi.superoperator
     A[np.diag_indices_from(A)] -= 1.0
-    multiplicity = int(np.sum(np.linalg.svd(A, compute_uv=False) <= degeneracy_gap))
+    multiplicity = int(np.sum(np.linalg.svd(A, compute_uv=False) <= DEGENERACY_GAP))
 
     if multiplicity <= 1:
         A[0] = np.eye(n).ravel()
@@ -481,9 +461,9 @@ def channel_fixed_point(
         unique = True
     else:
         Z = np.eye(n, dtype=complex) / n
-        for _ in range(max_fallback_iterations):
+        for _ in range(MAX_FALLBACK_ITERATIONS):
             Z_new = _apply_channel_raw(psi, Z)
-            settled = float(np.linalg.norm(Z_new - Z)) <= residual_tol
+            settled = float(np.linalg.norm(Z_new - Z)) <= RESIDUAL_TOL
             Z = Z_new
             if settled:
                 break
@@ -494,8 +474,8 @@ def channel_fixed_point(
         unique = False
 
     residual = float(np.linalg.norm(_apply_channel_raw(psi, Z) - Z))
-    if residual > residual_tol:
-        raise FixedPointError(f"fixed-point residual {residual:.3e} exceeds {residual_tol}")
+    if residual > RESIDUAL_TOL:
+        raise FixedPointError(f"fixed-point residual {residual:.3e} exceeds {RESIDUAL_TOL}")
     try:
         density = DensityMatrix(Z)
     except ValueError as exc:
@@ -598,18 +578,6 @@ def make_spin_rotation_map(alpha: float, beta: float, p: float) -> KrausMap:
     return KrausMap((v0, v1))
 
 
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float):
-        return Fraction(v)
-    raise TypeError(f"cannot interpret {v!r} as a rational multiple of pi")
-
-
 def spin_rotation_special_cases(alpha_over_pi, beta_over_pi) -> tuple[str, ...]:
     """Detect the angle configurations for which the mixed-rotation map fails
     to contract toward I/2.
@@ -618,8 +586,8 @@ def spin_rotation_special_cases(alpha_over_pi, beta_over_pi) -> tuple[str, ...]:
     these cases is not decidable from floating-point angles. Returns a tuple
     of labels; an empty tuple means the generic, contracting configuration.
     """
-    a = _as_fraction(alpha_over_pi)
-    b = _as_fraction(beta_over_pi)
+    a = Fraction(alpha_over_pi)
+    b = Fraction(beta_over_pi)
     cases = []
     if a.denominator == 1:
         cases.append("alpha_multiple_of_pi")

@@ -1,6 +1,7 @@
 """Row-stochastic consensus iteration, projective diameters, and Birkhoff certificates."""
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import islice, repeat
@@ -8,7 +9,6 @@ from itertools import islice, repeat
 import numpy as np
 
 from .cones import (
-    ExtendedNonnegReal,
     birkhoff_lyapunov,
     contraction_ratio,
     hilbert_distance_orthant,
@@ -249,13 +249,13 @@ def _as_nonneg_matrix(A) -> np.ndarray:
     return m
 
 
-def projective_diameter(A) -> ExtendedNonnegReal:
+def projective_diameter(A) -> float:
     """Projective diameter of a nonnegative matrix as a map on the orthant.
 
     The sup of the cross ratios log( a_ij a_pq / (a_iq a_pj) ) equals the
     largest Hilbert distance between two nonzero columns (Seneta 2006, 3.4),
-    computed here in O(n^3) time and O(n^2) memory. Infinite exactly when two
-    nonzero columns have different supports.
+    computed here in O(n^3) time and O(n^2) memory. ``math.inf`` exactly when
+    two nonzero columns have different supports.
     """
     m = _as_nonneg_matrix(A)
     pos = m > 0.0
@@ -266,17 +266,17 @@ def projective_diameter(A) -> ExtendedNonnegReal:
     # with no zero row, the nonzero columns share one support exactly when
     # that support is every row
     if not np.all(m > 0.0):
-        return ExtendedNonnegReal.infinite()
+        return math.inf
     # d[j, q] = max_i (log a_ij - log a_iq), one row at a time
     d = np.full((m.shape[1], m.shape[1]), -np.inf)
     for row in np.log(m):
         np.maximum(d, row[:, None] - row[None, :], out=d)
-    return ExtendedNonnegReal(float((d + d.T).max()))
+    return float((d + d.T).max())
 
 
 @dataclass(frozen=True)
 class ContractionCheckReport:
-    diameter: ExtendedNonnegReal
+    diameter: float
     contraction_bound: float
     worst_ratio: float | None
     pairs_checked: int
@@ -285,7 +285,7 @@ class ContractionCheckReport:
 
     @property
     def certified(self) -> bool:
-        return self.diameter.is_finite
+        return math.isfinite(self.diameter)
 
     @property
     def satisfied(self) -> bool:

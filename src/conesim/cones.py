@@ -8,9 +8,7 @@ import numpy as np
 
 __all__ = [
     "PositiveVector",
-    "ExtendedNonnegReal",
     "as_positive_vector",
-    "as_extended_nonneg",
     "hilbert_distance_orthant",
     "thompson_distance_orthant",
     "tsitsiklis_lyapunov",
@@ -24,8 +22,8 @@ class PositiveVector:
     """Strictly positive vector, i.e. an interior point of the nonnegative orthant.
 
     Construction rejects any entry <= 0; there is no epsilon floor, so callers
-    that need boundary behaviour must model it explicitly (see
-    :class:`ExtendedNonnegReal` for infinite projective diameters).
+    that need boundary behaviour must model it explicitly (an infinite
+    projective diameter is ``math.inf``).
     """
 
     entries: np.ndarray
@@ -53,89 +51,6 @@ class PositiveVector:
 
 def as_positive_vector(x) -> PositiveVector:
     return x if isinstance(x, PositiveVector) else PositiveVector(np.asarray(x, dtype=float))
-
-
-@dataclass(frozen=True)
-class ExtendedNonnegReal:
-    """Nonnegative real extended with an explicit point at +infinity.
-
-    The infinite value is a deliberate constructor choice (``value=None`` or
-    :meth:`infinite`), not an IEEE overflow artefact. Addition and max absorb
-    it, as required for diameter arithmetic.
-    """
-
-    value: float | None
-
-    def __post_init__(self) -> None:
-        if self.value is not None:
-            v = float(self.value)
-            if math.isnan(v):
-                raise ValueError("ExtendedNonnegReal does not accept NaN")
-            if math.isinf(v):
-                object.__setattr__(self, "value", None)
-                return
-            if v < 0.0:
-                raise ValueError(f"ExtendedNonnegReal must be >= 0, got {v}")
-            object.__setattr__(self, "value", v)
-
-    @classmethod
-    def finite(cls, v: float) -> "ExtendedNonnegReal":
-        if math.isinf(float(v)):
-            raise ValueError("use ExtendedNonnegReal.infinite() for the infinite value")
-        return cls(float(v))
-
-    @classmethod
-    def infinite(cls) -> "ExtendedNonnegReal":
-        return cls(None)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.value is not None
-
-    def as_float(self) -> float:
-        return math.inf if self.value is None else self.value
-
-    def __add__(self, other) -> "ExtendedNonnegReal":
-        o = as_extended_nonneg(other)
-        if self.value is None or o.value is None:
-            return ExtendedNonnegReal.infinite()
-        return ExtendedNonnegReal(self.value + o.value)
-
-    __radd__ = __add__
-
-    def __mul__(self, scalar: float) -> "ExtendedNonnegReal":
-        s = float(scalar)
-        if s < 0.0:
-            raise ValueError("can only scale by a nonnegative factor")
-        if self.value is None:
-            return ExtendedNonnegReal.infinite()
-        return ExtendedNonnegReal(self.value * s)
-
-    __rmul__ = __mul__
-
-    def __lt__(self, other) -> bool:
-        return self.as_float() < as_extended_nonneg(other).as_float()
-
-    def __le__(self, other) -> bool:
-        return self.as_float() <= as_extended_nonneg(other).as_float()
-
-    def __gt__(self, other) -> bool:
-        return self.as_float() > as_extended_nonneg(other).as_float()
-
-    def __ge__(self, other) -> bool:
-        return self.as_float() >= as_extended_nonneg(other).as_float()
-
-    def to_json(self) -> float | str:
-        return "+inf" if self.value is None else self.value
-
-    def __str__(self) -> str:
-        return "+inf" if self.value is None else repr(self.value)
-
-
-def as_extended_nonneg(d) -> ExtendedNonnegReal:
-    if isinstance(d, ExtendedNonnegReal):
-        return d
-    return ExtendedNonnegReal(float(d))
 
 
 def _log_ratios(x, y) -> np.ndarray:
@@ -194,12 +109,13 @@ def birkhoff_lyapunov(x):
     return tsitsiklis_lyapunov(np.log(v))
 
 
-def contraction_ratio(diameter) -> float:
+def contraction_ratio(diameter: float) -> float:
     """Birkhoff contraction factor tanh(diameter / 4).
 
-    An infinite diameter yields 1.0: no strict contraction is certified.
+    An infinite diameter (``math.inf``) yields 1.0: no strict contraction is
+    certified.
     """
-    d = as_extended_nonneg(diameter)
-    if not d.is_finite:
-        return 1.0
-    return math.tanh(d.value / 4.0)
+    d = float(diameter)
+    if not d >= 0.0:
+        raise ValueError(f"diameter must be >= 0 or +inf, got {d}")
+    return math.tanh(d / 4.0)

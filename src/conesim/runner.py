@@ -2,13 +2,13 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .channels import (
-    DiameterBracket,
     FixedPointResult,
     build_classical_embedding,
     channel_fixed_point,
@@ -40,6 +40,11 @@ class RunResult:
     trace: SimulationTrace
 
 
+def _json_extended(d: float) -> float | str:
+    """A diameter or radius in the summary: a float, or "+inf" when infinite."""
+    return d if math.isfinite(d) else "+inf"
+
+
 def _diameter_windows(s: Scenario) -> tuple[list[dict], int | None, float | None]:
     """Projective diameters of the cumulative matrix products over the first
     diameter_powers steps (plain powers for a constant matrix)."""
@@ -54,8 +59,8 @@ def _diameter_windows(s: Scenario) -> tuple[list[dict], int | None, float | None
         step = mat.entries.T if transpose else mat.entries
         product = step if product is None else step @ product
         diam = projective_diameter(product)
-        windows.append({"k": k, "value": diam.to_json()})
-        if diam.is_finite and first_finite_k is None:
+        windows.append({"k": k, "value": _json_extended(diam)})
+        if math.isfinite(diam) and first_finite_k is None:
             first_finite_k = k
             factor = contraction_ratio(diam)
     return windows, first_finite_k, factor
@@ -74,6 +79,8 @@ def run_scenario(
     budget (or exhausted a finite sequence); errors raise and the CLI maps
     them to exit 1.
     """
+    if seed_override is not None and seed_override < 0:
+        raise ValueError(f"seed_override must be >= 0, got {seed_override}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stop = s.stop
@@ -93,9 +100,9 @@ def run_scenario(
         run = run_consensus if s.kind == "classical" else run_dual_consensus
         trace = run(s.dynamics, s.initial_state, stop, s.expected_limit)
     else:
-        trace, bracket = _run_quantum_like(s, stop, summary, seed_override)
-        if bracket is not None and bracket.upper.is_finite:
-            factor = bracket.contraction_factor
+        trace, upper = _run_quantum_like(s, stop, summary, seed_override)
+        if upper is not None and math.isfinite(upper):
+            factor = contraction_ratio(upper)
 
     if s.analysis.compute_diameter:
         # embedded runs start diagonal and stay diagonal, so the classical
@@ -133,9 +140,9 @@ def run_scenario(
 
 def _run_quantum_like(
     s: Scenario, stop: StoppingRule, summary: dict, seed_override: int | None
-) -> tuple[SimulationTrace, DiameterBracket | None]:
-    """Run a Kraus map scenario and its analyses; also return the image-radius
-    bracket when one was estimated."""
+) -> tuple[SimulationTrace, float | None]:
+    """Run a Kraus map scenario and its analyses; also return the upper end
+    2R of the diameter bracket [R, 2R] when the image radius R was estimated."""
     if s.kind == "embedded":
         phi = build_classical_embedding(s.dynamics)
         state0 = np.diag(s.initial_state).astype(complex)
@@ -152,11 +159,11 @@ def _run_quantum_like(
     # one radius estimate per run: it decides the fixed point's
     # hypothesis_certified and the run's factor, and fills the image_radius
     # block
-    bracket: DiameterBracket | None = None
+    upper: float | None = None
     if est is not None:
         target = kraus_power(phi, est.power) if est.power > 1 else phi
         estimate = estimate_image_radius(target, est.samples, est_seed)
-        bracket = DiameterBracket.from_radius(estimate.radius)
+        upper = 2.0 * estimate.radius
 
     fp: FixedPointResult | None = None
     if s.analysis.fixed_point:
@@ -166,7 +173,7 @@ def _run_quantum_like(
             "residual": fp.residual,
             "unique": fp.unique,
             "eigenvalue_one_multiplicity": fp.eigenvalue_one_multiplicity,
-            "hypothesis_certified": None if bracket is None else bracket.upper.is_finite,
+            "hypothesis_certified": None if upper is None else math.isfinite(upper),
         }
 
     limit = s.expected_limit
@@ -184,9 +191,9 @@ def _run_quantum_like(
 
     if est is not None:
         summary["image_radius"] = {
-            "lower": bracket.lower.to_json(),
-            "upper": bracket.upper.to_json(),
-            "contraction_factor": bracket.contraction_factor,
+            "lower": _json_extended(estimate.radius),
+            "upper": _json_extended(upper),
+            "contraction_factor": contraction_ratio(upper),
             "samples": est.samples,
             "seed": est_seed,
             "power": est.power,
@@ -217,4 +224,4 @@ def _run_quantum_like(
             "limit_value": report.limit_value,
             "limit_error": report.limit_error,
         }
-    return trace, bracket
+    return trace, upper

@@ -381,7 +381,7 @@ def _parse_analysis(data, kind: str) -> AnalysisFlags:
             raise _err(epath, "missing field 'samples'")
         estimate = EstimateSettings(
             _require_int(e["samples"], f"{epath}.samples", 1),
-            _require_int(e.get("seed", 0), f"{epath}.seed"),
+            _require_int(e.get("seed", 0), f"{epath}.seed", 0),
             _require_int(e.get("power", 1), f"{epath}.power", 1),
         )
 

@@ -1,6 +1,7 @@
 """Run traces shared by the classical and quantum runners, and the one run loop."""
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import chain, islice, takewhile
@@ -36,7 +37,10 @@ class StoppingRule:
     def __post_init__(self) -> None:
         if not (self.tolerance >= 0.0):
             raise ValueError("tolerance must be >= 0")
-        if self.max_iterations < 1:
+        it = self.max_iterations
+        if isinstance(it, bool) or not isinstance(it, numbers.Integral):
+            raise TypeError(f"max_iterations must be an integer, got {it!r}")
+        if it < 1:
             raise ValueError("max_iterations must be >= 1")
 
 

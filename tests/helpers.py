@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 
 from conesim import (
-    ExtendedNonnegReal,
     SimulationTrace,
     StoppingRule,
     TerminalStatus,
@@ -70,10 +69,10 @@ def random_conditioned_invertible(
     return (haar_unitary() * s) @ haar_unitary()
 
 
-def quadruple_projective_diameter(A) -> ExtendedNonnegReal:
+def quadruple_projective_diameter(A) -> float:
     """Reference kernel: the vectorised O(n^4) enumeration of the cross-ratio
     sup over all index quadruples (i, j, p, q), log( a_ij a_pq / (a_iq a_pj) ).
-    Infinite exactly when a quadruple has a positive numerator over a zero
+    math.inf exactly when a quadruple has a positive numerator over a zero
     denominator."""
     m = _as_nonneg_matrix(A)
     pos = m > 0.0
@@ -84,7 +83,7 @@ def quadruple_projective_diameter(A) -> ExtendedNonnegReal:
     num = pos[:, :, None, None] & pos[None, None, :, :]
     den = pos[:, None, None, :] & pos.T[None, :, :, None]
     if np.any(num & ~den):
-        return ExtendedNonnegReal.infinite()
+        return math.inf
     logs = np.where(pos, np.log(np.where(pos, m, 1.0)), 0.0)
     vals = (
         logs[:, :, None, None]
@@ -92,7 +91,7 @@ def quadruple_projective_diameter(A) -> ExtendedNonnegReal:
         - logs[:, None, None, :]
         - logs.T[None, :, :, None]
     )
-    return ExtendedNonnegReal(float(vals[num].max()))
+    return float(vals[num].max())
 
 
 # --- traces as records, and the per-row kernels the columnar trace replaced ---
@@ -405,7 +404,7 @@ def reference_apply_dual_stack(phi: KrausMap, stack: np.ndarray) -> np.ndarray:
 def reference_estimate_image_radius(phi: KrausMap, samples: int, seed: int = 0):
     """`estimate_image_radius` with its images from `reference_apply_dual_stack`:
     basis probes first, then Haar-random projectors in one batch, which draws
-    the same projectors as the estimator for samples up to its chunk, 4096."""
+    the same projectors as the estimator for samples up to its RADIUS_CHUNK, 4096."""
     n = phi.dimension
     basis = np.zeros((n, n, n), dtype=complex)
     basis[np.arange(n), np.arange(n), np.arange(n)] = 1.0
@@ -418,13 +417,13 @@ def reference_estimate_image_radius(phi: KrausMap, samples: int, seed: int = 0):
         singular = ~is_positive_definite(ev)
         if singular.any():
             k = int(np.argmax(singular))
-            return ImageRadiusEstimate(ExtendedNonnegReal.infinite(), batch[k], drawn + k + 1)
+            return ImageRadiusEstimate(math.inf, batch[k], drawn + k + 1)
         vals = np.log(ev[:, -1]) - np.log(ev[:, 0])
         k = int(np.argmax(vals))
         if vals[k] > best_val:
             best_val, best_proj = float(vals[k]), batch[k]
         drawn += batch.shape[0]
-    return ImageRadiusEstimate(ExtendedNonnegReal(best_val), best_proj, drawn)
+    return ImageRadiusEstimate(best_val, best_proj, drawn)
 
 
 def scenario_arrays(s) -> list[np.ndarray]:

@@ -186,17 +186,15 @@ class TestRunDualConsensus:
 
 class TestProjectiveDiameter:
     def test_rank_one_map(self):
-        assert projective_diameter(np.full((3, 3), 0.2)).value == 0.0
+        assert projective_diameter(np.full((3, 3), 0.2)) == 0.0
 
     def test_symmetric_two_by_two(self):
         d = projective_diameter(np.array([[2, 1], [1, 2]]) / 3.0)
-        assert d.is_finite
-        assert d.value == pytest.approx(math.log(4), abs=1e-12)
+        assert d == pytest.approx(math.log(4), abs=1e-12)
 
     def test_leader_matrix_and_powers_infinite(self):
         for k in range(1, 11):
-            d = projective_diameter(np.linalg.matrix_power(LEADER, k))
-            assert not d.is_finite
+            assert projective_diameter(np.linalg.matrix_power(LEADER, k)) == math.inf
 
     def test_zero_row_rejected(self):
         with pytest.raises(ValueError, match="row 1 is zero"):
@@ -213,20 +211,18 @@ class TestProjectiveDiameter:
         oracle = brute_force_diameter(a)
         d = projective_diameter(a)
         if math.isinf(oracle):
-            assert not d.is_finite
+            assert d == math.inf
         else:
-            assert d.is_finite
-            assert d.value == pytest.approx(oracle, abs=1e-10)
+            assert d == pytest.approx(oracle, abs=1e-10)
 
     def test_one_by_one(self):
-        assert projective_diameter(np.array([[1.0]])).value == 0.0
+        assert projective_diameter(np.array([[1.0]])) == 0.0
 
     def test_zero_column_dropped(self):
         a = np.array([[0.5, 0.5, 0.0], [0.3, 0.7, 0.0], [0.6, 0.4, 0.0]])
         d = projective_diameter(a)
-        assert d.is_finite
-        assert d.value == pytest.approx(1.252762968495368, abs=1e-12)
-        assert d.value == pytest.approx(quadruple_projective_diameter(a).value, abs=1e-12)
+        assert d == pytest.approx(1.252762968495368, abs=1e-12)
+        assert d == pytest.approx(quadruple_projective_diameter(a), abs=1e-12)
 
     def test_zero_row_rejected_with_zero_column(self):
         a = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 0.0], [0.2, 0.8, 0.0]])
@@ -247,9 +243,9 @@ class TestProjectiveDiameter:
             a[i, rng.choice(np.flatnonzero(kept))] = 10.0 ** rng.uniform(-8.0, 8.0)
         new = projective_diameter(a)
         old = quadruple_projective_diameter(a)
-        assert new.is_finite == old.is_finite
-        if old.is_finite:
-            assert abs(new.value - old.value) <= 1e-12
+        assert math.isfinite(new) == math.isfinite(old)
+        if math.isfinite(old):
+            assert abs(new - old) <= 1e-12
 
 
 class TestBirkhoffContraction:

@@ -89,6 +89,13 @@ class TestRunCommand:
         path = write_scenario(tmp_path, doc)
         assert main(["run", str(path), "--out-dir", str(tmp_path), "--max-iters-override", "3"]) == 2
 
+    def test_negative_seed_override_exits_one(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, json.loads(open_example("example2")))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out-dir", str(out), "--seed-override", "-3"]) == 1
+        assert "seed_override must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_override_changes_sampling(self, tmp_path):
         doc = json.loads(open_example("example2"))
         path = write_scenario(tmp_path, doc)
@@ -150,6 +157,11 @@ class TestRunnerArtifacts:
         assert s["duality"]["ok"] is True
         fp = np.asarray(s["fixed_point"]["matrix"])
         np.testing.assert_allclose(fp[..., 0], np.eye(2) / 2, atol=1e-9)
+
+    def test_negative_seed_override_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^seed_override must be >= 0, got -3$"):
+            run_scenario(builtin_example("example2"), tmp_path / "out", seed_override=-3)
+        assert not (tmp_path / "out").exists()
 
     def test_example2_estimates_image_radius_once(self, tmp_path, monkeypatch):
         calls = []

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conesim import (
-    ExtendedNonnegReal,
     PositiveVector,
     birkhoff_lyapunov,
     contraction_ratio,
@@ -177,7 +176,22 @@ class TestContractionRatio:
         assert contraction_ratio(math.log(4)) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_infinite_diameter(self):
-        assert contraction_ratio(ExtendedNonnegReal.infinite()) == 1.0
+        assert contraction_ratio(math.inf) == 1.0
+
+    # the runner's factor comes from the upper end 2R of the bracket [R, 2R]
+    # around the projective diameter, R the image radius
+    @pytest.mark.parametrize(
+        "radius, factor",
+        [(0.0, 0.0), (math.inf, 1.0), (math.log(4), 3.0 / 5.0)],
+        ids=["zero", "infinite", "log4"],
+    )
+    def test_radius_bracket_upper_end(self, radius, factor):
+        assert contraction_ratio(2.0 * radius) == pytest.approx(factor, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_rejects_negative_and_nan(self, bad):
+        with pytest.raises(ValueError, match="diameter must be >= 0"):
+            contraction_ratio(bad)
 
     @given(st.lists(st.floats(0.0, 100.0), min_size=2, max_size=20))
     @settings(deadline=None)
@@ -186,36 +200,4 @@ class TestContractionRatio:
         ratios = [contraction_ratio(d) for d in diams]
         assert all(0.0 <= r <= 1.0 for r in ratios)
         assert all(a <= b for a, b in zip(ratios, ratios[1:]))
-        assert all(r <= 1.0 == contraction_ratio(ExtendedNonnegReal.infinite()) for r in ratios)
-
-
-class TestExtendedNonnegReal:
-    def test_rejects_negative_and_nan(self):
-        with pytest.raises(ValueError):
-            ExtendedNonnegReal(-1.0)
-        with pytest.raises(ValueError):
-            ExtendedNonnegReal(float("nan"))
-
-    def test_infinity_is_deliberate(self):
-        inf = ExtendedNonnegReal.infinite()
-        assert not inf.is_finite
-        assert ExtendedNonnegReal(math.inf) == inf
-        with pytest.raises(ValueError):
-            ExtendedNonnegReal.finite(math.inf)
-
-    def test_absorbing_arithmetic(self):
-        inf = ExtendedNonnegReal.infinite()
-        one = ExtendedNonnegReal(1.0)
-        assert (inf + one) == inf
-        assert (one + inf) == inf
-        assert (one + 2.0).value == 3.0
-        assert (2.0 * inf) == inf
-        assert (2.0 * one).value == 2.0
-        assert max(one, inf) == inf
-
-    def test_ordering_and_json(self):
-        assert ExtendedNonnegReal(1.0) < ExtendedNonnegReal(2.0)
-        assert ExtendedNonnegReal(2.0) < ExtendedNonnegReal.infinite()
-        assert ExtendedNonnegReal.infinite().to_json() == "+inf"
-        assert ExtendedNonnegReal(0.5).to_json() == 0.5
-        assert str(ExtendedNonnegReal.infinite()) == "+inf"
+        assert all(r <= 1.0 == contraction_ratio(math.inf) for r in ratios)

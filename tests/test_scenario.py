@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +23,7 @@ from conesim import (
     serialize_scenario,
 )
 from conesim.channels import KrausMap
+from conesim.cli import main as cli_main
 from conesim.classical import StochasticMatrix, as_stochastic_sequence
 import conesim.channels
 from conesim.scenario import (
@@ -245,6 +247,17 @@ class TestParsing:
             finally:
                 tracemalloc.stop()
             assert peak < 1 << 20
+
+    def test_negative_sampling_seed_rejected(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(EXAMPLE2))
+        doc["analysis"]["estimate_image_radius"]["seed"] = -1
+        message = "analysis.estimate_image_radius.seed: must be >= 0, got -1"
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            parse_scenario(doc)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["validate", str(path)]) == 1
+        assert message in capsys.readouterr().err
 
     def test_expected_limit_shape(self):
         doc = dict(MINIMAL_CLASSICAL, expected_limit=[1.0, 2.0, 3.0])

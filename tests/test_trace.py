@@ -35,6 +35,10 @@ class TestStoppingRule:
             StoppingRule(-1.0)
         with pytest.raises(ValueError):
             StoppingRule(1e-10, 0)
+        for bad in (2.5, 3.0, True, "10"):
+            with pytest.raises(TypeError, match="max_iterations must be an integer"):
+                StoppingRule(1e-10, bad)
+        assert StoppingRule(1e-10, np.int64(7)).max_iterations == 7
 
 
 class TestCsvWriter:
