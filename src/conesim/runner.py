@@ -81,11 +81,13 @@ def run_scenario(
     """
     if seed_override is not None and seed_override < 0:
         raise ValueError(f"seed_override must be >= 0, got {seed_override}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     stop = s.stop
     if max_iters_override is not None:
+        if max_iters_override < 1:
+            raise ValueError(f"max_iters_override must be >= 1, got {max_iters_override}")
         stop = StoppingRule(stop.tolerance, max_iters_override)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     summary: dict = {
         "kind": s.kind,

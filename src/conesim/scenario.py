@@ -37,6 +37,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
+from itertools import chain
 from pathlib import PurePath
 
 import numpy as np
@@ -83,7 +84,12 @@ def _err(path: str, message: str) -> ScenarioError:
 def _require_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _err(path, f"expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        # an int past the float range; it may have too many digits to print
+        bits = value.bit_length()
+        raise _err(path, f"expected a finite number, got an integer of {bits} bits") from None
     if not math.isfinite(v):
         raise _err(path, f"expected a finite number, got {value!r}")
     return v
@@ -120,6 +126,32 @@ def _require_pair(pair, path: str) -> tuple[float, float]:
     return _require_number(pair[0], f"{path}[0]"), _require_number(pair[1], f"{path}[1]")
 
 
+def _number_grid(data, shape: tuple[int, ...]) -> np.ndarray | None:
+    """`data` as a float array of `shape` when it is nested lists of exactly
+    that shape with finite int and float leaves (not bool), else None.
+
+    Each nesting level is checked at once, by the set of its types and
+    lengths, instead of one call per entry. On None the caller's per-entry
+    loop runs: it names the first bad entry, or accepts what this does not
+    (numpy scalars in a dict document, say).
+    """
+    level = [data]
+    for size in shape:
+        if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
+            return None
+        level = list(chain.from_iterable(level))
+    if not set(map(type, level)) <= {int, float}:
+        return None
+    try:
+        arr = np.array(level, dtype=float)
+    except OverflowError:
+        return None
+    if not np.isfinite(arr).all():
+        return None
+    arr.shape = shape
+    return arr
+
+
 def _parse_rows(data, n: int, path: str, entry) -> list:
     """n rows of n entries, each checked by entry(value, path)."""
     if not isinstance(data, list) or len(data) != n:
@@ -133,22 +165,29 @@ def _parse_rows(data, n: int, path: str, entry) -> list:
 
 
 def _parse_stochastic_matrix(data, n: int, path: str) -> StochasticMatrix:
+    entries = _number_grid(data, (n, n))
     try:
-        return StochasticMatrix(np.array(_parse_rows(data, n, path, _require_number)))
+        if entries is None:
+            entries = np.array(_parse_rows(data, n, path, _require_number))
+        return StochasticMatrix(entries)
     except ValueError as exc:
         raise _err(path, str(exc)) from exc
 
 
 def _parse_real_vector(data, n: int, path: str) -> np.ndarray:
-    if not isinstance(data, list) or len(data) != n:
-        raise _err(path, f"expected a vector of length {n}")
-    return _read_only(
-        np.array([_require_number(v, f"{path}[{i}]") for i, v in enumerate(data)])
-    )
+    arr = _number_grid(data, (n,))
+    if arr is None:
+        if not isinstance(data, list) or len(data) != n:
+            raise _err(path, f"expected a vector of length {n}")
+        arr = np.array([_require_number(v, f"{path}[{i}]") for i, v in enumerate(data)])
+    return _read_only(arr)
 
 
 def _parse_complex_matrix(data, n: int, path: str) -> np.ndarray:
-    return _read_only(complex_array_from_pairs(_parse_rows(data, n, path, _require_pair)))
+    pairs = _number_grid(data, (n, n, 2))
+    if pairs is None:
+        pairs = _parse_rows(data, n, path, _require_pair)
+    return _read_only(complex_array_from_pairs(pairs))
 
 
 def complex_array_from_pairs(data) -> np.ndarray:
@@ -477,7 +516,7 @@ def parse_scenario(source) -> Scenario:
     if isinstance(source, (str, bytes)):
         try:
             obj = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int of too many digits
             raise ScenarioError(f"invalid JSON: {exc}") from exc
     else:
         obj = source

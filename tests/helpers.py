@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import astuple
 from pathlib import Path
 
@@ -30,12 +31,15 @@ from conesim.channels import (
     _symmetrize,
 )
 from conesim.classical import (
+    StochasticMatrix,
     _as_nonneg_matrix,
     _check_vector,
     as_stochastic_matrix,
     as_stochastic_sequence,
 )
 from conesim.hermitian import PD_FLOOR, as_hermitian_array, is_positive_definite
+import conesim.scenario
+from conesim.scenario import _err, _require_number, complex_array_from_pairs
 from conesim.trace import CSV_HEADER, TraceInvariantError
 
 
@@ -401,18 +405,22 @@ def reference_apply_dual_stack(phi: KrausMap, stack: np.ndarray) -> np.ndarray:
     return 0.5 * (out + np.conj(np.transpose(out, (0, 2, 1))))
 
 
-def reference_estimate_image_radius(phi: KrausMap, samples: int, seed: int = 0):
-    """`estimate_image_radius` with its images from `reference_apply_dual_stack`:
-    basis probes first, then Haar-random projectors in one batch, which draws
-    the same projectors as the estimator for samples up to its RADIUS_CHUNK, 4096."""
-    n = phi.dimension
+def reference_probes(n: int, samples: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The n basis projectors, then `samples` Haar-random rank-one projectors
+    in one batch: the estimator's probes for samples up to its RADIUS_CHUNK, 4096."""
     basis = np.zeros((n, n, n), dtype=complex)
     basis[np.arange(n), np.arange(n), np.arange(n)] = 1.0
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
+    return basis, np.einsum("si,sj->sij", g, g.conj())
+
+
+def reference_estimate_image_radius(phi: KrausMap, samples: int, seed: int = 0):
+    """`estimate_image_radius` with its images from `reference_apply_dual_stack`,
+    over `reference_probes`."""
     best_val, best_proj, drawn = -math.inf, None, 0
-    for batch in (basis, np.einsum("si,sj->sij", g, g.conj())):
+    for batch in reference_probes(phi.dimension, samples, seed):
         ev = np.linalg.eigvalsh(reference_apply_dual_stack(phi, batch))
         singular = ~is_positive_definite(ev)
         if singular.any():
@@ -450,3 +458,65 @@ def assert_same_scenario(a, b) -> None:
     assert len(xs) == len(ys)
     for x, y in zip(xs, ys):
         assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+# --- the per-entry number parser of scenario documents -----------------------
+# One call per entry, each with its path: the reference for the one-pass grid
+# check that `parse_scenario` tries first.
+
+
+def _reference_pair(pair, path: str) -> tuple[float, float]:
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise _err(path, "complex entries are [re, im] pairs")
+    return _require_number(pair[0], f"{path}[0]"), _require_number(pair[1], f"{path}[1]")
+
+
+def _reference_rows(data, n: int, path: str, entry) -> list:
+    if not isinstance(data, list) or len(data) != n:
+        raise _err(path, f"expected {n} rows")
+    rows = []
+    for i, row in enumerate(data):
+        if not isinstance(row, list) or len(row) != n:
+            raise _err(f"{path}[{i}]", f"expected {n} entries")
+        rows.append([entry(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
+    return rows
+
+
+def _reference_stochastic_matrix(data, n: int, path: str) -> StochasticMatrix:
+    try:
+        return StochasticMatrix(np.array(_reference_rows(data, n, path, _require_number)))
+    except ValueError as exc:
+        raise _err(path, str(exc)) from exc
+
+
+def _reference_real_vector(data, n: int, path: str) -> np.ndarray:
+    if not isinstance(data, list) or len(data) != n:
+        raise _err(path, f"expected a vector of length {n}")
+    arr = np.array([_require_number(v, f"{path}[{i}]") for i, v in enumerate(data)])
+    arr.flags.writeable = False
+    return arr
+
+
+def _reference_complex_matrix(data, n: int, path: str) -> np.ndarray:
+    arr = complex_array_from_pairs(_reference_rows(data, n, path, _reference_pair))
+    arr.flags.writeable = False
+    return arr
+
+
+@contextmanager
+def per_entry_number_parsing():
+    """Within the block, `parse_scenario` reads every matrix, vector and
+    complex grid with the per-entry reference parser above."""
+    fields = {
+        "_parse_stochastic_matrix": _reference_stochastic_matrix,
+        "_parse_real_vector": _reference_real_vector,
+        "_parse_complex_matrix": _reference_complex_matrix,
+    }
+    saved = {name: getattr(conesim.scenario, name) for name in fields}
+    for name, reference in fields.items():
+        setattr(conesim.scenario, name, reference)
+    try:
+        yield
+    finally:
+        for name, original in saved.items():
+            setattr(conesim.scenario, name, original)

@@ -96,6 +96,13 @@ class TestRunCommand:
         assert "seed_override must be >= 0, got -3" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_max_iters_override_exits_one(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, json.loads(open_example("example2")))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out-dir", str(out), "--max-iters-override", "0"]) == 1
+        assert "max_iters_override must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_override_changes_sampling(self, tmp_path):
         doc = json.loads(open_example("example2"))
         path = write_scenario(tmp_path, doc)
@@ -161,6 +168,11 @@ class TestRunnerArtifacts:
     def test_negative_seed_override_rejected(self, tmp_path):
         with pytest.raises(ValueError, match=r"^seed_override must be >= 0, got -3$"):
             run_scenario(builtin_example("example2"), tmp_path / "out", seed_override=-3)
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_max_iters_override_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^max_iters_override must be >= 1, got 0$"):
+            run_scenario(builtin_example("example1"), tmp_path / "out", max_iters_override=0)
         assert not (tmp_path / "out").exists()
 
     def test_example2_estimates_image_radius_once(self, tmp_path, monkeypatch):

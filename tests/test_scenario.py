@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import json
 import math
@@ -33,7 +34,14 @@ from conesim.scenario import (
     complex_array_from_pairs,
     scenario_to_jsonable,
 )
-from helpers import assert_same_scenario, random_density, random_hermitian
+import conesim.scenario
+from helpers import (
+    assert_same_scenario,
+    per_entry_number_parsing,
+    random_density,
+    random_hermitian,
+    scenario_arrays,
+)
 
 MINIMAL_CLASSICAL = {
     "kind": "classical",
@@ -258,6 +266,18 @@ class TestParsing:
         path.write_text(json.dumps(doc))
         assert cli_main(["validate", str(path)]) == 1
         assert message in capsys.readouterr().err
+
+    def test_huge_integer_entry_names_the_field(self):
+        doc = dict(MINIMAL_CLASSICAL, initial_state=[0.0, 10**400])
+        message = "initial_state[1]: expected a finite number, got an integer of 1329 bits"
+        for source in (doc, json.dumps(doc)):
+            with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+                parse_scenario(source)
+        doc["initial_state"][1] = 10**5000  # more digits than int() may print
+        with pytest.raises(ScenarioError, match="integer of 16610 bits$"):
+            parse_scenario(doc)
+        with pytest.raises(ScenarioError, match="^invalid JSON: Exceeds the limit"):
+            parse_scenario('{"dimension": 1' + "0" * 5000 + "}")
 
     def test_expected_limit_shape(self):
         doc = dict(MINIMAL_CLASSICAL, expected_limit=[1.0, 2.0, 3.0])
@@ -585,3 +605,134 @@ def test_one_parsed_scenario_runs_many_times(form, tmp_path):
     assert np.array_equal(s.initial_state, state)
     with pytest.raises(ValueError, match="read-only"):
         s.initial_state[0] = 1.0
+
+
+# --- the one-pass grid check against the per-entry parser --------------------
+
+LEAF_DEFECTS = {
+    "bool": lambda v: True,
+    "str": str,
+    "null": lambda v: None,
+    "nan": lambda v: math.nan,
+    "inf": lambda v: math.inf,
+    "-inf": lambda v: -math.inf,
+    "huge int": lambda v: -(10**400) if v < 0 else 10**400,
+    "nested": lambda v: [v],
+    "tuple": lambda v: (v,),
+    "numpy scalar": np.float64,
+    "signed zero": lambda v: -0.0,
+}
+LIST_DEFECTS = ("short", "long", "tuple list")
+
+
+def _lists(container, key):
+    """(container, key) of the list container[key] and of every list in it."""
+    out = [(container, key)]
+    for i, v in enumerate(container[key]):
+        if isinstance(v, list):
+            out.extend(_lists(container[key], i))
+    return out
+
+
+def _grid_lists(doc):
+    """(container, key) of every list in the document's number grids."""
+    dyn = doc["dynamics"]
+    grids = [(doc, "initial_state")]
+    if "expected_limit" in doc:
+        grids.append((doc, "expected_limit"))
+    if "matrix" in dyn:
+        grids.append((dyn, "matrix"))
+    for key in ("matrices", "kraus_operators"):
+        if key in dyn:
+            grids.extend((dyn[key], t) for t in range(len(dyn[key])))
+    return [slot for grid in grids for slot in _lists(*grid)]
+
+
+def _outcome(doc):
+    try:
+        return parse_scenario(doc)
+    except Exception as exc:
+        return exc
+
+
+@given(
+    st.sampled_from(FORMS),
+    st.integers(1, 6),
+    st.sampled_from(sorted(LEAF_DEFECTS) + list(LIST_DEFECTS)),
+    st.integers(0, 2**32 - 1),
+)
+@settings(deadline=None, max_examples=300)
+def test_grid_check_matches_the_per_entry_parser(form, n, defect, seed):
+    rng = np.random.default_rng(seed)
+    doc = random_document(form, n, rng)
+    slots = _grid_lists(doc)
+    if defect in LEAF_DEFECTS:
+        slots = [(c, k) for c, k in slots if not isinstance(c[k][0], list)]
+    container, key = slots[int(rng.integers(len(slots)))]
+    node = container[key]
+    i = int(rng.integers(len(node)))
+    if defect == "short":
+        del node[i]
+    elif defect == "long":  # a 3-element pair, a row or matrix too many
+        node.insert(i, copy.deepcopy(node[int(rng.integers(len(node)))]))
+    elif defect == "tuple list":
+        container[key] = tuple(node)
+    else:
+        node[i] = LEAF_DEFECTS[defect](node[i])
+
+    new = _outcome(doc)
+    with per_entry_number_parsing():
+        ref = _outcome(doc)
+    assert type(new) is type(ref)
+    if isinstance(ref, Exception):
+        assert str(new) == str(ref)
+        return
+    assert serialize_scenario(new) == serialize_scenario(ref)
+    xs, ys = scenario_arrays(new), scenario_arrays(ref)
+    assert len(xs) == len(ys)
+    for x, y in zip(xs, ys):
+        # bit for bit, so the signs of zeros too
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+        assert x.flags.c_contiguous and not x.flags.writeable and not y.flags.writeable
+
+
+def test_valid_documents_skip_the_per_entry_loop(monkeypatch):
+    require_number = conesim.scenario._require_number
+
+    def per_entry(value, path):
+        if "[" in path:
+            raise AssertionError(f"{path} was checked on its own")
+        return require_number(value, path)
+
+    monkeypatch.setattr(conesim.scenario, "_require_number", per_entry)
+    monkeypatch.setattr(conesim.scenario, "_parse_rows", None)
+    rng = np.random.default_rng(5)
+    for form in FORMS:
+        for n in (1, 4):
+            parse_scenario(random_document(form, n, rng))
+
+
+def test_numpy_scalars_in_a_dict_document_parse():
+    doc = copy.deepcopy(EMISSION_SCENARIO)
+    doc["initial_state"][0][0] = [np.float64(0.75), 0.0]
+    doc["expected_limit"] = [[[np.float64(1.0), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    s = parse_scenario(doc)
+    assert s.initial_state[0, 0] == 0.75 and s.expected_limit[0, 0] == 1.0
+    doc = dict(MINIMAL_CLASSICAL, initial_state=[np.float64(0.5), 1])
+    doc["dynamics"] = {"matrix": [[np.float64(0.5), 0.5], [0.0, 1.0]]}
+    s = parse_scenario(doc)
+    assert s.initial_state.tolist() == [0.5, 1.0]
+    assert s.dynamics.entries.tolist() == [[0.5, 0.5], [0.0, 1.0]]
+
+
+def test_negative_zero_keeps_its_sign():
+    doc = dict(MINIMAL_CLASSICAL, initial_state=[-0.0, 1.0])
+    doc["dynamics"] = {"matrix": [[1.0, -0.0], [-0.0, 1]]}
+    s = parse_scenario(json.dumps(doc))
+    assert np.signbit(s.initial_state).tolist() == [True, False]
+    assert np.signbit(s.dynamics.entries).tolist() == [[False, True], [True, False]]
+    doc = copy.deepcopy(EMISSION_SCENARIO)
+    doc["initial_state"] = [[[1.0, -0.0], [-0.0, 0.0]], [[-0.0, -0.0], [0.0, 0.0]]]
+    s = parse_scenario(json.dumps(doc))
+    assert np.signbit(s.initial_state.real).tolist() == [[False, True], [True, False]]
+    assert np.signbit(s.initial_state.imag).tolist() == [[True, False], [True, False]]
