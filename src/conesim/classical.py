@@ -202,7 +202,7 @@ def run_consensus(sequence, x0, stop: StoppingRule | None = None, limit=None) ->
         proj[positive] = birkhoff_lyapunov(states[positive])
         return (spread, lo, hi, _sup_distance(states, limit_v), proj), spread
 
-    return iterate(seq, x, lambda A, x: A.entries @ x, measure, stop)
+    return iterate(seq, x, lambda A, x, out: np.dot(A.entries, x, out=out), measure, stop)
 
 
 def run_dual_consensus(
@@ -225,7 +225,7 @@ def run_dual_consensus(
     return iterate(
         seq,
         z,
-        lambda A, z: A.entries.T @ z,
+        lambda A, z, out: np.dot(A.entries.T, z, out=out),
         measure,
         stop,
         move=lambda states: np.abs(np.diff(states, axis=0)).max(axis=1),

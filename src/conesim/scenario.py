@@ -166,9 +166,9 @@ def _parse_rows(data, n: int, path: str, entry) -> list:
 
 def _parse_stochastic_matrix(data, n: int, path: str) -> StochasticMatrix:
     entries = _number_grid(data, (n, n))
+    if entries is None:
+        entries = np.array(_parse_rows(data, n, path, _require_number))
     try:
-        if entries is None:
-            entries = np.array(_parse_rows(data, n, path, _require_number))
         return StochasticMatrix(entries)
     except ValueError as exc:
         raise _err(path, str(exc)) from exc

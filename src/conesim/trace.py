@@ -138,7 +138,8 @@ _BLOCK_BYTES = 1 << 16
 def iterate(maps, state, apply, measure, stop: StoppingRule | None, move=None) -> SimulationTrace:
     """Run state(t+1) = apply(map(t), state(t)) until `stop` fires.
 
-    Maps are applied one at a time into a block of states. `measure(states)`
+    Maps are applied one at a time into a block of states, where
+    `apply(map, state, out)` writes each next state. `measure(states)`
     returns the block's columns (lyapunov, lambda_min, lambda_max,
     dist_to_limit, projective_lyapunov: None for a column the run does not
     record, NaN for an undefined value) and the level of each state; it must
@@ -168,7 +169,7 @@ def iterate(maps, state, apply, measure, stop: StoppingRule | None, move=None) -
         try:
             for k, m in enumerate(islice(it, n), 1):
                 pulled.append(m)
-                states[k] = apply(m, states[k - 1])
+                apply(m, states[k - 1], states[k])
             states = states[: len(pulled) + 1]
             if not np.isfinite(states).all():
                 raise ValueError("state entries must be finite")

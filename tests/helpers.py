@@ -26,7 +26,6 @@ from conesim.channels import (
     _apply_channel_raw,
     _apply_dual_raw,
     _as_density_array,
-    _check_dims,
     _kraus_iterator,
     _symmetrize,
 )
@@ -224,10 +223,10 @@ def reference_run_noncommutative_consensus(
 ) -> SimulationTrace:
     """The per-step reference run of the dual; `step` applies one map."""
     stop = stop or StoppingRule()
-    it, _ = _kraus_iterator(maps)
     X = np.array(as_hermitian_array(X0))
+    it, _ = _kraus_iterator(maps, X)
     record = _reference_spectral_record(limit, lyapunov=True)
-    return reference_iterate(it, X, lambda phi, X: step(phi, _check_dims(phi, X)), record, stop)
+    return reference_iterate(it, X, step, record, stop)
 
 
 def reference_run_channel(
@@ -235,14 +234,14 @@ def reference_run_channel(
 ) -> SimulationTrace:
     """The per-step reference run of the channel; `step` applies one map."""
     stop = stop or StoppingRule()
-    it, constant = _kraus_iterator(maps)
-    unital = constant is not None and constant.is_unital_channel
     Z = np.array(_as_density_array(Z0))
+    it, constant = _kraus_iterator(maps, Z)
+    unital = constant is not None and constant.is_unital_channel
     record = _reference_spectral_record(limit, lyapunov=unital)
     return reference_iterate(
         it,
         Z,
-        lambda psi, Z: step(psi, _check_dims(psi, Z)),
+        step,
         record,
         stop,
         move=lambda new, old: float(np.linalg.norm(new - old)),
@@ -266,6 +265,17 @@ def reference_apply_channel(psi: KrausMap, Z: np.ndarray) -> np.ndarray:
     for V in psi.operators:
         out += V @ Z @ V.conj().T
     return _symmetrize(out)
+
+
+def reference_stacked_step(phi: KrausMap, X: np.ndarray, action: str) -> np.ndarray:
+    """Reference kernel: the stacked step that small maps took before they
+    stepped by their Liouville matrix, and that larger maps still take.
+    sum_i A_i* X A_i as two products on the (m, n, n) stack A, which is
+    (V_i) for the dual and (V_i*) for the channel."""
+    V, n = phi.operators, phi.dimension
+    A = V if action == "dual" else np.ascontiguousarray(V.conj().swapaxes(1, 2))
+    AH = A.reshape(-1, n).conj().T
+    return _symmetrize(AH @ (X @ A).reshape(AH.shape[1], -1))
 
 
 def reference_superoperator(phi: KrausMap) -> np.ndarray:
@@ -483,8 +493,9 @@ def _reference_rows(data, n: int, path: str, entry) -> list:
 
 
 def _reference_stochastic_matrix(data, n: int, path: str) -> StochasticMatrix:
+    entries = np.array(_reference_rows(data, n, path, _require_number))
     try:
-        return StochasticMatrix(np.array(_reference_rows(data, n, path, _require_number)))
+        return StochasticMatrix(entries)
     except ValueError as exc:
         raise _err(path, str(exc)) from exc
 

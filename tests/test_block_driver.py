@@ -247,8 +247,8 @@ def test_overflowing_matrix_states_raise():
             run_noncommutative_consensus(phi, X0, StoppingRule(1e-10, 12))
 
 
-def _scale(m, x):
-    return x * m
+def _scale(m, x, out):
+    np.multiply(x, m, out=out)
 
 
 def _measure(states):

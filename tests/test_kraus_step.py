@@ -1,12 +1,17 @@
-"""The stacked Kraus step against the per-operator loops it replaced.
+"""The Kraus step against the kernels it replaced.
 
-A `KrausMap` holds its operators as one (m, n, n) array, and
-`_apply_dual_raw` / `_apply_channel_raw` apply it as two matrix products;
-`helpers.reference_apply_dual` / `reference_apply_channel` loop over the
-operators. The two sum in different orders, so they agree to rounding only: a
-step within 16 n eps max|X|, a whole run with the same status and iteration
-count and every trace value within 1e-13 of the state scale. `superoperator`,
-read from the same stack, is checked against its sum of Kronecker products.
+A `KrausMap` holds its operators as one (m, n, n) array. `_apply_dual_raw` /
+`_apply_channel_raw` apply a map of dimension n <= `_LIOUVILLE_MAX_N` as one
+product with its Liouville matrix, a larger one as two matrix products on the
+stack; `helpers.reference_apply_dual` / `reference_apply_channel` loop over
+the operators, and `helpers.reference_stacked_step` is the stacked step that
+small maps took before. They sum in different orders, so they agree to
+rounding only: a step within 16 n eps max|X|, a whole run with the same
+status and iteration count and every trace value within 1e-13 of the state
+scale. Above the size rule the step is the stacked one, bit for bit.
+`superoperator`, read from the same stack, is checked against its sum of
+Kronecker products, and the stacked Frobenius norm of the channel run against
+`np.linalg.norm`, bit for bit.
 """
 import math
 
@@ -28,7 +33,7 @@ from conesim import (
     run_channel,
     run_noncommutative_consensus,
 )
-from conesim.channels import _apply_channel_raw, _apply_dual_raw
+from conesim.channels import _LIOUVILLE_MAX_N, _apply_channel_raw, _apply_dual_raw, _frobenius
 from helpers import (
     random_density,
     random_hermitian,
@@ -36,6 +41,7 @@ from helpers import (
     reference_apply_dual,
     reference_run_channel,
     reference_run_noncommutative_consensus,
+    reference_stacked_step,
     reference_superoperator,
 )
 
@@ -74,6 +80,46 @@ def test_step_matches_the_operator_loop(phi, action, log10_scale, seed):
     X = random_hermitian(np.random.default_rng(seed), phi.dimension, 10.0**log10_scale)
     bound = 16 * phi.dimension * EPS * np.abs(X).max()
     assert np.abs(new(phi, X) - old(phi, X)).max() <= bound
+
+
+@given(
+    st.integers(1, _LIOUVILLE_MAX_N),
+    st.integers(1, 6),
+    st.sampled_from(sorted(STEPS)),
+    st.floats(-8.0, 8.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(deadline=None, max_examples=200)
+def test_liouville_step_matches_the_stacked_step(n, m, action, log10_scale, seed):
+    rng = np.random.default_rng(seed)
+    phi = random_kraus_map(n, m, rng)
+    X = random_hermitian(rng, n, 10.0**log10_scale)
+    new = STEPS[action][0](phi, X)
+    bound = 16 * n * EPS * np.abs(X).max()
+    assert np.abs(new - reference_stacked_step(phi, X, action)).max() <= bound
+
+
+@pytest.mark.parametrize("action", sorted(STEPS))
+def test_the_size_rule_picks_the_step_form(action):
+    rng = np.random.default_rng(4)
+    at_rule, above = (random_kraus_map(n, 3, rng) for n in (_LIOUVILLE_MAX_N, _LIOUVILLE_MAX_N + 1))
+    S = at_rule.superoperator
+    form = getattr(at_rule, f"_{action}")
+    assert np.array_equal(form, S.conj() if action == "dual" else S.T)
+    assert not form.flags.writeable
+    assert isinstance(getattr(above, f"_{action}"), tuple)
+    X = random_hermitian(rng, above.dimension)
+    new = STEPS[action][0](above, X)
+    assert new.tobytes() == reference_stacked_step(above, X, action).tobytes()
+
+
+@given(st.integers(0, 6), st.integers(1, 32), st.floats(-8.0, 8.0), st.integers(0, 2**32 - 1))
+@settings(deadline=None, max_examples=100)
+def test_stacked_frobenius_norm_is_the_per_matrix_norm(count, n, log10_scale, seed):
+    rng = np.random.default_rng(seed)
+    shape = (count, n, n)
+    stack = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0**log10_scale
+    assert _frobenius(stack).tolist() == [np.linalg.norm(M) for M in stack]
 
 
 @given(kraus_maps(max_n=8))

@@ -80,6 +80,22 @@ class TestParsing:
         with pytest.raises(ScenarioError, match=r"dynamics\.matrix: row 1 sums to 0.9"):
             parse_scenario(doc)
 
+    def test_bad_matrix_entry_names_its_path_once(self):
+        cases = [
+            (
+                {"matrix": [[-math.inf, 1.0], [0.0, 1.0]]},
+                "dynamics.matrix[0][0]: expected a finite number, got -inf",
+            ),
+            (
+                {"matrices": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, "x"]]]},
+                "dynamics.matrices[1][1][1]: expected a number, got 'x'",
+            ),
+        ]
+        for dynamics, message in cases:
+            doc = dict(MINIMAL_CLASSICAL, dynamics=dynamics)
+            with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+                parse_scenario(doc)
+
     def test_unknown_top_level_field(self):
         with pytest.raises(ScenarioError, match="unknown field"):
             parse_scenario(dict(MINIMAL_CLASSICAL, extra=1))
