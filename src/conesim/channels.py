@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -141,20 +141,13 @@ class KrausMap:
         return S.transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
-def _kraus_iterator(maps, X: np.ndarray) -> tuple[Iterator[KrausMap], KrausMap | None]:
-    """Normalize a map argument to an iterator of maps that fit the state X;
-    second item is the constant map when the dynamics is time-invariant. A
-    constant map is checked here, each map of a sequence when it is pulled."""
+def _kraus_maps(maps, X: np.ndarray) -> Iterator[KrausMap]:
+    """The maps of a run, by the rule of `trace.iterate`: one KrausMap is
+    checked here and repeated, anything else is iterated and each item
+    checked against the state X when it is pulled."""
     if isinstance(maps, KrausMap):
-        return repeat(_check_dims(maps, X)), maps
-    if isinstance(maps, (list, tuple)):
-        for k, phi in enumerate(maps):
-            if not isinstance(phi, KrausMap):
-                raise TypeError(f"element {k} is not a KrausMap")
-        maps = tuple(maps)
-    elif not isinstance(maps, Iterable):
-        raise TypeError(f"cannot interpret {type(maps).__name__} as Kraus map dynamics")
-    return (phi if phi is None else _check_dims(phi, X) for phi in maps), None
+        return repeat(_check_dims(maps, X))
+    return (_check_dims(phi, X) for phi in maps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,6 +178,8 @@ def _as_density_array(Z) -> np.ndarray:
 
 
 def _check_dims(phi: KrausMap, X: np.ndarray) -> KrausMap:
+    if not isinstance(phi, KrausMap):
+        raise TypeError(f"{type(phi).__name__} is not a KrausMap")
     if X.shape[0] != phi.dimension:
         raise ValueError(f"dimension mismatch: map is {phi.dimension}, state is {X.shape[0]}")
     return phi
@@ -306,9 +301,8 @@ def run_noncommutative_consensus(
     so a one-shot iterator of maps may be advanced past the stopping index.
     """
     X = np.array(as_hermitian_array(X0))
-    it, _ = _kraus_iterator(maps, X)
     measure = _spectral_measure(limit, lyapunov=True)
-    return iterate(it, X, _apply_dual_raw, measure, stop)
+    return iterate(_kraus_maps(maps, X), X, _apply_dual_raw, measure, stop)
 
 
 def run_channel(maps, Z0, stop: StoppingRule | None = None, limit=None) -> SimulationTrace:
@@ -322,11 +316,10 @@ def run_channel(maps, Z0, stop: StoppingRule | None = None, limit=None) -> Simul
     so a one-shot iterator of maps may be advanced past the stopping index.
     """
     Z = np.array(_as_density_array(Z0))
-    it, constant = _kraus_iterator(maps, Z)
-    unital = constant is not None and constant.is_unital_channel
+    unital = isinstance(maps, KrausMap) and maps.is_unital_channel
     measure = _spectral_measure(limit, lyapunov=unital)
     return iterate(
-        it,
+        _kraus_maps(maps, Z),
         Z,
         _apply_channel_raw,
         measure,
@@ -378,7 +371,6 @@ def estimate_image_radius(
     phi: KrausMap,
     samples: int,
     seed: int = 0,
-    include_basis_probes: bool = True,
 ) -> ImageRadiusEstimate:
     """Estimate the image radius of a (possibly composed) dual map by sampling
     rank-1 projectors.
@@ -416,13 +408,12 @@ def estimate_image_radius(
         drawn += batch.shape[0]
         return None
 
-    if include_basis_probes:
-        basis = np.zeros((n, n, n), dtype=complex)
-        for k in range(n):
-            basis[k, k, k] = 1.0
-        witness = process(basis)
-        if witness is not None:
-            return ImageRadiusEstimate(math.inf, witness, drawn)
+    basis = np.zeros((n, n, n), dtype=complex)
+    for k in range(n):
+        basis[k, k, k] = 1.0
+    witness = process(basis)
+    if witness is not None:
+        return ImageRadiusEstimate(math.inf, witness, drawn)
 
     rng = np.random.default_rng(seed)
     remaining = samples
@@ -535,6 +526,8 @@ def duality_invariant_check(
     When `zbar` (a fixed point) is given, also report how far the final
     pairing sits from its stationary value tr(zbar X0).
     """
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
     Z = np.array(_as_density_array(Z0))
     X = np.array(as_hermitian_array(X0))
     _check_dims(psi, Z)
@@ -542,7 +535,6 @@ def duality_invariant_check(
     X_fixed = X.copy()
     Z_fixed = Z.copy()
     max_err = 0.0
-    pairing = float(np.trace(Z @ X_fixed).real)
     for t in range(t_max + 1):
         p_channel = complex(np.trace(Z @ X_fixed))
         p_dual = complex(np.trace(Z_fixed @ X))
@@ -674,6 +666,8 @@ def random_kraus_map(n: int, m: int, seed_or_rng=0) -> KrausMap:
     into m blocks, which makes the Kraus sum the identity up to factorization
     error.
     """
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
     rng = (
         seed_or_rng
         if isinstance(seed_or_rng, np.random.Generator)

@@ -2,8 +2,8 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from itertools import islice, repeat
 
 import numpy as np
@@ -18,7 +18,6 @@ from .trace import SimulationTrace, StoppingRule, iterate
 
 __all__ = [
     "StochasticMatrix",
-    "StochasticMatrixSequence",
     "ConnectivityReport",
     "ContractionCheckReport",
     "random_stochastic_matrix",
@@ -91,77 +90,29 @@ def random_stochastic_matrix(
     return StochasticMatrix(entries)
 
 
-@dataclass(frozen=True, eq=False)
-class StochasticMatrixSequence:
-    """Finite or generator-backed sequence of same-dimension stochastic matrices.
+def _matrices(dynamics, n: int | None = None) -> Iterator[StochasticMatrix]:
+    """A run's matrices, by the rule of `trace.iterate`, each checked against
+    the state dimension n (by default the first matrix's)."""
 
-    Generator-backed sequences are reproducible: every iteration restarts the
-    stream from the stored seed.
-    """
+    def fit(A) -> StochasticMatrix:
+        nonlocal n
+        A = as_stochastic_matrix(A)
+        n = n or A.n
+        if A.n != n:
+            raise ValueError(f"dimension mismatch: map is {A.n}, state is {n}")
+        return A
 
-    dimension: int
-    length: int | None
-    _make_iter: Callable[[], Iterator[StochasticMatrix]] = field(repr=False)
-
-    def __iter__(self) -> Iterator[StochasticMatrix]:
-        return self._make_iter()
-
-    @classmethod
-    def constant(cls, A) -> "StochasticMatrixSequence":
-        mat = as_stochastic_matrix(A)
-        return cls(mat.n, None, lambda: repeat(mat))
-
-    @classmethod
-    def from_matrices(cls, matrices: Iterable) -> "StochasticMatrixSequence":
-        mats = tuple(as_stochastic_matrix(A) for A in matrices)
-        if not mats:
-            raise ValueError("sequence needs at least one matrix")
-        n = mats[0].n
-        for k, m in enumerate(mats):
-            if m.n != n:
-                raise ValueError(f"matrix {k} has dimension {m.n}, expected {n}")
-        return cls(n, len(mats), lambda: iter(mats))
-
-    @classmethod
-    def random_iid(
-        cls,
-        n: int,
-        seed: int,
-        length: int | None = None,
-        density: float | None = None,
-    ) -> "StochasticMatrixSequence":
-        def gen() -> Iterator[StochasticMatrix]:
-            rng = np.random.default_rng(seed)
-            count = 0
-            while length is None or count < length:
-                yield random_stochastic_matrix(n, rng, density)
-                count += 1
-
-        return cls(n, length, gen)
-
-    def first(self, count: int) -> list[StochasticMatrix]:
-        mats = list(islice(iter(self), count))
-        if len(mats) < count:
-            raise ValueError(f"sequence has only {len(mats)} matrices, requested {count}")
-        return mats
+    single = isinstance(dynamics, np.ndarray) and dynamics.ndim == 2
+    if single or isinstance(dynamics, StochasticMatrix):
+        return repeat(fit(dynamics))
+    return map(fit, dynamics)
 
 
-def as_stochastic_sequence(seq) -> StochasticMatrixSequence:
-    if isinstance(seq, StochasticMatrixSequence):
-        return seq
-    if isinstance(seq, StochasticMatrix):
-        return StochasticMatrixSequence.constant(seq)
-    if isinstance(seq, np.ndarray) and seq.ndim == 2:
-        return StochasticMatrixSequence.constant(seq)
-    if isinstance(seq, (list, tuple)):
-        return StochasticMatrixSequence.from_matrices(seq)
-    raise TypeError(f"cannot interpret {type(seq).__name__} as a stochastic matrix sequence")
-
-
-def _check_vector(x, n: int) -> np.ndarray:
+def _check_vector(x, n: int | None = None) -> np.ndarray:
+    """x as a finite float vector, of length n when n is given."""
     v = np.asarray(x, dtype=float)
-    if v.ndim != 1 or v.size != n:
-        raise ValueError(f"state vector must have shape ({n},), got {v.shape}")
+    if v.ndim != 1 or v.size != (n or v.size) or v.size < 1:
+        raise ValueError(f"state vector must have shape ({n or 'n >= 1'},), got {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("state vector entries must be finite")
     return v
@@ -189,9 +140,8 @@ def run_consensus(sequence, x0, stop: StoppingRule | None = None, limit=None) ->
     supplied. A finite sequence that runs out before the stopping rule fires
     yields status ``incomplete_sequence``.
     """
-    seq = as_stochastic_sequence(sequence)
-    x = _check_vector(x0, seq.dimension).copy()
-    limit_v = None if limit is None else _check_vector(limit, seq.dimension)
+    x = _check_vector(x0).copy()
+    limit_v = None if limit is None else _check_vector(limit, x.size)
 
     def measure(states: np.ndarray):
         lo, hi = states.min(axis=1), states.max(axis=1)
@@ -202,7 +152,8 @@ def run_consensus(sequence, x0, stop: StoppingRule | None = None, limit=None) ->
         proj[positive] = birkhoff_lyapunov(states[positive])
         return (spread, lo, hi, _sup_distance(states, limit_v), proj), spread
 
-    return iterate(seq, x, lambda A, x, out: np.dot(A.entries, x, out=out), measure, stop)
+    maps = _matrices(sequence, x.size)
+    return iterate(maps, x, lambda A, x, out: np.dot(A.entries, x, out=out), measure, stop)
 
 
 def run_dual_consensus(
@@ -214,16 +165,15 @@ def run_dual_consensus(
     so the Lyapunov column is left empty and the run stops when successive
     states differ by less than tolerance in sup norm.
     """
-    seq = as_stochastic_sequence(sequence)
-    z = _check_vector(z0, seq.dimension).copy()
-    limit_v = None if limit is None else _check_vector(limit, seq.dimension)
+    z = _check_vector(z0).copy()
+    limit_v = None if limit is None else _check_vector(limit, z.size)
 
     def measure(states: np.ndarray):
         lo, hi = states.min(axis=1), states.max(axis=1)
         return (None, lo, hi, _sup_distance(states, limit_v), None), None
 
     return iterate(
-        seq,
+        _matrices(sequence, z.size),
         z,
         lambda A, z, out: np.dot(A.entries.T, z, out=out),
         measure,
@@ -353,9 +303,12 @@ def check_connectivity(
         raise ValueError("empty window: horizon must be >= 0")
     if window_start < 0:
         raise ValueError("window_start must be >= 0")
-    seq = as_stochastic_sequence(sequence)
-    mats = seq.first(window_start + horizon + 1)[window_start:]
-    n = seq.dimension
+    count = window_start + horizon + 1
+    mats = list(islice(_matrices(sequence), count))
+    if len(mats) < count:
+        raise ValueError(f"sequence has only {len(mats)} matrices, requested {count}")
+    n = mats[0].n
+    mats = mats[window_start:]
 
     union = np.zeros((n, n), dtype=bool)
     min_pos = np.inf

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import chain, islice, takewhile
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +138,11 @@ _BLOCK_BYTES = 1 << 16
 def iterate(maps, state, apply, measure, stop: StoppingRule | None, move=None) -> SimulationTrace:
     """Run state(t+1) = apply(map(t), state(t)) until `stop` fires.
 
+    `maps` is an iterable, built by every run from its dynamics argument by
+    one rule on both cones: a single map (a StochasticMatrix or 2-d array, a
+    KrausMap) is checked once and repeated; anything else is iterated, and
+    each of its maps is coerced and checked against the state when pulled.
+
     Maps are applied one at a time into a block of states, where
     `apply(map, state, out)` writes each next state. `measure(states)`
     returns the block's columns (lyapunov, lambda_min, lambda_max,
@@ -160,7 +165,7 @@ def iterate(maps, state, apply, measure, stop: StoppingRule | None, move=None) -
     status = TerminalStatus.MAX_ITERATIONS
     cap = max(1, min(_MAX_BLOCK, _BLOCK_BYTES // state.nbytes))
     size = min(_FIRST_BLOCK, cap)
-    it = takewhile(lambda m: m is not None, maps)  # a None map ends the sequence
+    it = iter(maps)
     while t < stop.max_iterations:
         n = min(size, stop.max_iterations - t)
         states = np.empty((n + 1,) + state.shape, state.dtype)

@@ -26,15 +26,15 @@ from conesim.channels import (
     _apply_channel_raw,
     _apply_dual_raw,
     _as_density_array,
-    _kraus_iterator,
+    _kraus_maps,
     _symmetrize,
 )
 from conesim.classical import (
     StochasticMatrix,
     _as_nonneg_matrix,
     _check_vector,
+    _matrices,
     as_stochastic_matrix,
-    as_stochastic_sequence,
 )
 from conesim.hermitian import PD_FLOOR, as_hermitian_array, is_positive_definite
 import conesim.scenario
@@ -151,9 +151,10 @@ def reference_iterate(maps, state, apply, record, stop, move=None) -> Simulation
         return trace_from_records(records, TerminalStatus.CONVERGED, state, t)
     status = TerminalStatus.MAX_ITERATIONS
     it = iter(maps)
+    end = object()
     while t < stop.max_iterations:
-        m = next(it, None)
-        if m is None:
+        m = next(it, end)
+        if m is end:
             status = TerminalStatus.INCOMPLETE_SEQUENCE
             break
         new = apply(m, state)
@@ -171,9 +172,8 @@ def reference_iterate(maps, state, apply, record, stop, move=None) -> Simulation
 
 def reference_run_consensus(sequence, x0, stop=None, limit=None) -> SimulationTrace:
     stop = stop or StoppingRule()
-    seq = as_stochastic_sequence(sequence)
-    x = _check_vector(x0, seq.dimension).copy()
-    limit_v = None if limit is None else _check_vector(limit, seq.dimension)
+    x = _check_vector(x0).copy()
+    limit_v = None if limit is None else _check_vector(limit, x.size)
 
     def record(t, state):
         v = tsitsiklis_lyapunov(state)
@@ -181,21 +181,21 @@ def reference_run_consensus(sequence, x0, stop=None, limit=None) -> SimulationTr
         dist = None if limit_v is None else float(np.max(np.abs(state - limit_v)))
         return TraceRecord(t, v, float(state.min()), float(state.max()), dist, proj), v
 
-    return reference_iterate(seq, x, lambda A, x: A.entries @ x, record, stop)
+    maps = _matrices(sequence, x.size)
+    return reference_iterate(maps, x, lambda A, x: A.entries @ x, record, stop)
 
 
 def reference_run_dual_consensus(sequence, z0, stop=None, limit=None) -> SimulationTrace:
     stop = stop or StoppingRule()
-    seq = as_stochastic_sequence(sequence)
-    z = _check_vector(z0, seq.dimension).copy()
-    limit_v = None if limit is None else _check_vector(limit, seq.dimension)
+    z = _check_vector(z0).copy()
+    limit_v = None if limit is None else _check_vector(limit, z.size)
 
     def record(t, state):
         dist = None if limit_v is None else float(np.max(np.abs(state - limit_v)))
         return TraceRecord(t, None, float(state.min()), float(state.max()), dist), None
 
     return reference_iterate(
-        seq,
+        _matrices(sequence, z.size),
         z,
         lambda A, z: A.entries.T @ z,
         record,
@@ -224,9 +224,8 @@ def reference_run_noncommutative_consensus(
     """The per-step reference run of the dual; `step` applies one map."""
     stop = stop or StoppingRule()
     X = np.array(as_hermitian_array(X0))
-    it, _ = _kraus_iterator(maps, X)
     record = _reference_spectral_record(limit, lyapunov=True)
-    return reference_iterate(it, X, step, record, stop)
+    return reference_iterate(_kraus_maps(maps, X), X, step, record, stop)
 
 
 def reference_run_channel(
@@ -235,11 +234,10 @@ def reference_run_channel(
     """The per-step reference run of the channel; `step` applies one map."""
     stop = stop or StoppingRule()
     Z = np.array(_as_density_array(Z0))
-    it, constant = _kraus_iterator(maps, Z)
-    unital = constant is not None and constant.is_unital_channel
+    unital = isinstance(maps, KrausMap) and maps.is_unital_channel
     record = _reference_spectral_record(limit, lyapunov=unital)
     return reference_iterate(
-        it,
+        _kraus_maps(maps, Z),
         Z,
         step,
         record,

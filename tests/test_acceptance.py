@@ -11,7 +11,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from conesim import (
-    StochasticMatrixSequence,
     StoppingRule,
     apply_channel,
     apply_dual,
@@ -79,9 +78,8 @@ def test_criterion_02_tsitsiklis_monotonicity():
         densities = (None, 0.7, 0.4)
         for trial in range(1000):
             n = 2 + trial % 9
-            seq = StochasticMatrixSequence.random_iid(
-                n, seed=trial, length=100, density=densities[trial % 3]
-            )
+            draws = np.random.default_rng(trial)
+            seq = (random_stochastic_matrix(n, draws, densities[trial % 3]) for _ in range(100))
             rng = np.random.default_rng(10_000 + trial)
             x0 = rng.uniform(-1.0, 2.0, n)
             trace = run_consensus(seq, x0, StoppingRule(0.0, 100))

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from conesim import (
     KrausMap,
     PositiveVector,
-    StochasticMatrixSequence,
     StoppingRule,
     TerminalStatus,
     birkhoff_lyapunov,
@@ -117,9 +116,6 @@ def scenarios(draw, quantum):
     length = draw(st.one_of(st.sampled_from(STEPS[1:]), st.integers(1, MAX_STEPS)))
     if form == "constant":
         maps = make(n, rng)
-    elif form == "generator" and not quantum:
-        # classical runs take generators as seeded sequences
-        maps = StochasticMatrixSequence.random_iid(n, int(rng.integers(2**31)), length)
     else:
         base = [make(n, rng) for _ in range(3)]
         maps = [base[int(k)] for k in rng.integers(0, 3, length)]
@@ -134,7 +130,7 @@ def scenarios(draw, quantum):
     budget = draw(st.one_of(st.sampled_from(STEPS[1:]), st.integers(1, MAX_STEPS)))
     return {
         "maps": maps,
-        "generator": form == "generator" and quantum,
+        "generator": form == "generator",
         "state": state,
         "density": density,
         "limit": limit if draw(st.booleans()) else None,
@@ -212,18 +208,25 @@ def _depolarizing(n):
     return KrausMap(tuple(ops))
 
 
-@pytest.mark.parametrize("name", ["noncommutative", "channel"])
+@pytest.mark.parametrize("name", list(RUNS))
 def test_wrong_dimension_map_after_convergence_is_never_reached(name):
-    run, ref_run, _ = RUNS[name]
-    depol = _depolarizing(2)
-    wrong = KrausMap(tuple(np.kron(V, np.eye(2)) for V in depol.operators))
-    # the dual run converges after one step, the channel run after two
-    maps = [depol, depol, wrong] + [depol] * 10
-    state = np.diag([0.8, 0.2]).astype(complex)
+    run, ref_run, moves = RUNS[name]
+    if name in ("noncommutative", "channel"):
+        mix = _depolarizing(2)
+        wrong = KrausMap(tuple(np.kron(V, np.eye(2)) for V in mix.operators))
+        state = np.diag([0.8, 0.2]).astype(complex)
+    else:
+        # every row the average: the primal run reaches consensus in one step
+        mix = np.full((2, 2), 0.5)
+        wrong = np.kron(mix, np.eye(2))
+        state = np.array([0.8, 0.2])
+    # runs that stop on the spread converge after one step, those that stop
+    # on the move between states after two
+    maps = [mix, mix, wrong] + [mix] * 10
     stop = StoppingRule(1e-10, 50)
     trace = run(maps, state, stop)
     assert trace.status is TerminalStatus.CONVERGED
-    assert trace.iterations == (2 if name == "channel" else 1)
+    assert trace.iterations == (2 if moves else 1)
     assert_same(trace, ref_run(maps, state, stop))
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from conesim import (
     StochasticMatrix,
-    StochasticMatrixSequence,
     StoppingRule,
     TerminalStatus,
     birkhoff_lyapunov,
@@ -136,8 +135,7 @@ class TestRunConsensus:
         np.testing.assert_allclose(trace.final_state, oracle, atol=1e-12)
 
     def test_finite_sequence_exhaustion_flagged(self):
-        seq = StochasticMatrixSequence.from_matrices([np.eye(2)] * 3)
-        trace = run_consensus(seq, [0.0, 1.0], StoppingRule(1e-10, 100))
+        trace = run_consensus([np.eye(2)] * 3, [0.0, 1.0], StoppingRule(1e-10, 100))
         assert trace.status is TerminalStatus.INCOMPLETE_SEQUENCE
         assert trace.iterations == 3
 
@@ -161,7 +159,8 @@ class TestRunConsensus:
     def test_lyapunov_monotone_along_random_sequences(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 10))
-        seq = StochasticMatrixSequence.random_iid(n, seed, length=40, density=0.5)
+        draws = np.random.default_rng(seed)
+        seq = (random_stochastic_matrix(n, draws, density=0.5) for _ in range(40))
         x0 = rng.uniform(-1.0, 2.0, n)
         trace = run_consensus(seq, x0, StoppingRule(0.0, 40))
         vals = trace.lyapunov_values()
@@ -316,7 +315,7 @@ class TestConnectivity:
         assert not report.root_exists
 
     def test_union_over_window(self):
-        seq = StochasticMatrixSequence.from_matrices([np.eye(2), np.full((2, 2), 0.5)])
+        seq = [np.eye(2), np.full((2, 2), 0.5)]
         assert not check_connectivity(seq, window_start=0, horizon=0).root_exists
         assert check_connectivity(seq, window_start=0, horizon=1).root_exists
 
@@ -325,23 +324,19 @@ class TestConnectivity:
             check_connectivity(np.eye(2), horizon=-1)
 
     def test_window_beyond_finite_sequence(self):
-        seq = StochasticMatrixSequence.from_matrices([np.eye(2)])
         with pytest.raises(ValueError, match="only 1"):
-            check_connectivity(seq, window_start=0, horizon=1)
+            check_connectivity([np.eye(2)], window_start=0, horizon=1)
 
 
 class TestSequences:
-    def test_generator_reproducible(self):
-        seq = StochasticMatrixSequence.random_iid(4, seed=11, length=5, density=0.4)
-        first = [m.entries for m in seq]
-        second = [m.entries for m in seq]
-        assert all(np.array_equal(a, b) for a, b in zip(first, second))
-
     def test_sparsity_keeps_diagonal_positive(self):
-        seq = StochasticMatrixSequence.random_iid(6, seed=2, length=20, density=0.1)
-        for m in seq:
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            m = random_stochastic_matrix(6, rng, density=0.1)
             assert np.all(m.entries.diagonal() > 0.0)
 
     def test_dimension_consistency_enforced(self):
-        with pytest.raises(ValueError, match="dimension"):
-            StochasticMatrixSequence.from_matrices([np.eye(2), np.eye(3)])
+        with pytest.raises(ValueError, match="dimension mismatch: map is 3, state is 2"):
+            check_connectivity([np.eye(2), np.eye(3)], horizon=1)
+        with pytest.raises(ValueError, match="dimension mismatch: map is 3, state is 2"):
+            run_consensus([np.eye(2), np.eye(3)], [0.0, 1.0])

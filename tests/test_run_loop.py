@@ -12,7 +12,6 @@ import pytest
 
 from conesim import (
     KrausMap,
-    StochasticMatrixSequence,
     StoppingRule,
     TerminalStatus,
     make_spin_rotation_map,
@@ -35,12 +34,16 @@ class Case:
     fixed: object  # a state every map leaves unchanged
 
     def maps(self, count):
-        if self.quantum:
-            return [SPIN] * count
-        return StochasticMatrixSequence.from_matrices([LAZY] * count)
+        return [self.constant()] * count
 
     def constant(self):
         return SPIN if self.quantum else LAZY
+
+    def wrong(self):
+        """A map of twice the state's dimension."""
+        if self.quantum:
+            return KrausMap(tuple(np.kron(V, np.eye(2)) for V in SPIN.operators))
+        return np.kron(LAZY, np.eye(2))
 
 
 CASES = {
@@ -65,7 +68,7 @@ def test_sequence_of_exactly_the_budget_ends_max_iters(case, length):
 
 
 @params
-@pytest.mark.parametrize("length", [1, 5])
+@pytest.mark.parametrize("length", [0, 1, 5])
 def test_sequence_shorter_than_the_budget_ends_incomplete(case, length):
     trace = case.run(case.maps(length), case.moving, StoppingRule(1e-10, length + 1))
     assert trace.status is TerminalStatus.INCOMPLETE_SEQUENCE
@@ -91,17 +94,22 @@ def test_zero_tolerance_runs_the_whole_budget(case):
     assert len(trace.records) == 8
 
 
-@pytest.mark.parametrize("name", ["noncommutative", "channel"])
-def test_wrong_dimension_map_raises_at_its_step(name):
-    case = CASES[name]
-    wrong = KrausMap(tuple(np.kron(V, np.eye(2)) for V in SPIN.operators))
-    pulled = []
+@params
+def test_wrong_dimension_map_raises_at_its_step(case):
+    # None is no map either: it raises at its step, and ends no sequence
+    not_a_map = "NoneType is not a KrausMap" if case.quantum else "square 2-d array"
+    mismatch = "dimension mismatch: map is 4, state is 2"
+    for bad, message in [(case.wrong(), mismatch), (None, not_a_map)]:
+        pulled = []
 
-    def maps():
-        for phi in [SPIN, SPIN, wrong, SPIN]:
-            pulled.append(phi)
-            yield phi
+        def maps():
+            for phi in [case.constant(), case.constant(), bad, case.constant()]:
+                pulled.append(phi)
+                yield phi
 
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        case.run(maps(), case.moving, StoppingRule(1e-10, 10))
-    assert len(pulled) == 3
+        with pytest.raises((TypeError, ValueError), match=message):
+            case.run(maps(), case.moving, StoppingRule(1e-10, 10))
+        assert len(pulled) == 3
+    # a single map is checked once, before the run starts
+    with pytest.raises(ValueError, match=mismatch):
+        case.run(case.wrong(), case.fixed, StoppingRule(1e-10, 10))

@@ -16,16 +16,19 @@ from conesim import (
     BUILTIN_EXAMPLES,
     Scenario,
     ScenarioError,
+    StoppingRule,
+    TerminalStatus,
     builtin_example,
     make_spin_rotation_map,
     make_spontaneous_emission_map,
     parse_scenario,
+    run_consensus,
     run_scenario,
     serialize_scenario,
 )
 from conesim.channels import KrausMap
 from conesim.cli import main as cli_main
-from conesim.classical import StochasticMatrix, as_stochastic_sequence
+from conesim.classical import StochasticMatrix
 import conesim.channels
 from conesim.scenario import (
     MAX_POWER_ENTRIES,
@@ -424,8 +427,8 @@ class TestMaterialization:
         )
         mats = parse_scenario(doc).dynamics
         assert isinstance(mats, tuple) and all(isinstance(m, StochasticMatrix) for m in mats)
-        seq = as_stochastic_sequence(mats)
-        assert seq.length == 2 and seq.dimension == 2
+        trace = run_consensus(mats, [0.0, 1.0], StoppingRule(0.0, 5))
+        assert trace.status is TerminalStatus.INCOMPLETE_SEQUENCE and trace.iterations == 2
 
 
 class TestBuiltins:
