@@ -5,7 +5,7 @@ import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cache, cached_property, reduce
 from itertools import repeat
 
 import numpy as np
@@ -17,7 +17,7 @@ from .hermitian import (
     is_positive_definite,
     spectral_interval,
 )
-from .trace import SimulationTrace, StoppingRule, iterate
+from .trace import SimulationTrace, StoppingRule, _check_count, iterate
 
 __all__ = [
     "KrausMap",
@@ -67,23 +67,26 @@ class KrausMap:
     set when additionally sum V_i V_i* = I, the doubly-stochastic analog.
     `superoperator` gives both actions as one n^2 x n^2 matrix.
 
-    A map of dimension n <= `_LIOUVILLE_MAX_N` = 8 steps by one product with
-    `superoperator` S, and keeps its row forms conj(S) and S^T: two
-    n^2 x n^2 complex arrays, 128 KB per map at n = 8. A larger map steps by
-    two products on the stacked operators. A dual step with m = 4-5
-    operators, stacked against Liouville (2 cores, numpy 2.4.6 on OpenBLAS,
-    1 and 2 BLAS threads): 13-18 against 7.5-9.5 us at n = 2 and 4, 19-20
-    against 11-15 us at n = 8, 22-25 against 17-21 us at n = 12, 25-31
-    against 30-39 us at n = 16, 91-126 against 530-970 us at n = 32. The
-    rule stops at 8, not 12, because a step at n = 12 gains a fifth at five
-    times the memory.
+    `_real_form` C, real n^2 x n^2 and built on first use, is the channel
+    in the orthonormal basis E_kk, (E_kl + E_lk)/sqrt(2), i(E_kl - E_lk)/sqrt(2)
+    of the Hermitian matrices (see `_to_coords`). Runs of dimension
+    n <= `_LIOUVILLE_MAX_N` = 8 step a state's coordinates c to c C (the
+    dual) or c C^T (the channel, the adjoint: the basis is orthonormal);
+    32 KB per map at n = 8. Larger runs step by two products on the stacked
+    operators. A dual step with m = 4-5 operators, stacked against real
+    (2 cores, numpy 2.4.6 on OpenBLAS, 1 and 2 BLAS threads): 7.1-8.1
+    against 0.6 us at n = 2 and 4, 8.4-9.0 against 1.0 us at n = 8,
+    12-14 against 3.3-3.9 us at n = 12, 18-20 against 7-9.5 us at n = 16,
+    25-29 against 22-25 us at n = 20, 33-44 against 68-72 us at n = 24,
+    60-88 against 150-290 us at n = 32. The break-even is near n = 20,
+    where C holds 1.3 MB.
     """
 
     operators: np.ndarray
     is_unital_channel: bool = field(init=False, default=False)
-    # the step forms of the dual and the channel, see _step
-    _dual: np.ndarray | tuple = field(init=False, repr=False)
-    _channel: np.ndarray | tuple = field(init=False, repr=False)
+    # the stacked step forms of the dual and the channel, see _step
+    _dual: tuple = field(init=False, repr=False)
+    _channel: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.operators) < 1:
@@ -112,11 +115,6 @@ class KrausMap:
             )
         unital = float(np.max(np.abs(channel[1] @ C.reshape(-1, n) - eye))) <= KRAUS_TOL
         object.__setattr__(self, "operators", A)
-        if n <= _LIOUVILLE_MAX_N:
-            S = self.superoperator
-            S.flags.writeable = False  # before S.T, so that the view is read-only too
-            dual, channel = S.conj(), S.T
-            dual.flags.writeable = False
         object.__setattr__(self, "is_unital_channel", unital)
         object.__setattr__(self, "_dual", dual)
         object.__setattr__(self, "_channel", channel)
@@ -139,6 +137,13 @@ class KrausMap:
         # (A^T conj(A))[(a, c), (b, d)] = sum_i V_i[a, c] conj(V_i[b, d])
         S = (A.T @ A.conj()).reshape(n, n, n, n)
         return S.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+    @cached_property
+    def _real_form(self) -> np.ndarray:
+        """C, read-only, kept for the steps of runs, see `_real_liouville`."""
+        C = _real_liouville(self)
+        C.flags.writeable = False
+        return C
 
 
 def _kraus_maps(maps, X: np.ndarray) -> Iterator[KrausMap]:
@@ -194,20 +199,83 @@ def _symmetrize(M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _step(form, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """One dual or channel step, its Hermitian part written into `out`.
+@cache
+def _triangles(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major flat indices of the diagonal, the upper and the lower
+    triangle of an n x n matrix, the triangles in matching order."""
+    up, lo = np.triu_indices(n, 1)
+    return _read_only(np.arange(n) * (n + 1), up * n + lo, lo * n + up)
 
-    `form` is either a Liouville row form F, (n^2, n^2), with
-    vec(step(X)) = vec(X) F, or the pair (A, AH) for sum_i A_i* X A_i as two
-    products: the stack A, (m, n, n), and the adjoint of its (m n, n)
-    flattening, whose columns run over the A_i*.
-    """
-    if isinstance(form, np.ndarray):
-        Y = (X.reshape(-1) @ form).reshape(X.shape)
-    else:
-        A, AH = form
-        Y = AH @ (X @ A).reshape(AH.shape[1], -1)
-    return _symmetrize(Y, out)
+
+@cache
+def _coordinate_gathers(n: int) -> tuple[np.ndarray, ...]:
+    """Index and weight arrays between the n^2 real coordinates and the float
+    view of an n x n complex matrix, real and imaginary parts interleaved:
+    coordinate j is view[read[j]] * read_weight[j], view entry k is
+    coords[write[k]] * write_weight[k], and zero at the imaginary parts of
+    the diagonal, `zero`."""
+    diag, up, lo = _triangles(n)
+    read = np.concatenate((2 * diag, 2 * up, 2 * up + 1))
+    write = np.zeros(2 * n * n, dtype=np.intp)
+    write[read] = np.arange(n * n)
+    write[2 * lo], write[2 * lo + 1] = write[2 * up], write[2 * up + 1]
+    write_weight = np.full(2 * n * n, math.sqrt(0.5))
+    write_weight[2 * diag] = 1.0
+    write_weight[2 * lo + 1] *= -1.0
+    read_weight = np.where(np.arange(n * n) < n, 1.0, math.sqrt(2.0))
+    return _read_only(read, read_weight, write, write_weight, 2 * diag + 1)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: a cached result is shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _to_coords(X: np.ndarray) -> np.ndarray:
+    """Real coordinates of a Hermitian matrix, or of each in a stack, in the
+    orthonormal basis of `KrausMap`: the diagonal, then sqrt(2) times the
+    real and the imaginary parts of the upper triangle."""
+    n = X.shape[-1]
+    read, read_weight, *_ = _coordinate_gathers(n)
+    view = np.ascontiguousarray(X).reshape(X.shape[:-2] + (n * n,)).view(float)
+    return view[..., read] * read_weight
+
+
+def _from_coords(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The Hermitian matrix of real coordinates, or of each row of a stack,
+    written into `out` (a new array when None); the lower triangle is the
+    exact conjugate of the upper and the diagonal exactly real."""
+    n = math.isqrt(c.shape[-1])
+    _, _, write, write_weight, zero = _coordinate_gathers(n)
+    if out is None:
+        out = np.empty(c.shape[:-1] + (n, n), complex)
+    view = out.reshape(c.shape).view(float)
+    np.multiply(c[..., write], write_weight, out=view)
+    view[..., zero] = 0.0
+    return out
+
+
+def _real_liouville(phi: KrausMap) -> np.ndarray:
+    """C, built afresh: row b of C^T holds the coordinates of the channel's
+    image of basis matrix b, whose vec is gathered from at most two columns
+    of `superoperator`."""
+    n = phi.dimension
+    diag, up, lo = _triangles(n)
+    T, r = phi.superoperator.T, math.sqrt(0.5)
+    images = np.concatenate((T[diag], (T[up] + T[lo]) * r, (T[up] - T[lo]) * (1j * r)))
+    return _to_coords(images.reshape(-1, n, n)).T
+
+
+def _step(form, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """One dual or channel step of a Hermitian matrix, its Hermitian part
+    written into `out`: sum_i A_i* X A_i as two products, the stack A,
+    (m, n, n), and the adjoint of its (m n, n) flattening, whose columns run
+    over the A_i*. `form` is the pair (A, AH), A = (V_i) for the dual and
+    (V_i*) for the channel."""
+    A, AH = form
+    return _symmetrize(AH @ (X @ A).reshape(AH.shape[1], -1), out)
 
 
 def _apply_dual_raw(phi: KrausMap, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -216,6 +284,22 @@ def _apply_dual_raw(phi: KrausMap, X: np.ndarray, out: np.ndarray | None = None)
 
 def _apply_channel_raw(psi: KrausMap, Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return _step(psi._channel, Z, out)
+
+
+def _state_space(n: int) -> tuple[Callable, ...]:
+    """(to_state, dual_step, channel_step, to_matrix) of the runs and the
+    duality check of dimension n, a step called as step(map, state, out):
+    at n <= `_LIOUVILLE_MAX_N` the states are real coordinates, stepped by
+    the real form of `KrausMap`, above it Hermitian matrices. Norms and dot
+    products of either are Frobenius norms and trace pairings."""
+    if n > _LIOUVILLE_MAX_N:
+        return np.asarray, _apply_dual_raw, _apply_channel_raw, np.asarray
+    return (
+        _to_coords,
+        lambda phi, c, out: np.dot(c, phi._real_form, out=out),
+        lambda psi, c, out: np.dot(c, psi._real_form.T, out=out),
+        _from_coords,
+    )
 
 
 def apply_dual(phi: KrausMap, X) -> np.ndarray:
@@ -280,11 +364,22 @@ def _spectral_measure(limit, lyapunov: bool) -> Callable:
 
 
 def _frobenius(stack: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(M) of each complex matrix M in a stack, bit for bit: it
-    too takes sqrt(re . re + im . im) over the flattened matrix."""
+    """np.linalg.norm(M) of each matrix M in a stack, complex or real, bit
+    for bit: it too takes sqrt(re . re + im . im) over the flattened matrix."""
     v = stack.reshape(len(stack), 1, math.prod(stack.shape[1:]))
     re, im = v.real, v.imag
     return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).reshape(-1)
+
+
+def _run_kraus(maps, X: np.ndarray, dual: bool, measure, stop, move=None) -> SimulationTrace:
+    """`iterate` the dual or the channel from the Hermitian matrix X in the
+    state space of its dimension, each block measured on its matrices."""
+    to_state, dual_step, channel_step, to_matrix = _state_space(X.shape[0])
+    step = dual_step if dual else channel_step
+    maps = _kraus_maps(maps, X)
+    trace = iterate(maps, to_state(X), step, lambda s: measure(to_matrix(s)), stop, move)
+    trace.final_state = to_matrix(trace.final_state)
+    return trace
 
 
 def run_noncommutative_consensus(
@@ -301,8 +396,7 @@ def run_noncommutative_consensus(
     so a one-shot iterator of maps may be advanced past the stopping index.
     """
     X = np.array(as_hermitian_array(X0))
-    measure = _spectral_measure(limit, lyapunov=True)
-    return iterate(_kraus_maps(maps, X), X, _apply_dual_raw, measure, stop)
+    return _run_kraus(maps, X, True, _spectral_measure(limit, lyapunov=True), stop)
 
 
 def run_channel(maps, Z0, stop: StoppingRule | None = None, limit=None) -> SimulationTrace:
@@ -318,13 +412,8 @@ def run_channel(maps, Z0, stop: StoppingRule | None = None, limit=None) -> Simul
     Z = np.array(_as_density_array(Z0))
     unital = isinstance(maps, KrausMap) and maps.is_unital_channel
     measure = _spectral_measure(limit, lyapunov=unital)
-    return iterate(
-        _kraus_maps(maps, Z),
-        Z,
-        _apply_channel_raw,
-        measure,
-        stop,
-        move=lambda states: _frobenius(np.diff(states, axis=0)),
+    return _run_kraus(
+        maps, Z, False, measure, stop, move=lambda states: _frobenius(np.diff(states, axis=0))
     )
 
 
@@ -383,7 +472,7 @@ def estimate_image_radius(
     that converges to the true radius from below as samples grow. Projectors
     are mapped in batches of `RADIUS_CHUNK`.
     """
-    if samples < 1:
+    if _check_count("samples", samples) < 1:
         raise ValueError("samples must be >= 1")
     n = phi.dimension
     dual = phi.superoperator.conj()  # vec(X)^T conj(S) = (S^* vec(X))^T
@@ -448,17 +537,18 @@ class FixedPointResult:
 def channel_fixed_point(psi: KrausMap) -> FixedPointResult:
     """Stationary density of a trace-preserving channel.
 
-    The fixed point spans the null space of S - I, S the Liouville matrix of
-    the channel (:attr:`KrausMap.superoperator`). Its dimension, reported as
-    `eigenvalue_one_multiplicity`, is the number of singular values of S - I
+    The fixed point spans the null space of C - I, C the real form of the
+    channel (see `KrausMap`); C - I is unitarily similar to S - I, S the
+    Liouville matrix. Its dimension, reported as
+    `eigenvalue_one_multiplicity`, is the number of singular values of C - I
     at most `DEGENERACY_GAP`: the geometric multiplicity of eigenvalue 1.
-    When it is at most 1, one linear solve gives the fixed point: trace
-    preservation makes the rows of S - I at the diagonal positions sum to
-    zero, so the first of them is replaced by the unit-trace condition
-    tr(Z) = 1. The solution is re-Hermitized. When the multiplicity exceeds 1
-    the fixed point is not unique; the routine then falls back to at most
-    `MAX_FALLBACK_ITERATIONS` steps of power iteration from I/n and flags
-    non-uniqueness rather than fabricating a choice.
+    When it is at most 1, one real linear solve gives the fixed point: trace
+    preservation makes the rows of C - I at the diagonal coordinates sum to
+    zero, so the first of them is replaced by the unit-trace condition. When
+    the multiplicity exceeds 1 the fixed point is not unique; the routine
+    then falls back to at most `MAX_FALLBACK_ITERATIONS` steps of power
+    iteration from I/n and flags non-uniqueness rather than fabricating a
+    choice.
 
     Uniqueness is guaranteed only when some power of the dual map has finite
     projective diameter.
@@ -467,19 +557,19 @@ def channel_fixed_point(psi: KrausMap) -> FixedPointResult:
     `RESIDUAL_TOL`, which signals numerical breakdown for a valid map.
     """
     n = psi.dimension
-    A = psi.superoperator
-    A[np.diag_indices_from(A)] -= 1.0
+    A = _real_liouville(psi) - np.eye(n * n)
     multiplicity = int(np.sum(np.linalg.svd(A, compute_uv=False) <= DEGENERACY_GAP))
 
     if multiplicity <= 1:
-        A[0] = np.eye(n).ravel()
+        A[0] = 0.0
+        A[0, :n] = 1.0  # the diagonal coordinates come first
         e0 = np.zeros(n * n)
         e0[0] = 1.0
         try:
             v = np.linalg.solve(A, e0)
         except np.linalg.LinAlgError:
             raise FixedPointError("fixed direction has numerically zero trace") from None
-        Z = _symmetrize(v.reshape(n, n))
+        Z = _from_coords(v)
         unique = True
     else:
         Z = np.eye(n, dtype=complex) / n
@@ -526,28 +616,28 @@ def duality_invariant_check(
     When `zbar` (a fixed point) is given, also report how far the final
     pairing sits from its stationary value tr(zbar X0).
     """
-    if t_max < 0:
+    if _check_count("t_max", t_max) < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    Z = np.array(_as_density_array(Z0))
-    X = np.array(as_hermitian_array(X0))
-    _check_dims(psi, Z)
-    _check_dims(psi, X)
-    X_fixed = X.copy()
-    Z_fixed = Z.copy()
+    Zm = _as_density_array(Z0)
+    Xm = as_hermitian_array(X0)
+    _check_dims(psi, Zm)
+    _check_dims(psi, Xm)
+    to_state, dual_step, channel_step, _ = _state_space(psi.dimension)
+    Z_fixed, X_fixed = Z, X = to_state(Zm), to_state(Xm)
     max_err = 0.0
     for t in range(t_max + 1):
-        p_channel = complex(np.trace(Z @ X_fixed))
-        p_dual = complex(np.trace(Z_fixed @ X))
+        # tr(A B) of Hermitian matrices is vdot(A, B), of coordinates dot
+        p_channel = complex(np.vdot(X_fixed, Z))
+        p_dual = complex(np.vdot(X, Z_fixed))
         max_err = max(max_err, abs(p_channel - p_dual))
         pairing = p_channel.real
         if t < t_max:
-            Z = _apply_channel_raw(psi, Z)
-            X = _apply_dual_raw(psi, X)
+            Z = channel_step(psi, Z, None)
+            X = dual_step(psi, X, None)
     limit_value = None
     limit_error = None
     if zbar is not None:
-        zbar_m = as_hermitian_array(zbar)
-        limit_value = float(np.trace(zbar_m @ X_fixed).real)
+        limit_value = float(np.trace(as_hermitian_array(zbar) @ Xm).real)
         limit_error = abs(pairing - limit_value)
     return DualityReport(t_max, max_err, max_err <= tol, pairing, limit_value, limit_error)
 

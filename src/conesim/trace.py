@@ -37,11 +37,15 @@ class StoppingRule:
     def __post_init__(self) -> None:
         if not (self.tolerance >= 0.0):
             raise ValueError("tolerance must be >= 0")
-        it = self.max_iterations
-        if isinstance(it, bool) or not isinstance(it, numbers.Integral):
-            raise TypeError(f"max_iterations must be an integer, got {it!r}")
-        if it < 1:
+        if _check_count("max_iterations", self.max_iterations) < 1:
             raise ValueError("max_iterations must be >= 1")
+
+
+def _check_count(name: str, value):
+    """`value`, or a TypeError naming `name` when it is a bool or no integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -89,8 +93,8 @@ class SimulationTrace:
 
     @property
     def final_lyapunov(self) -> float | None:
-        values = self.lyapunov_values()
-        return values[-1] if values else None
+        present = np.flatnonzero(~np.isnan(self.lyapunov))
+        return self.lyapunov[present[-1]].item() if present.size else None
 
     def lyapunov_values(self) -> list[float]:
         return self.lyapunov[~np.isnan(self.lyapunov)].tolist()

@@ -18,15 +18,18 @@ from conesim import (
     tsitsiklis_lyapunov,
 )
 from conesim.channels import (
+    DEGENERACY_GAP,
+    MAX_FALLBACK_ITERATIONS,
+    RESIDUAL_TOL,
     DensityMatrix,
     FixedPointError,
     FixedPointResult,
     ImageRadiusEstimate,
     KrausMap,
     _apply_channel_raw,
-    _apply_dual_raw,
     _as_density_array,
     _kraus_maps,
+    _state_space,
     _symmetrize,
 )
 from conesim.classical import (
@@ -218,32 +221,47 @@ def _reference_spectral_record(limit, lyapunov):
     return record
 
 
+def _reference_kraus_run(maps, X, dual, record, stop, step, moves=False) -> SimulationTrace:
+    """The per-step reference run of the dual or the channel from the
+    Hermitian matrix X, stopping on the norm of the move between states when
+    `moves` is set. `step` applies one map to a matrix; without it the run
+    steps in the state space of its dimension, each state recorded from its
+    matrix, as `trace.iterate` does (real coordinates at n <= 8)."""
+    maps = _kraus_maps(maps, X)
+    norm = (lambda new, old: float(np.linalg.norm(new - old))) if moves else None
+    if step is not None:
+        return reference_iterate(maps, X, step, record, stop, norm)
+    to_state, dual_step, channel_step, to_matrix = _state_space(X.shape[0])
+    apply = dual_step if dual else channel_step
+    trace = reference_iterate(
+        maps,
+        to_state(X),
+        lambda phi, state: apply(phi, state, None),
+        lambda t, state: record(t, to_matrix(state)),
+        stop,
+        norm,
+    )
+    trace.final_state = to_matrix(trace.final_state)
+    return trace
+
+
 def reference_run_noncommutative_consensus(
-    maps, X0, stop=None, limit=None, step=_apply_dual_raw
+    maps, X0, stop=None, limit=None, step=None
 ) -> SimulationTrace:
-    """The per-step reference run of the dual; `step` applies one map."""
+    """The per-step reference run of the dual, see `_reference_kraus_run`."""
     stop = stop or StoppingRule()
     X = np.array(as_hermitian_array(X0))
     record = _reference_spectral_record(limit, lyapunov=True)
-    return reference_iterate(_kraus_maps(maps, X), X, step, record, stop)
+    return _reference_kraus_run(maps, X, True, record, stop, step)
 
 
-def reference_run_channel(
-    maps, Z0, stop=None, limit=None, step=_apply_channel_raw
-) -> SimulationTrace:
-    """The per-step reference run of the channel; `step` applies one map."""
+def reference_run_channel(maps, Z0, stop=None, limit=None, step=None) -> SimulationTrace:
+    """The per-step reference run of the channel, see `_reference_kraus_run`."""
     stop = stop or StoppingRule()
     Z = np.array(_as_density_array(Z0))
     unital = isinstance(maps, KrausMap) and maps.is_unital_channel
     record = _reference_spectral_record(limit, lyapunov=unital)
-    return reference_iterate(
-        _kraus_maps(maps, Z),
-        Z,
-        step,
-        record,
-        stop,
-        move=lambda new, old: float(np.linalg.norm(new - old)),
-    )
+    return _reference_kraus_run(maps, Z, False, record, stop, step, moves=True)
 
 
 # --- the Kraus-sum loops that the stacked step and superoperator replaced ---
@@ -274,6 +292,15 @@ def reference_stacked_step(phi: KrausMap, X: np.ndarray, action: str) -> np.ndar
     A = V if action == "dual" else np.ascontiguousarray(V.conj().swapaxes(1, 2))
     AH = A.reshape(-1, n).conj().T
     return _symmetrize(AH @ (X @ A).reshape(AH.shape[1], -1))
+
+
+def reference_liouville_step(phi: KrausMap, X: np.ndarray, action: str) -> np.ndarray:
+    """Reference kernel: the complex Liouville step that maps of dimension
+    n <= 8 took before they stepped in real coordinates, vec(X) conj(S) for
+    the dual and vec(X) S^T for the channel, then the Hermitian part."""
+    S = phi.superoperator
+    form = S.conj() if action == "dual" else S.T
+    return _symmetrize((X.reshape(-1) @ form).reshape(X.shape))
 
 
 def reference_superoperator(phi: KrausMap) -> np.ndarray:
@@ -381,6 +408,48 @@ def reference_channel_fixed_point(
     residual = float(np.linalg.norm(_apply_channel_raw(psi, Z) - Z))
     if residual > residual_tol:
         raise FixedPointError(f"fixed-point residual {residual:.3e} exceeds {residual_tol}")
+    try:
+        density = DensityMatrix(Z)
+    except ValueError as exc:
+        raise FixedPointError(f"no PSD trace-1 fixed point at tolerance: {exc}") from exc
+    return FixedPointResult(density, residual, unique, multiplicity)
+
+
+def reference_liouville_fixed_point(psi: KrausMap) -> FixedPointResult:
+    """Reference kernel: `channel_fixed_point` on the complex S - I, as it
+    was before it took the real C - I: the multiplicity from the singular
+    values of S - I, the fixed point from one complex solve with the trace
+    row, then the Hermitian part."""
+    n = psi.dimension
+    A = psi.superoperator
+    A[np.diag_indices_from(A)] -= 1.0
+    multiplicity = int(np.sum(np.linalg.svd(A, compute_uv=False) <= DEGENERACY_GAP))
+    if multiplicity <= 1:
+        A[0] = np.eye(n).ravel()
+        e0 = np.zeros(n * n)
+        e0[0] = 1.0
+        try:
+            v = np.linalg.solve(A, e0)
+        except np.linalg.LinAlgError:
+            raise FixedPointError("fixed direction has numerically zero trace") from None
+        Z = _symmetrize(v.reshape(n, n))
+        unique = True
+    else:
+        Z = np.eye(n, dtype=complex) / n
+        for _ in range(MAX_FALLBACK_ITERATIONS):
+            Z_new = _apply_channel_raw(psi, Z)
+            settled = float(np.linalg.norm(Z_new - Z)) <= RESIDUAL_TOL
+            Z = Z_new
+            if settled:
+                break
+        else:
+            raise FixedPointError(
+                "degenerate fixed-point space and power iteration did not settle"
+            )
+        unique = False
+    residual = float(np.linalg.norm(_apply_channel_raw(psi, Z) - Z))
+    if residual > RESIDUAL_TOL:
+        raise FixedPointError(f"fixed-point residual {residual:.3e} exceeds {RESIDUAL_TOL}")
     try:
         density = DensityMatrix(Z)
     except ValueError as exc:

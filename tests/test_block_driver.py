@@ -240,14 +240,26 @@ def test_non_finite_dual_states_raise():
             run_dual_consensus(A, [big, big], StoppingRule(1e-10, 12), limit=[1.0, 1.0])
 
 
-def test_overflowing_matrix_states_raise():
-    # the first step is finite, the second overflows; eigvalsh of a state with
-    # a NaN entry returns finite values, so only the driver sees it
-    X0 = np.full((2, 2), np.finfo(float).max / 2, dtype=complex)
-    phi = make_spin_rotation_map(0.7, 1.1, 0.3)
+def _assert_overflow_raises(phi, X0):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="state entries must be finite"):
             run_noncommutative_consensus(phi, X0, StoppingRule(1e-10, 12))
+
+
+def test_overflowing_matrix_states_raise():
+    # eigvalsh of a state with a NaN entry returns finite values, so only the
+    # driver sees it. A dual step cannot grow a state's spectrum, and the real
+    # coordinate step of n <= 8 stays finite from a finite state: here the
+    # entries of 0.9 max overflow when the state is made Hermitian
+    X0 = np.full((2, 2), 0.9 * np.finfo(float).max, dtype=complex)
+    _assert_overflow_raises(make_spin_rotation_map(0.7, 1.1, 0.3), X0)
+
+
+def test_overflowing_stacked_steps_raise():
+    # above the size rule the state is finite and the stacked products of the
+    # first step overflow
+    X0 = np.full((9, 9), np.finfo(float).max / 2, dtype=complex)
+    _assert_overflow_raises(random_kraus_map(9, 3, 0), X0)
 
 
 def _scale(m, x, out):

@@ -293,6 +293,13 @@ class TestImageRadius:
         # witness is a rank-1 projector
         assert np.linalg.matrix_rank(est.attained_at) == 1
 
+    def test_non_integer_samples_rejected(self):
+        # before any probe: the identity map would be infinite on the first
+        for bad in (2.5, True, "10"):
+            with pytest.raises(TypeError, match="samples must be an integer"):
+                estimate_image_radius(KrausMap((np.eye(2),)), samples=bad)
+        assert estimate_image_radius(spin_map(), samples=np.int64(3)).samples_drawn == 5
+
     def test_spin_square_is_finite(self):
         est = estimate_image_radius(kraus_power(spin_map(), 2), samples=2000, seed=0)
         assert 0.0 < est.radius < math.inf
@@ -430,6 +437,14 @@ class TestDuality:
         # no step is compared, so no pairing may be reported as checked
         with pytest.raises(ValueError, match="t_max must be >= 0, got -1"):
             duality_invariant_check(spin_map(), np.eye(2) / 2, np.eye(2), t_max=-1)
+
+    def test_non_integer_steps_rejected(self):
+        # True would otherwise run one step and report steps=True
+        for bad in (True, 2.5, "3"):
+            with pytest.raises(TypeError, match="t_max must be an integer"):
+                duality_invariant_check(spin_map(), np.eye(2) / 2, np.eye(2), t_max=bad)
+        report = duality_invariant_check(spin_map(), np.eye(2) / 2, np.eye(2), np.int64(2))
+        assert report.steps == 2
 
     @given(st.integers(0, 2**32 - 1))
     @settings(deadline=None, max_examples=20)

@@ -1,14 +1,15 @@
 """The Kraus step against the kernels it replaced.
 
 A `KrausMap` holds its operators as one (m, n, n) array. `_apply_dual_raw` /
-`_apply_channel_raw` apply a map of dimension n <= `_LIOUVILLE_MAX_N` as one
-product with its Liouville matrix, a larger one as two matrix products on the
-stack; `helpers.reference_apply_dual` / `reference_apply_channel` loop over
-the operators, and `helpers.reference_stacked_step` is the stacked step that
-small maps took before. They sum in different orders, so they agree to
-rounding only: a step within 16 n eps max|X|, a whole run with the same
-status and iteration count and every trace value within 1e-13 of the state
-scale. Above the size rule the step is the stacked one, bit for bit.
+`_apply_channel_raw` apply a map to a matrix as two matrix products on the
+stack. A run of dimension n <= `_LIOUVILLE_MAX_N` steps the real coordinates
+of its states by the map's real form C instead (see `_state_space`).
+`helpers.reference_apply_dual` / `reference_apply_channel` loop over the
+operators, and `helpers.reference_stacked_step` is the stacked step. They sum
+in different orders, so they agree to rounding only: a step within
+16 n eps max|X|, a whole run with the same status and iteration count and
+every trace value within 1e-13 of the state scale. Above the size rule a run
+steps by the stacked step, bit for bit.
 `superoperator`, read from the same stack, is checked against its sum of
 Kronecker products, and the stacked Frobenius norm of the channel run against
 `np.linalg.norm`, bit for bit.
@@ -33,7 +34,16 @@ from conesim import (
     run_channel,
     run_noncommutative_consensus,
 )
-from conesim.channels import _LIOUVILLE_MAX_N, _apply_channel_raw, _apply_dual_raw, _frobenius
+from conesim.channels import (
+    _LIOUVILLE_MAX_N,
+    _apply_channel_raw,
+    _apply_dual_raw,
+    _frobenius,
+    _from_coords,
+    _state_space,
+    _to_coords,
+)
+from conesim.hermitian import as_hermitian_array
 from helpers import (
     random_density,
     random_hermitian,
@@ -91,10 +101,13 @@ def test_step_matches_the_operator_loop(phi, action, log10_scale, seed):
 )
 @settings(deadline=None, max_examples=200)
 def test_liouville_step_matches_the_stacked_step(n, m, action, log10_scale, seed):
+    # the step of a run at n <= 8, on the real coordinates
     rng = np.random.default_rng(seed)
     phi = random_kraus_map(n, m, rng)
     X = random_hermitian(rng, n, 10.0**log10_scale)
-    new = STEPS[action][0](phi, X)
+    to_state, dual_step, channel_step, to_matrix = _state_space(n)
+    step = dual_step if action == "dual" else channel_step
+    new = to_matrix(step(phi, to_state(X), None))
     bound = 16 * n * EPS * np.abs(X).max()
     assert np.abs(new - reference_stacked_step(phi, X, action)).max() <= bound
 
@@ -103,14 +116,27 @@ def test_liouville_step_matches_the_stacked_step(n, m, action, log10_scale, seed
 def test_the_size_rule_picks_the_step_form(action):
     rng = np.random.default_rng(4)
     at_rule, above = (random_kraus_map(n, 3, rng) for n in (_LIOUVILLE_MAX_N, _LIOUVILLE_MAX_N + 1))
-    S = at_rule.superoperator
-    form = getattr(at_rule, f"_{action}")
-    assert np.array_equal(form, S.conj() if action == "dual" else S.T)
-    assert not form.flags.writeable
-    assert isinstance(getattr(above, f"_{action}"), tuple)
-    X = random_hermitian(rng, above.dimension)
-    new = STEPS[action][0](above, X)
+    run = run_noncommutative_consensus if action == "dual" else run_channel
+    one_step = StoppingRule(0.0, 1)
+    # at the rule a run steps the real coordinates by the real form C (the
+    # dual) or C^T (the channel): C real, read-only and built on first use
+    assert "_real_form" not in vars(at_rule)
+    X = as_hermitian_array(random_density(rng, at_rule.dimension))
+    new = run(at_rule, X, one_step).final_state
+    C = at_rule._real_form
+    assert C.dtype == float and C.shape == (_LIOUVILLE_MAX_N**2,) * 2
+    assert not C.flags.writeable and not C.T.flags.writeable
+    expected = _from_coords(np.dot(_to_coords(X), C if action == "dual" else C.T))
+    assert new.tobytes() == expected.tobytes()
+    # above it the stacked step, bit for bit, and no real form
+    X = as_hermitian_array(random_density(rng, above.dimension))
+    new = run(above, X, one_step).final_state
     assert new.tobytes() == reference_stacked_step(above, X, action).tobytes()
+    assert "_real_form" not in vars(above)
+    # a matrix is stepped by the stacked step at every size
+    X = random_hermitian(rng, at_rule.dimension)
+    new = STEPS[action][0](at_rule, X)
+    assert new.tobytes() == reference_stacked_step(at_rule, X, action).tobytes()
 
 
 @given(st.integers(0, 6), st.integers(1, 32), st.floats(-8.0, 8.0), st.integers(0, 2**32 - 1))

@@ -1,7 +1,8 @@
 """The Liouville-matrix kernels against the kernels they replaced.
 
 `channel_fixed_point` takes the eigenvalue-one multiplicity from the singular
-values of S - I and the fixed point from one linear solve;
+values of C - I, C the real form of `KrausMap` (similar to S - I), and the
+fixed point from one real linear solve;
 `helpers.reference_channel_fixed_point` is the Hermitian-coordinate transfer
 matrix with `eigvals` and inverse iteration. `estimate_image_radius` maps its
 projectors by one product with conj(S); `helpers.reference_estimate_image_radius`
@@ -67,8 +68,10 @@ def assert_same_fixed_point(psi):
     sv = np.linalg.svd(psi.superoperator - np.eye(n * n), compute_uv=False)
     if np.any((sv >= GAP / 2) & (sv <= 2 * GAP)):
         # a singular value this close to the gap is counted or not as rounding
-        # falls, in either kernel: hold the new one to its definition instead
-        assert new.eigenvalue_one_multiplicity == int(np.sum(sv <= GAP))
+        # falls, in either kernel: hold the new one to its definition instead,
+        # the singular values of the real form C - I, similar to S - I
+        real_sv = np.linalg.svd(psi._real_form - np.eye(n * n), compute_uv=False)
+        assert new.eigenvalue_one_multiplicity == int(np.sum(real_sv <= GAP))
         return
     ref = _outcome(reference_channel_fixed_point, psi)
     assert type(new) is type(ref)

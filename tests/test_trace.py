@@ -79,6 +79,14 @@ class TestCsvWriter:
         trace = trace_from_records(records, TerminalStatus.CONVERGED, np.zeros(1), 1)
         assert trace.final_lyapunov == 3.0
 
+    def test_final_lyapunov_is_the_last_present_float(self):
+        records = [TraceRecord(t, v, 0.0, 1.0) for t, v in enumerate([None, 2.0, 1.5, None])]
+        trace = trace_from_records(records, TerminalStatus.CONVERGED, np.zeros(1), 3)
+        assert type(trace.final_lyapunov) is float and trace.final_lyapunov == 1.5
+        absent = [TraceRecord(t, None, 0.0, 1.0) for t in range(3)]
+        trace = trace_from_records(absent, TerminalStatus.CONVERGED, np.zeros(1), 2)
+        assert trace.final_lyapunov is None
+
 
 # --- the columnar writer and check against the per-row kernels they replaced ---
 
