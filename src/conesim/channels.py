@@ -69,17 +69,18 @@ class KrausMap:
 
     `_real_form` C, real n^2 x n^2 and built on first use, is the channel
     in the orthonormal basis E_kk, (E_kl + E_lk)/sqrt(2), i(E_kl - E_lk)/sqrt(2)
-    of the Hermitian matrices (see `_to_coords`). Runs of dimension
-    n <= `_LIOUVILLE_MAX_N` = 8 step a state's coordinates c to c C (the
-    dual) or c C^T (the channel, the adjoint: the basis is orthonormal);
-    32 KB per map at n = 8. Larger runs step by two products on the stacked
-    operators. A dual step with m = 4-5 operators, stacked against real
-    (2 cores, numpy 2.4.6 on OpenBLAS, 1 and 2 BLAS threads): 7.1-8.1
-    against 0.6 us at n = 2 and 4, 8.4-9.0 against 1.0 us at n = 8,
-    12-14 against 3.3-3.9 us at n = 12, 18-20 against 7-9.5 us at n = 16,
-    25-29 against 22-25 us at n = 20, 33-44 against 68-72 us at n = 24,
-    60-88 against 150-290 us at n = 32. The break-even is near n = 20,
-    where C holds 1.3 MB.
+    of the Hermitian matrices (see `_to_coords`). Every action on a matrix
+    steps by one rule, `_state_space`: at n <= `_LIOUVILLE_MAX_N` = 8 the
+    matrix's coordinates c go to c C (the dual) or c C^T (the channel, the
+    adjoint: the basis is orthonormal), 32 KB per map at n = 8; above it two
+    products on the stacked operators. The two analyses, the image radius
+    and the fixed point, use C at every n. A dual step with m = 4-5
+    operators, stacked against real (2 cores, numpy 2.4.6 on OpenBLAS, 1 and
+    2 BLAS threads): 7.1-8.1 against 0.6 us at n = 2 and 4, 8.4-9.0 against
+    1.0 us at n = 8, 12-14 against 3.3-3.9 us at n = 12, 18-20 against
+    7-9.5 us at n = 16, 25-29 against 22-25 us at n = 20, 33-44 against
+    68-72 us at n = 24, 60-88 against 150-290 us at n = 32. The break-even is
+    near n = 20, where C holds 1.3 MB.
     """
 
     operators: np.ndarray
@@ -278,22 +279,21 @@ def _step(form, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return _symmetrize(AH @ (X @ A).reshape(AH.shape[1], -1), out)
 
 
-def _apply_dual_raw(phi: KrausMap, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return _step(phi._dual, X, out)
-
-
-def _apply_channel_raw(psi: KrausMap, Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return _step(psi._channel, Z, out)
-
-
 def _state_space(n: int) -> tuple[Callable, ...]:
-    """(to_state, dual_step, channel_step, to_matrix) of the runs and the
-    duality check of dimension n, a step called as step(map, state, out):
-    at n <= `_LIOUVILLE_MAX_N` the states are real coordinates, stepped by
-    the real form of `KrausMap`, above it Hermitian matrices. Norms and dot
-    products of either are Frobenius norms and trace pairings."""
+    """(to_state, dual_step, channel_step, to_matrix) of dimension n, the
+    one way a map acts on a Hermitian matrix: in runs, in the duality check
+    and, through `_act`, in every single application. A step is called as
+    step(map, state, out). At n <= `_LIOUVILLE_MAX_N` the states are real
+    coordinates, stepped by the real form of `KrausMap`; above it they are
+    Hermitian matrices, stepped by `_step`. Norms and dot products of either
+    are Frobenius norms and trace pairings."""
     if n > _LIOUVILLE_MAX_N:
-        return np.asarray, _apply_dual_raw, _apply_channel_raw, np.asarray
+        return (
+            np.asarray,
+            lambda phi, X, out: _step(phi._dual, X, out),
+            lambda psi, X, out: _step(psi._channel, X, out),
+            np.asarray,
+        )
     return (
         _to_coords,
         lambda phi, c, out: np.dot(c, phi._real_form, out=out),
@@ -302,22 +302,30 @@ def _state_space(n: int) -> tuple[Callable, ...]:
     )
 
 
+def _act(phi: KrausMap, X: np.ndarray, dual: bool) -> np.ndarray:
+    """The dual or the channel of phi applied once to the Hermitian matrix X,
+    as a run of its dimension steps it."""
+    to_state, dual_step, channel_step, to_matrix = _state_space(X.shape[0])
+    return to_matrix((dual_step if dual else channel_step)(phi, to_state(X), None))
+
+
 def apply_dual(phi: KrausMap, X) -> np.ndarray:
-    """Unital dual action sum_i V_i* X V_i, re-symmetrized.
+    """Unital dual action sum_i V_i* X V_i, stepped as a run of X's
+    dimension steps it (see `_state_space`), so the result is exactly
+    Hermitian.
 
     Fixes the identity, is linear, and maps the positive definite cone into
     itself; the non-commutative counterpart of a row-stochastic update.
     """
     Xm = as_hermitian_array(X)
-    _check_dims(phi, Xm)
-    return _apply_dual_raw(phi, Xm)
+    return _act(_check_dims(phi, Xm), Xm, True)
 
 
 def apply_channel(psi: KrausMap, Z) -> np.ndarray:
-    """Channel action sum_i V_i Z V_i*, trace-preserving and PSD-preserving."""
+    """Channel action sum_i V_i Z V_i*, trace-preserving and PSD-preserving,
+    stepped as a run of Z's dimension steps it."""
     Zm = as_hermitian_array(Z)
-    _check_dims(psi, Zm)
-    return _apply_channel_raw(psi, Zm)
+    return _act(_check_dims(psi, Zm), Zm, False)
 
 
 def compose(outer: KrausMap, inner: KrausMap) -> KrausMap:
@@ -432,9 +440,8 @@ def check_spectral_nesting(phi: KrausMap, X, slack: float = 1e-10) -> SpectralNe
     """Verify that the dual map can only shrink the spectral interval:
     lambda_min may not decrease and lambda_max may not increase."""
     Xm = as_hermitian_array(X)
-    _check_dims(phi, Xm)
     before = spectral_interval(Xm)
-    after = spectral_interval(_apply_dual_raw(phi, Xm))
+    after = spectral_interval(_act(_check_dims(phi, Xm), Xm, True))
     min_margin = after.lambda_min - before.lambda_min
     max_margin = before.lambda_max - after.lambda_max
     return SpectralNestingReport(
@@ -470,53 +477,39 @@ def estimate_image_radius(
     relative floor the radius is ``math.inf`` and that projector is returned
     as the witness. Otherwise the result is a running maximum: a lower bound
     that converges to the true radius from below as samples grow. Projectors
-    are mapped in batches of `RADIUS_CHUNK`.
+    are mapped in batches of `RADIUS_CHUNK`, by the real form C of `KrausMap`
+    at every n.
     """
     if _check_count("samples", samples) < 1:
         raise ValueError("samples must be >= 1")
-    n = phi.dimension
-    dual = phi.superoperator.conj()  # vec(X)^T conj(S) = (S^* vec(X))^T
-    best_val = -math.inf
-    best_proj: np.ndarray | None = None
-    drawn = 0
-
-    def process(batch: np.ndarray) -> np.ndarray | None:
-        nonlocal best_val, best_proj, drawn
-        images = _symmetrize((batch.reshape(-1, n * n) @ dual).reshape(batch.shape))
-        ev = np.linalg.eigvalsh(images)
+    C = _real_liouville(phi)
+    best_val, best_proj, drawn = -math.inf, None, 0
+    for batch in _radius_probes(phi.dimension, samples, seed):
+        ev = np.linalg.eigvalsh(_from_coords(_to_coords(batch) @ C))
         singular = ~is_positive_definite(ev)
         if singular.any():
             k = int(np.argmax(singular))
-            drawn += k + 1
-            return np.array(batch[k])
+            return ImageRadiusEstimate(math.inf, np.array(batch[k]), drawn + k + 1)
         vals = np.log(ev[:, -1]) - np.log(ev[:, 0])
         k = int(np.argmax(vals))
         if vals[k] > best_val:
-            best_val = float(vals[k])
-            best_proj = np.array(batch[k])
-        drawn += batch.shape[0]
-        return None
+            best_val, best_proj = float(vals[k]), np.array(batch[k])
+        drawn += len(batch)
+    return ImageRadiusEstimate(best_val, best_proj, drawn)
 
-    basis = np.zeros((n, n, n), dtype=complex)
-    for k in range(n):
-        basis[k, k, k] = 1.0
-    witness = process(basis)
-    if witness is not None:
-        return ImageRadiusEstimate(math.inf, witness, drawn)
 
+def _radius_probes(n: int, samples: int, seed: int) -> Iterator[np.ndarray]:
+    """The n standard basis projectors as one batch, then `samples`
+    Haar-uniform rank-1 projectors drawn from `seed`, in batches of
+    `RADIUS_CHUNK`."""
+    eye = np.eye(n, dtype=complex)
+    yield eye[:, :, None] * eye[:, None, :]
     rng = np.random.default_rng(seed)
-    remaining = samples
-    while remaining > 0:
-        b = min(RADIUS_CHUNK, remaining)
+    for start in range(0, samples, RADIUS_CHUNK):
+        b = min(RADIUS_CHUNK, samples - start)
         g = rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
-        projectors = np.einsum("si,sj->sij", g, g.conj())
-        witness = process(projectors)
-        if witness is not None:
-            return ImageRadiusEstimate(math.inf, witness, drawn)
-        remaining -= b
-    assert best_proj is not None
-    return ImageRadiusEstimate(best_val, best_proj, drawn)
+        yield np.einsum("si,sj->sij", g, g.conj())
 
 
 # --- fixed points ----------------------------------------------------------
@@ -574,7 +567,7 @@ def channel_fixed_point(psi: KrausMap) -> FixedPointResult:
     else:
         Z = np.eye(n, dtype=complex) / n
         for _ in range(MAX_FALLBACK_ITERATIONS):
-            Z_new = _apply_channel_raw(psi, Z)
+            Z_new = _act(psi, Z, False)
             settled = float(np.linalg.norm(Z_new - Z)) <= RESIDUAL_TOL
             Z = Z_new
             if settled:
@@ -585,7 +578,7 @@ def channel_fixed_point(psi: KrausMap) -> FixedPointResult:
             )
         unique = False
 
-    residual = float(np.linalg.norm(_apply_channel_raw(psi, Z) - Z))
+    residual = float(np.linalg.norm(_act(psi, Z, False) - Z))
     if residual > RESIDUAL_TOL:
         raise FixedPointError(f"fixed-point residual {residual:.3e} exceeds {RESIDUAL_TOL}")
     try:
@@ -758,6 +751,8 @@ def random_kraus_map(n: int, m: int, seed_or_rng=0) -> KrausMap:
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
+    if m < 1:
+        raise ValueError(f"operator count must be >= 1, got {m}")
     rng = (
         seed_or_rng
         if isinstance(seed_or_rng, np.random.Generator)

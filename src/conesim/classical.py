@@ -322,21 +322,13 @@ def check_connectivity(
         diag_pos = diag_pos and bool(np.all(np.diagonal(e) > 0.0))
 
     adj = union.T if transpose else union
-    # successors(j) = {i : adj[i, j]}
-    root: int | None = None
-    for r in range(n):
-        seen = np.zeros(n, dtype=bool)
-        stack = [r]
-        seen[r] = True
-        while stack:
-            j = stack.pop()
-            for i in np.flatnonzero(adj[:, j]):
-                if not seen[i]:
-                    seen[i] = True
-                    stack.append(int(i))
-        if seen.all():
-            root = r
-            break
+    # reach[i, j]: a path from j to i, adj[i, j] being an edge j -> i; each
+    # squaring doubles the path length covered, n - 1 edges at the end
+    reach = (adj | np.eye(n, dtype=bool)).astype(float)
+    for _ in range((n - 1).bit_length()):
+        reach = (reach @ reach > 0.0).astype(float)
+    roots = np.flatnonzero(reach.all(axis=0))
+    root = int(roots[0]) if roots.size else None
     return ConnectivityReport(
         window_start=window_start,
         horizon=horizon,

@@ -83,10 +83,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return _cmd_validate(args)
         return _cmd_examples(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ScenarioError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import astuple
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +27,13 @@ from conesim.channels import (
     FixedPointResult,
     ImageRadiusEstimate,
     KrausMap,
-    _apply_channel_raw,
     _as_density_array,
     _kraus_maps,
     _state_space,
     _symmetrize,
 )
 from conesim.classical import (
+    ConnectivityReport,
     StochasticMatrix,
     _as_nonneg_matrix,
     _check_vector,
@@ -98,6 +99,46 @@ def quadruple_projective_diameter(A) -> float:
         - logs.T[None, :, :, None]
     )
     return float(vals[num].max())
+
+
+def reference_check_connectivity(
+    sequence, window_start: int = 0, horizon: int = 0, transpose: bool = False
+) -> ConnectivityReport:
+    """Reference kernel: `check_connectivity` with the spanning root found by
+    a depth-first search from each node in turn, as it was before it took
+    reachability by repeated squaring."""
+    count = window_start + horizon + 1
+    mats = list(islice(_matrices(sequence), count))[window_start:]
+    n = mats[0].n
+    union = np.zeros((n, n), dtype=bool)
+    min_pos = np.inf
+    diag_pos = True
+    for m in mats:
+        e = m.entries
+        pos = e > 0.0
+        union |= pos
+        if pos.any():
+            min_pos = min(min_pos, float(e[pos].min()))
+        diag_pos = diag_pos and bool(np.all(np.diagonal(e) > 0.0))
+    adj = union.T if transpose else union
+    # successors(j) = {i : adj[i, j]}
+    root = None
+    for r in range(n):
+        seen = np.zeros(n, dtype=bool)
+        stack = [r]
+        seen[r] = True
+        while stack:
+            j = stack.pop()
+            for i in np.flatnonzero(adj[:, j]):
+                if not seen[i]:
+                    seen[i] = True
+                    stack.append(int(i))
+        if seen.all():
+            root = r
+            break
+    return ConnectivityReport(
+        window_start, horizon, root is not None, root, float(min_pos), diag_pos
+    )
 
 
 # --- traces as records, and the per-row kernels the columnar trace replaced ---
@@ -338,7 +379,8 @@ def transfer_matrix(psi: KrausMap) -> np.ndarray:
     for c in range(n2):
         e = np.zeros(n2)
         e[c] = 1.0
-        M[:, c] = _hermitian_coords(_apply_channel_raw(psi, _hermitian_from_coords(e, n)))
+        image = reference_stacked_step(psi, _hermitian_from_coords(e, n), "channel")
+        M[:, c] = _hermitian_coords(image)
     return M
 
 
@@ -395,7 +437,7 @@ def reference_channel_fixed_point(
     else:
         Z = np.eye(n, dtype=complex) / n
         for _ in range(max_fallback_iterations):
-            Z_new = _apply_channel_raw(psi, Z)
+            Z_new = reference_stacked_step(psi, Z, "channel")
             settled = float(np.linalg.norm(Z_new - Z)) <= residual_tol
             Z = Z_new
             if settled:
@@ -405,7 +447,7 @@ def reference_channel_fixed_point(
                 "degenerate fixed-point space and power iteration did not settle"
             )
         unique = False
-    residual = float(np.linalg.norm(_apply_channel_raw(psi, Z) - Z))
+    residual = float(np.linalg.norm(reference_stacked_step(psi, Z, "channel") - Z))
     if residual > residual_tol:
         raise FixedPointError(f"fixed-point residual {residual:.3e} exceeds {residual_tol}")
     try:
@@ -437,7 +479,7 @@ def reference_liouville_fixed_point(psi: KrausMap) -> FixedPointResult:
     else:
         Z = np.eye(n, dtype=complex) / n
         for _ in range(MAX_FALLBACK_ITERATIONS):
-            Z_new = _apply_channel_raw(psi, Z)
+            Z_new = reference_stacked_step(psi, Z, "channel")
             settled = float(np.linalg.norm(Z_new - Z)) <= RESIDUAL_TOL
             Z = Z_new
             if settled:
@@ -447,7 +489,7 @@ def reference_liouville_fixed_point(psi: KrausMap) -> FixedPointResult:
                 "degenerate fixed-point space and power iteration did not settle"
             )
         unique = False
-    residual = float(np.linalg.norm(_apply_channel_raw(psi, Z) - Z))
+    residual = float(np.linalg.norm(reference_stacked_step(psi, Z, "channel") - Z))
     if residual > RESIDUAL_TOL:
         raise FixedPointError(f"fixed-point residual {residual:.3e} exceeds {RESIDUAL_TOL}")
     try:

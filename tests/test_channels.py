@@ -70,6 +70,12 @@ class TestKrausMap:
         with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
             random_kraus_map(0, 2)
 
+    def test_random_map_needs_an_operator(self):
+        with pytest.raises(ValueError, match="operator count must be >= 1, got -1"):
+            random_kraus_map(2, -1)
+        with pytest.raises(ValueError, match="operator count must be >= 1, got 0"):
+            random_kraus_map(2, 0)
+
 
 class TestDualAction:
     def test_unitality(self):

@@ -22,7 +22,7 @@ from conesim import (
     run_dual_consensus,
 )
 
-from helpers import quadruple_projective_diameter
+from helpers import quadruple_projective_diameter, reference_check_connectivity
 
 LEADER = np.array([[1.0, 0.0], [0.25, 0.75]])  # gamma^2 = 0.25
 
@@ -326,6 +326,29 @@ class TestConnectivity:
     def test_window_beyond_finite_sequence(self):
         with pytest.raises(ValueError, match="only 1"):
             check_connectivity([np.eye(2)], window_start=0, horizon=1)
+
+    @given(
+        st.integers(1, 40),
+        st.integers(0, 1),
+        st.integers(0, 2),
+        st.booleans(),
+        st.floats(0.0, 3.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_squaring_matches_the_search(self, n, start, horizon, transpose, degree, seed):
+        # random digraphs of mean in-degree about `degree`, every row keeping
+        # one positive entry: windows with and without a spanning root
+        rng = np.random.default_rng(seed)
+        mats = []
+        for _ in range(start + horizon + 1):
+            pos = rng.random((n, n)) < degree / n
+            empty = np.flatnonzero(~pos.any(axis=1))
+            pos[empty, rng.integers(0, n, empty.size)] = True
+            a = np.where(pos, rng.uniform(0.1, 1.0, (n, n)), 0.0)
+            mats.append(a / a.sum(axis=1, keepdims=True))
+        args = (mats, start, horizon, transpose)
+        assert check_connectivity(*args) == reference_check_connectivity(*args)
 
 
 class TestSequences:

@@ -1,7 +1,10 @@
 """Every exported name resolves: a public name that is deleted must leave the
-export lists with it."""
+export lists with it. Every imported name is used: code that is deleted must
+take its imports with it."""
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +22,18 @@ def test_every_exported_name_resolves(name):
     assert len(set(exported)) == len(exported), "a name is exported twice"
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names {missing}, which do not exist"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_imported_name_is_used(name):
+    module = importlib.import_module(name)
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(imported - used - set(getattr(module, "__all__", [])))
+    assert not unused, f"{name} imports {unused} and never uses them"

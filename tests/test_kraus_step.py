@@ -1,9 +1,11 @@
 """The Kraus step against the kernels it replaced.
 
-A `KrausMap` holds its operators as one (m, n, n) array. `_apply_dual_raw` /
-`_apply_channel_raw` apply a map to a matrix as two matrix products on the
-stack. A run of dimension n <= `_LIOUVILLE_MAX_N` steps the real coordinates
-of its states by the map's real form C instead (see `_state_space`).
+A `KrausMap` holds its operators as one (m, n, n) array. Every action on a
+Hermitian matrix, `apply_dual` / `apply_channel` and the steps of runs alike,
+takes one form per size, set by `_state_space`: at n <= `_LIOUVILLE_MAX_N` the
+real coordinates of the matrix are stepped by the map's real form C, above it
+the matrix is stepped by two matrix products on the stack. So `apply_dual` /
+`apply_channel` equal a run's one step bit for bit on both sides of the rule.
 `helpers.reference_apply_dual` / `reference_apply_channel` loop over the
 operators, and `helpers.reference_stacked_step` is the stacked step. They sum
 in different orders, so they agree to rounding only: a step within
@@ -24,6 +26,8 @@ from hypothesis import strategies as st
 from conesim import (
     KrausMap,
     StoppingRule,
+    apply_channel,
+    apply_dual,
     build_classical_embedding,
     builtin_example,
     compose,
@@ -36,8 +40,6 @@ from conesim import (
 )
 from conesim.channels import (
     _LIOUVILLE_MAX_N,
-    _apply_channel_raw,
-    _apply_dual_raw,
     _frobenius,
     _from_coords,
     _state_space,
@@ -57,8 +59,8 @@ from helpers import (
 
 EPS = np.finfo(float).eps
 STEPS = {
-    "dual": (_apply_dual_raw, reference_apply_dual),
-    "channel": (_apply_channel_raw, reference_apply_channel),
+    "dual": (apply_dual, reference_apply_dual),
+    "channel": (apply_channel, reference_apply_channel),
 }
 
 
@@ -133,10 +135,11 @@ def test_the_size_rule_picks_the_step_form(action):
     new = run(above, X, one_step).final_state
     assert new.tobytes() == reference_stacked_step(above, X, action).tobytes()
     assert "_real_form" not in vars(above)
-    # a matrix is stepped by the stacked step at every size
-    X = random_hermitian(rng, at_rule.dimension)
-    new = STEPS[action][0](at_rule, X)
-    assert new.tobytes() == reference_stacked_step(at_rule, X, action).tobytes()
+    # a single application is the one-step run on both sides of the rule
+    for phi in (at_rule, above):
+        X = as_hermitian_array(random_density(rng, phi.dimension))
+        expected = run(phi, X, one_step).final_state
+        assert STEPS[action][0](phi, X).tobytes() == expected.tobytes()
 
 
 @given(st.integers(0, 6), st.integers(1, 32), st.floats(-8.0, 8.0), st.integers(0, 2**32 - 1))

@@ -5,9 +5,10 @@ values of C - I, C the real form of `KrausMap` (similar to S - I), and the
 fixed point from one real linear solve;
 `helpers.reference_channel_fixed_point` is the Hermitian-coordinate transfer
 matrix with `eigvals` and inverse iteration. `estimate_image_radius` maps its
-projectors by one product with conj(S); `helpers.reference_estimate_image_radius`
-maps them as a Kraus sum. Random maps, classical embeddings and the built-in
-qubit maps at generic and special angles must give the same outcome either way.
+projectors' real coordinates by one product with C;
+`helpers.reference_estimate_image_radius` maps them as a Kraus sum. Random
+maps, classical embeddings and the built-in qubit maps at generic and special
+angles must give the same outcome either way.
 """
 import math
 
