@@ -348,27 +348,42 @@ def kraus_power(phi: KrausMap, k: int) -> KrausMap:
     return reduce(compose, [phi] * k)
 
 
-def _spectral_measure(limit, lyapunov: bool) -> Callable:
-    """Trace columns of matrix states: the spectral interval, the Frobenius
-    distance to `limit` when one is supplied and, when `lyapunov` is set, the
-    Hilbert distance to the identity ray log(lambda_max / lambda_min) of the
-    positive definite states. The run's level is the spectral width."""
+def _spectral_measure(n: int, limit, lyapunov: bool) -> Callable:
+    """Trace columns of a run's states of dimension n, in its state space
+    (see `_state_space`): the spectral interval, the Frobenius distance to
+    `limit` when one is supplied and, when `lyapunov` is set, the Hilbert
+    distance to the identity ray log(lambda_max / lambda_min) of the positive
+    definite states. The run's level is the spectral width. A qubit's
+    spectrum is read off its coordinates; other states are rebuilt as
+    matrices for `eigvalsh`."""
+    to_matrix = _state_space(n)[3]
     limit_m = None if limit is None else as_hermitian_array(limit)
 
     def measure(states: np.ndarray):
-        ev = np.linalg.eigvalsh(states)
+        M = None if n == 2 and limit_m is None else to_matrix(states)
+        ev = _qubit_spectra(states) if n == 2 else np.linalg.eigvalsh(M)
         lo, hi = ev[:, 0], ev[:, -1]
         lyap = None
         if lyapunov:
-            pd = is_positive_definite(ev).tolist()
-            # math.log, as np.log may differ from it in the last bit
-            lyap = np.array(
-                [math.log(b) - math.log(a) if p else math.nan for a, b, p in zip(lo, hi, pd)]
-            )
-        dist = None if limit_m is None else _frobenius(states - limit_m)
+            lyap = np.full(len(states), math.nan)
+            pd = is_positive_definite(ev)
+            lyap[pd] = np.log(hi[pd]) - np.log(lo[pd])
+        dist = None if limit_m is None else _frobenius(M - limit_m)
         return (lyap, lo, hi, dist, None), hi - lo
 
     return measure
+
+
+def _qubit_spectra(c: np.ndarray) -> np.ndarray:
+    """Ascending spectra of 2 x 2 Hermitian matrices, one per row of their
+    coordinates c = (x00, x11, sqrt(2) Re x01, sqrt(2) Im x01):
+    (c0 + c1)/2 -/+ sqrt(((c0 - c1)/2)^2 + (c2^2 + c3^2)/2), the root taken
+    by `hypot` so that no square overflows or underflows."""
+    c0, c1, c2, c3 = c.T
+    h = math.sqrt(0.5)
+    mean = 0.5 * c0 + 0.5 * c1
+    radius = np.hypot(0.5 * c0 - 0.5 * c1, np.hypot(h * c2, h * c3))
+    return np.stack((mean - radius, mean + radius), axis=-1)
 
 
 def _frobenius(stack: np.ndarray) -> np.ndarray:
@@ -381,11 +396,17 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
 
 def _run_kraus(maps, X: np.ndarray, dual: bool, measure, stop, move=None) -> SimulationTrace:
     """`iterate` the dual or the channel from the Hermitian matrix X in the
-    state space of its dimension, each block measured on its matrices."""
+    state space of its dimension; at n <= `_LIOUVILLE_MAX_N` the run hands
+    `iterate` its row form, C for the dual and C^T for the channel."""
     to_state, dual_step, channel_step, to_matrix = _state_space(X.shape[0])
+    form = fixed = None
+    if X.shape[0] <= _LIOUVILLE_MAX_N:
+        form = (lambda phi: phi._real_form) if dual else (lambda psi: psi._real_form.T)
+        # the identity, whose coordinates are 1 on the diagonal, first: the
+        # dual fixes it, the channel conserves the trace pairing with it
+        fixed = X.shape[0]
     step = dual_step if dual else channel_step
-    maps = _kraus_maps(maps, X)
-    trace = iterate(maps, to_state(X), step, lambda s: measure(to_matrix(s)), stop, move)
+    trace = iterate(_kraus_maps(maps, X), to_state(X), step, measure, stop, move, form, fixed)
     trace.final_state = to_matrix(trace.final_state)
     return trace
 
@@ -404,7 +425,8 @@ def run_noncommutative_consensus(
     so a one-shot iterator of maps may be advanced past the stopping index.
     """
     X = np.array(as_hermitian_array(X0))
-    return _run_kraus(maps, X, True, _spectral_measure(limit, lyapunov=True), stop)
+    measure = _spectral_measure(X.shape[0], limit, lyapunov=True)
+    return _run_kraus(maps, X, True, measure, stop)
 
 
 def run_channel(maps, Z0, stop: StoppingRule | None = None, limit=None) -> SimulationTrace:
@@ -419,7 +441,7 @@ def run_channel(maps, Z0, stop: StoppingRule | None = None, limit=None) -> Simul
     """
     Z = np.array(_as_density_array(Z0))
     unital = isinstance(maps, KrausMap) and maps.is_unital_channel
-    measure = _spectral_measure(limit, lyapunov=unital)
+    measure = _spectral_measure(Z.shape[0], limit, lyapunov=unital)
     return _run_kraus(
         maps, Z, False, measure, stop, move=lambda states: _frobenius(np.diff(states, axis=0))
     )

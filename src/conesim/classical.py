@@ -152,8 +152,15 @@ def run_consensus(sequence, x0, stop: StoppingRule | None = None, limit=None) ->
         proj[positive] = birkhoff_lyapunov(states[positive])
         return (spread, lo, hi, _sup_distance(states, limit_v), proj), spread
 
-    maps = _matrices(sequence, x.size)
-    return iterate(maps, x, lambda A, x, out: np.dot(A.entries, x, out=out), measure, stop)
+    return iterate(
+        _matrices(sequence, x.size),
+        x,
+        lambda A, x, out: np.dot(A.entries, x, out=out),
+        measure,
+        stop,
+        form=lambda A: A.entries.T,
+        fixed=x.size,
+    )
 
 
 def run_dual_consensus(
@@ -179,6 +186,8 @@ def run_dual_consensus(
         measure,
         stop,
         move=lambda states: np.abs(np.diff(states, axis=0)).max(axis=1),
+        form=lambda A: A.entries,
+        fixed=z.size,
     )
 
 

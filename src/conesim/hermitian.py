@@ -39,7 +39,8 @@ class HermitianMatrix:
             raise ValueError("HermitianMatrix requires a square 2-d array")
         if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
             raise ValueError("HermitianMatrix entries must be finite")
-        m = 0.5 * (m + m.conj().T)
+        # halves first: the sum of two finite entries may overflow
+        m = 0.5 * m + 0.5 * m.conj().T
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 

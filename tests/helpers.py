@@ -31,6 +31,7 @@ from conesim.channels import (
     _kraus_maps,
     _state_space,
     _symmetrize,
+    _to_coords,
 )
 from conesim.classical import (
     ConnectivityReport,
@@ -249,13 +250,23 @@ def reference_run_dual_consensus(sequence, z0, stop=None, limit=None) -> Simulat
 
 
 def _reference_spectral_record(limit, lyapunov):
+    """The trace row of one matrix state M, as the run's measure computes it:
+    a qubit's spectrum from its coordinates (given, or read off M), any other
+    by `eigvalsh`, and the Lyapunov value by `np.log`."""
     limit_m = None if limit is None else as_hermitian_array(limit)
 
-    def record(t, M):
-        ev = np.linalg.eigvalsh(M)
+    def record(t, M, coords=None):
+        if M.shape[0] == 2:
+            c0, c1, c2, c3 = _to_coords(M) if coords is None else coords
+            h = math.sqrt(0.5)
+            mean = 0.5 * c0 + 0.5 * c1
+            radius = np.hypot(0.5 * c0 - 0.5 * c1, np.hypot(h * c2, h * c3))
+            ev = [mean - radius, mean + radius]
+        else:
+            ev = np.linalg.eigvalsh(M)
         lyap = None
         if lyapunov and float(ev[0]) > PD_FLOOR * max(1.0, float(ev[-1])):
-            lyap = float(math.log(ev[-1]) - math.log(ev[0]))
+            lyap = float(np.log(ev[-1]) - np.log(ev[0]))
         dist = None if limit_m is None else float(np.linalg.norm(M - limit_m))
         return TraceRecord(t, lyap, float(ev[0]), float(ev[-1]), dist), float(ev[-1] - ev[0])
 
@@ -267,7 +278,8 @@ def _reference_kraus_run(maps, X, dual, record, stop, step, moves=False) -> Simu
     Hermitian matrix X, stopping on the norm of the move between states when
     `moves` is set. `step` applies one map to a matrix; without it the run
     steps in the state space of its dimension, each state recorded from its
-    matrix, as `trace.iterate` does (real coordinates at n <= 8)."""
+    matrix and its coordinates, as `trace.iterate` does (real coordinates at
+    n <= 8), one map at a time."""
     maps = _kraus_maps(maps, X)
     norm = (lambda new, old: float(np.linalg.norm(new - old))) if moves else None
     if step is not None:
@@ -278,7 +290,7 @@ def _reference_kraus_run(maps, X, dual, record, stop, step, moves=False) -> Simu
         maps,
         to_state(X),
         lambda phi, state: apply(phi, state, None),
-        lambda t, state: record(t, to_matrix(state)),
+        lambda t, state: record(t, to_matrix(state), state),
         stop,
         norm,
     )
@@ -303,6 +315,34 @@ def reference_run_channel(maps, Z0, stop=None, limit=None, step=None) -> Simulat
     unital = isinstance(maps, KrausMap) and maps.is_unital_channel
     record = _reference_spectral_record(limit, lyapunov=unital)
     return _reference_kraus_run(maps, Z, False, record, stop, step, moves=True)
+
+
+def assert_same_run(new, ref, scale):
+    """Same status, iterations and trace, each value within 1e-13 of the state
+    scale: rounding differences accumulate along the run. A log ratio
+    log(hi / lo), the Lyapunov value of a matrix run and the projective one of
+    a vector run, moves by d lo / lo + d hi / hi; a spread, the Lyapunov value
+    of a vector run, by twice the bound."""
+    assert new.status == ref.status
+    assert new.iterations == ref.iterations
+    assert len(new.records) == len(ref.records)
+    tol = 1e-13 * scale
+    matrices = ref.final_state.ndim == 2
+    for a, b in zip(new.records, ref.records):
+        assert a.t == b.t
+        assert abs(a.lambda_min - b.lambda_min) <= tol
+        assert abs(a.lambda_max - b.lambda_max) <= tol
+        for x, y, log in (
+            (a.lyapunov, b.lyapunov, matrices),
+            (a.projective_lyapunov, b.projective_lyapunov, True),
+        ):
+            assert (x is None) == (y is None)
+            if y is not None:
+                bound = tol * (1.0 / b.lambda_min + 1.0 / b.lambda_max) if log else 2.0 * tol
+                assert abs(x - y) <= bound
+        assert (a.dist_to_limit is None) == (b.dist_to_limit is None)
+        if b.dist_to_limit is not None:
+            assert abs(a.dist_to_limit - b.dist_to_limit) <= tol
 
 
 # --- the Kraus-sum loops that the stacked step and superoperator replaced ---

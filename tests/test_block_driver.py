@@ -5,7 +5,9 @@ whole block at once; `helpers.reference_iterate` is the per-step loop it
 replaced. Each of the four runs must agree with its reference exactly: every
 trace record (absent values included), the status, the iteration count and
 the final state, bit for bit. Budgets and stopping steps are drawn around the
-block edges.
+block edges. The full-size blocks of a run of one small map are filled by
+doubling and round differently; those runs are held to the run bound here
+and in `tests/test_doubling.py`.
 """
 import math
 
@@ -32,6 +34,7 @@ from conesim import (
 from conesim.hermitian import is_positive_definite
 from conesim.trace import _BLOCK_BYTES, _FIRST_BLOCK, _MAX_BLOCK, iterate
 from helpers import (
+    assert_same_run,
     random_density,
     random_hermitian,
     reference_run_channel,
@@ -250,7 +253,8 @@ def test_overflowing_matrix_states_raise():
     # eigvalsh of a state with a NaN entry returns finite values, so only the
     # driver sees it. A dual step cannot grow a state's spectrum, and the real
     # coordinate step of n <= 8 stays finite from a finite state: here the
-    # entries of 0.9 max overflow when the state is made Hermitian
+    # off-diagonal entries of 0.9 max overflow in their coordinates,
+    # sqrt(2) * 0.9 max, before the first step
     X0 = np.full((2, 2), 0.9 * np.finfo(float).max, dtype=complex)
     _assert_overflow_raises(make_spin_rotation_map(0.7, 1.1, 0.3), X0)
 
@@ -301,7 +305,12 @@ def test_error_past_the_stopping_index_never_surfaces(bad):
 @pytest.mark.parametrize("large", [False, True], ids=["state_cap", "byte_cap"])
 @pytest.mark.parametrize("name", list(RUNS))
 def test_runs_past_the_block_cap_match_the_per_step_reference(name, large):
-    # long enough, or with states large enough, that the blocks stop doubling
+    # long enough, or with states large enough, that the blocks stop doubling.
+    # The large states are above the doubling rules (the stacked step, a
+    # vector above _DOUBLING_MAX_DIM) and match bit for bit; the small ones
+    # fill their full-size blocks by doubling, so they match within the run
+    # bound, their budgets cutting blocks short around the block edges
+    # (tests/test_doubling.py stops them at tolerances too)
     run, ref_run, moves = RUNS[name]
     rng = np.random.default_rng(5)
     quantum = name in ("noncommutative", "channel")
@@ -312,9 +321,13 @@ def test_runs_past_the_block_cap_match_the_per_step_reference(name, large):
     edges = _block_edges(state, until)
     assert len(set(np.diff(edges))) < len(edges) - 1  # some blocks are capped
     for step in _steps_around(edges[-3:], until):
+        budget = StoppingRule(0.0, max(step, 1))
+        if not large:
+            assert_same_run(run(maps, state, budget), ref_run(maps, state, budget), 2.0)
+            continue
         case = {"maps": maps, "generator": False, "tolerance": "at_step", "stop_step": step}
         at_step = StoppingRule(_tolerance(case, state, ref_run, moves, name == "channel"), until)
-        for stop in (at_step, StoppingRule(0.0, max(step, 1))):
+        for stop in (at_step, budget):
             assert_same(run(maps, state, stop), ref_run(maps, state, stop))
 
 

@@ -1,0 +1,354 @@
+"""Runs of one map, whose full-size blocks are filled by doubling, against the
+per-step reference.
+
+`conesim.trace.iterate` fills a full-size block of a run of one map from its
+first state by doubling, rows [f, 2f) being rows [0, f) times M^f, when the
+run's row form M has at most `_DOUBLING_MAX_DIM` rows: A^T for
+`run_consensus`, A for `run_dual_consensus`, C for the Kraus dual and C^T for
+the channel at n <= 8. The powers round differently from the steps, so a
+doubled run matches `helpers`' per-step reference within the run bound of
+`helpers.assert_same_run`, with the same status and iteration count wherever
+the stopping level is clear of the tolerance. Blocks that grow toward the
+cap, blocks cut short by the budget, sequences and maps above the size rules
+step one map at a time, bit for bit (`tests/test_block_driver.py`). The
+pairings a run conserves drift no more than the per-step reference's over
+runs as long as the longest benchmark runs and longer.
+"""
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import conesim.trace
+from conesim import (
+    KrausMap,
+    StoppingRule,
+    apply_channel,
+    random_kraus_map,
+    random_stochastic_matrix,
+    run_channel,
+    run_consensus,
+    run_dual_consensus,
+    run_noncommutative_consensus,
+)
+from conesim.channels import _LIOUVILLE_MAX_N
+from conesim.trace import _BLOCK_BYTES, _DOUBLING_MAX_DIM, _FIRST_BLOCK, _MAX_BLOCK
+from helpers import (
+    assert_same_run,
+    random_density,
+    random_hermitian,
+    reference_run_channel,
+    reference_run_consensus,
+    reference_run_dual_consensus,
+    reference_run_noncommutative_consensus,
+)
+
+EPS = np.finfo(float).eps
+
+# run, its per-step reference, and whether it is a matrix run
+RUNS = {
+    "consensus": (run_consensus, reference_run_consensus, False),
+    "dual_consensus": (run_dual_consensus, reference_run_dual_consensus, False),
+    "noncommutative": (
+        run_noncommutative_consensus,
+        reference_run_noncommutative_consensus,
+        True,
+    ),
+    "channel": (run_channel, reference_run_channel, True),
+}
+
+
+def _block_edges(state_bytes, until):
+    """Steps that end a block, and the block cap, for a run whose state
+    takes `state_bytes` bytes."""
+    cap = max(1, min(_MAX_BLOCK, _BLOCK_BYTES // state_bytes))
+    edges, t, size = [], 0, min(_FIRST_BLOCK, cap)
+    while t < until:
+        t += size
+        edges.append(t)
+        size = min(2 * size, cap)
+    return edges, cap
+
+
+def _first_full_block(state_bytes):
+    """The step at which a run's first full-size block starts."""
+    edges, cap = _block_edges(state_bytes, 10**6)
+    return next(e for e, f in zip([0] + edges, edges) if f - e == cap), cap
+
+
+def _lazy_stochastic(n, rng):
+    lazy = rng.uniform(0.3, 0.95)
+    density = rng.choice([None, 0.5])
+    return lazy * np.eye(n) + (1.0 - lazy) * random_stochastic_matrix(n, rng, density).entries
+
+
+def _lazy_kraus(n, rng):
+    """(1 - eps) id + eps * a random map: slowly mixing, so runs are long."""
+    eps = rng.uniform(0.02, 0.5)
+    ops = random_kraus_map(n, int(rng.integers(1, 4)), rng).operators
+    return KrausMap((math.sqrt(1.0 - eps) * np.eye(n),) + tuple(math.sqrt(eps) * ops))
+
+
+def _state_bytes(name, n):
+    # the coordinates of a matrix run, n^2 floats
+    return 8 * n * n if RUNS[name][2] else 8 * n
+
+
+def _levels(name, maps, state, steps):
+    """The level that each state of a run is compared with the tolerance, by
+    plain per-step iteration: the spread or spectral width from t = 0, the
+    move from the state before from t = 1 (inf at t = 0)."""
+    if name == "consensus":
+        xs = [np.asarray(state, dtype=float)]
+        for _ in range(steps):
+            xs.append(maps @ xs[-1])
+        return [x.max() - x.min() for x in xs]
+    if name == "dual_consensus":
+        zs = [np.asarray(state, dtype=float)]
+        for _ in range(steps):
+            zs.append(maps.T @ zs[-1])
+        return [math.inf] + [np.abs(b - a).max() for a, b in zip(zs, zs[1:])]
+    if name == "noncommutative":
+        trace = reference_run_noncommutative_consensus(maps, state, StoppingRule(0.0, steps))
+        return [r.lambda_max - r.lambda_min for r in trace.records]
+    Zs = [np.asarray(state, dtype=complex)]
+    for _ in range(steps):
+        Zs.append(apply_channel(maps, Zs[-1]))
+    return [math.inf] + [np.linalg.norm(b - a) for a, b in zip(Zs, Zs[1:])]
+
+
+@st.composite
+def doubled_runs(draw):
+    name = draw(st.sampled_from(sorted(RUNS)))
+    matrices = RUNS[name][2]
+    n = draw(st.integers(1, _LIOUVILLE_MAX_N if matrices else _DOUBLING_MAX_DIM))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    start, cap = _first_full_block(_state_bytes(name, n))
+    # budgets at the edges of the full blocks, that cut a full block short,
+    # and that stop before the first
+    edges = [start + k * cap for k in range(4)]
+    budget = draw(
+        st.sampled_from(sorted({max(1, e + d) for e in edges for d in (-1, 0, 1)}))
+        | st.integers(start + cap, start + 3 * cap)
+        | st.integers(1, start + cap)
+    )
+    if matrices:
+        maps = _lazy_kraus(n, rng)
+        if name == "channel":
+            state = random_density(rng, n)
+        else:
+            state = random_hermitian(rng, n) + rng.uniform(-1.0, 2.0) * np.eye(n)
+        limit = random_hermitian(rng, n)
+    else:
+        maps = _lazy_stochastic(n, rng)
+        state = rng.uniform(-1.0, 2.0, n)
+        limit = rng.uniform(-1.0, 2.0, n)
+    return {
+        "name": name,
+        "maps": maps,
+        "state": state,
+        "limit": limit if draw(st.booleans()) else None,
+        "budget": budget,
+        # a tolerance stop, mostly inside a full block
+        "stop_at": draw(
+            st.none() | st.integers(min(start + cap, budget), budget) | st.integers(1, budget)
+        ),
+    }
+
+
+def _scale(*arrays):
+    return max([1.0] + [np.linalg.norm(a, 2) for a in arrays if a is not None])
+
+
+@given(doubled_runs())
+@settings(deadline=None, max_examples=120)
+def test_doubled_runs_match_the_per_step_reference(case):
+    name, maps, state = case["name"], case["maps"], case["state"]
+    run, ref_run, _ = RUNS[name]
+    scale = _scale(state, case["limit"])
+    tolerance = 0.0
+    if case["stop_at"] is not None:
+        # between the levels of the drawn step and the one before it, and
+        # clear of every level of the run by far more than the run bound
+        levels = np.array(_levels(name, maps, state, case["budget"]))
+        k = case["stop_at"]
+        assume(np.isfinite(levels[k - 1]) and levels[k] > 0.0)
+        tolerance = math.sqrt(levels[k - 1] * levels[k])
+        assume(np.all(np.abs(levels - tolerance) > 1e-9 * tolerance + 1e-11 * scale))
+    stop = StoppingRule(tolerance, case["budget"])
+    new = run(maps, state, stop, case["limit"])
+    ref = ref_run(maps, state, stop, case["limit"])
+    assert_same_run(new, ref, scale)
+
+
+class _Counted:
+    """`_double`, counting its calls."""
+
+    def __init__(self, double):
+        self.double, self.calls = double, 0
+
+    def __call__(self, states, powers):
+        self.calls += 1
+        return self.double(states, powers)
+
+
+@pytest.fixture
+def doubling(monkeypatch):
+    counted = _Counted(conesim.trace._double)
+    monkeypatch.setattr(conesim.trace, "_double", counted)
+    return counted
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_only_full_size_blocks_of_one_map_double(name, doubling):
+    run, ref_run, matrices = RUNS[name]
+    rng = np.random.default_rng(11)
+    n = 2
+    maps = _lazy_kraus(n, rng) if matrices else _lazy_stochastic(n, rng)
+    state = random_density(rng, n) if matrices else rng.uniform(0.5, 2.0, n)
+    start, cap = _first_full_block(_state_bytes(name, n))
+    # up to the first full block, and a block cut short by the budget, the
+    # run steps one map at a time, bit for bit
+    for budget in (start, start + cap - 1):
+        stop = StoppingRule(0.0, budget)
+        trace = run(maps, state, stop)
+        assert doubling.calls == 0
+        ref = ref_run(maps, state, stop)
+        assert repr(trace.records) == repr(ref.records)
+        assert trace.final_state.tobytes() == ref.final_state.tobytes()
+    run(maps, state, StoppingRule(0.0, start + 2 * cap))
+    assert doubling.calls == 2
+    # a sequence of the same map steps one map at a time
+    run([maps] * (start + cap), state, StoppingRule(0.0, start + cap))
+    assert doubling.calls == 2
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_maps_above_the_size_rules_step_one_at_a_time(name, doubling):
+    run, ref_run, matrices = RUNS[name]
+    rng = np.random.default_rng(12)
+    # the stacked step above n = 8, a vector above _DOUBLING_MAX_DIM
+    n = _LIOUVILLE_MAX_N + 1 if matrices else _DOUBLING_MAX_DIM + 1
+    maps = _lazy_kraus(n, rng) if matrices else _lazy_stochastic(n, rng)
+    state = random_density(rng, n) if matrices else rng.uniform(0.5, 2.0, n)
+    start, cap = _first_full_block(16 * n * n if matrices else 8 * n)
+    stop = StoppingRule(0.0, start + 2 * cap)
+    trace = run(maps, state, stop)
+    assert doubling.calls == 0
+    ref = ref_run(maps, state, stop)
+    assert repr(trace.records) == repr(ref.records)
+    assert trace.final_state.tobytes() == ref.final_state.tobytes()
+
+
+# --- drift of the conserved pairings -----------------------------------------
+
+
+def _mixing_cycle(n, steps, rng):
+    """A lazy cycle with random weights whose spread shrinks by about e^-13.8
+    over `steps` steps, as the benchmark's trajectories do."""
+    scale = min(0.3, (13.8 / steps) / (2.0 - 2.0 * math.cos(2.0 * math.pi / n)))
+    fwd, bwd = scale * rng.uniform(0.5, 1.5, (2, n))
+    a = np.diag(1.0 - fwd - bwd)
+    idx = np.arange(n)
+    a[idx, (idx + 1) % n] += fwd
+    a[idx, (idx - 1) % n] += bwd
+    return a / a.sum(axis=1, keepdims=True)
+
+
+def _unitary(n, rng):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _mixing_kraus(n, steps, rng, unital):
+    """(1 - eps) id + eps * a random map, mixing over about `steps` steps;
+    unital as a channel when it mixes unitaries, so that its fixed point is
+    the identity."""
+    eps = min(1.0, 13.8 / steps / 0.4)
+    if unital:
+        ops = [math.sqrt(p) * _unitary(n, rng) for p in rng.dirichlet(np.ones(3))]
+    else:
+        ops = list(random_kraus_map(n, 3, rng).operators)
+    return KrausMap((math.sqrt(1.0 - eps) * np.eye(n),) + tuple(math.sqrt(eps) * V for V in ops))
+
+
+def _pairing_drift(name, maps, state, steps, doubled, monkeypatch):
+    """The relative drift of the pairing the run conserves after `steps`
+    steps: sum(z) for the classical dual, tr Z for the channel and, for a
+    unital map, whose channel fixes the identity, tr X for the dual."""
+    monkeypatch.setattr(conesim.trace, "_DOUBLING_MAX_DIM", _DOUBLING_MAX_DIM if doubled else 0)
+    final = RUNS[name][0](maps, state, StoppingRule(0.0, steps)).final_state
+    pairing = (lambda v: v.sum()) if name == "dual_consensus" else (lambda M: np.trace(M).real)
+    return abs(pairing(final) - pairing(np.asarray(state))) / abs(pairing(np.asarray(state)))
+
+
+# the longest benchmark runs take 3,500 steps
+@pytest.mark.parametrize("steps", [3500, 10_000])
+@pytest.mark.parametrize("name", ["dual_consensus", "channel", "noncommutative"])
+def test_conserved_pairings_drift_no_more_than_per_step(name, steps, monkeypatch):
+    # both paths drift by the map's own defect, M w - w for the pairing's w,
+    # and by the rounding of their products, which walks like sqrt(T) eps:
+    # run by run the doubled drift stays within such a walk of the per-step
+    # one, and all of it is a few eps per hundred steps
+    doubled, per_step = [], []
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        for n in (8, 32, _DOUBLING_MAX_DIM) if name == "dual_consensus" else (2, 4, 8):
+            if name == "dual_consensus":
+                maps, state = _mixing_cycle(n, steps, rng), rng.uniform(0.5, 2.0, n)
+            elif name == "channel":
+                maps, state = _mixing_kraus(n, steps, rng, False), random_density(rng, n)
+            else:
+                maps = _mixing_kraus(n, steps, rng, True)
+                state = random_hermitian(rng, n) + 3.0 * np.eye(n)
+            doubled.append(_pairing_drift(name, maps, state, steps, True, monkeypatch))
+            per_step.append(_pairing_drift(name, maps, state, steps, False, monkeypatch))
+    doubled, per_step = np.array(doubled), np.array(per_step)
+    assert np.all(doubled <= per_step + 8.0 * math.sqrt(steps) * EPS)
+    assert doubled.sum() <= 1.1 * per_step.sum()
+    assert doubled.max() <= steps * EPS
+
+
+_THREADS_SCRIPT = """
+import hashlib, sys
+import numpy as np
+sys.path[:0] = {paths!r}
+from conesim import StoppingRule, run_channel, run_consensus, run_noncommutative_consensus
+from test_doubling import _lazy_kraus, _lazy_stochastic, _mixing_cycle
+from helpers import random_density, random_hermitian
+rng = np.random.default_rng(3)
+traces = [
+    run_consensus(_mixing_cycle(64, 1200, rng), rng.uniform(0.5, 2.0, 64), StoppingRule(0.0, 1200)),
+    run_consensus(_lazy_stochastic(48, rng), rng.uniform(0.5, 2.0, 48), StoppingRule(0.0, 800)),
+    run_noncommutative_consensus(
+        _lazy_kraus(8, rng), random_hermitian(rng, 8) + 3 * np.eye(8), StoppingRule(0.0, 900)
+    ),
+    run_channel(_lazy_kraus(2, rng), random_density(rng, 2), StoppingRule(0.0, 1250)),
+]
+digest = hashlib.sha256()
+for t in traces:
+    for column in (t.lyapunov, t.lambda_min, t.lambda_max, t.projective_lyapunov, t.final_state):
+        digest.update(np.ascontiguousarray(column).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_doubled_traces_are_byte_identical_at_one_and_two_blas_threads():
+    # the benchmark runs at two threads; `test_determinism_byte_identical_traces`
+    # needs the doubled products to sum in the same order at any count
+    tests = Path(__file__).parent
+    script = _THREADS_SCRIPT.format(paths=[str(tests.parent / "src"), str(tests)])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]

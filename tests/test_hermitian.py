@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conesim import (
     riemannian_distance,
     spectral_interval,
 )
+from conesim.hermitian import as_hermitian_array
 from helpers import random_conditioned_invertible, random_hermitian, random_positive_definite
 
 
@@ -29,6 +31,15 @@ class TestHermitianMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             HermitianMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_entries_above_half_the_largest_double_stay_finite(self):
+        # the two halves are added, not the entries: no overflow, no warning
+        big = 0.9 * np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = as_hermitian_array(np.full((2, 2), big))
+        assert np.all(np.isfinite(m.real)) and np.all(m.imag == 0.0)
+        assert np.all(m.real == big)
 
 
 class TestEigenvalues:

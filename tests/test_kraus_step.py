@@ -47,6 +47,7 @@ from conesim.channels import (
 )
 from conesim.hermitian import as_hermitian_array
 from helpers import (
+    assert_same_run,
     random_density,
     random_hermitian,
     reference_apply_channel,
@@ -168,28 +169,6 @@ def test_operators_are_one_read_only_stack():
     a, b = random_kraus_map(2, 2, 1), random_kraus_map(2, 3, 2)
     expected = [O @ I for O in a.operators for I in b.operators]
     np.testing.assert_allclose(compose(a, b).operators, np.array(expected), rtol=0, atol=1e-15)
-
-
-def assert_same_run(new, ref, scale):
-    """Same status, iterations and trace, each value within 1e-13 of the state
-    scale: rounding differences accumulate along the run. The Lyapunov value
-    log(lambda_max / lambda_min) moves by d lambda / lambda for each endpoint."""
-    assert new.status == ref.status
-    assert new.iterations == ref.iterations
-    assert len(new.records) == len(ref.records)
-    tol = 1e-13 * scale
-    for a, b in zip(new.records, ref.records):
-        assert a.t == b.t
-        assert abs(a.lambda_min - b.lambda_min) <= tol
-        assert abs(a.lambda_max - b.lambda_max) <= tol
-        assert (a.lyapunov is None) == (b.lyapunov is None)
-        if b.lyapunov is not None:
-            bound = tol * (1.0 / b.lambda_min + 1.0 / b.lambda_max)
-            assert abs(a.lyapunov - b.lyapunov) <= bound
-        assert (a.dist_to_limit is None) == (b.dist_to_limit is None)
-        if b.dist_to_limit is not None:
-            assert abs(a.dist_to_limit - b.dist_to_limit) <= tol
-        assert a.projective_lyapunov is None and b.projective_lyapunov is None
 
 
 def _scale(*matrices):

@@ -29,9 +29,11 @@ from conesim.channels import (
     _LIOUVILLE_MAX_N,
     DEGENERACY_GAP,
     _from_coords,
+    _qubit_spectra,
     _state_space,
     _to_coords,
 )
+from conesim.hermitian import PD_FLOOR, is_positive_definite
 from helpers import (
     random_hermitian,
     reference_apply_channel,
@@ -141,6 +143,39 @@ def test_the_transpose_is_the_adjoint_under_the_trace_pairing(n, m, seed):
     assert abs(lhs - rhs) <= 16 * n * n * EPS * scale
     # the pairing is the dot product of the coordinates
     assert abs(np.dot(_to_coords(Z), _to_coords(X)) - np.trace(Z @ X).real) <= 4 * n * EPS * scale
+
+
+@given(
+    st.floats(-8.0, 8.0),
+    st.floats(-16.0, 0.0),
+    st.sampled_from([1.0, -1.0]),
+    st.integers(0, 2**32 - 1),
+)
+@example(0.0, -12.0, 1.0, 0)  # lambda_min near the PD floor
+@settings(deadline=None, max_examples=300)
+def test_qubit_spectra_from_coordinates_match_eigvalsh(log10_scale, log10_ratio, sign, seed):
+    # a qubit run reads its spectra off the coordinates: the eigenvalues
+    # scale * (sign * ratio, 1) in a random basis, so that the ratio sweeps
+    # the states up to and past the PD floor
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    scale = 10.0**log10_scale
+    X = (q * (scale * np.array([sign * 10.0**log10_ratio, 1.0]))) @ q.conj().T
+    X = 0.5 * (X + X.conj().T)
+    ref = np.linalg.eigvalsh(X)
+    new = _qubit_spectra(_to_coords(X)[None])[0]
+    assert new[0] <= new[1]
+    bound = 8 * EPS * np.abs(ref).max()
+    assert np.abs(new - ref).max() <= bound
+    # the PD decision agrees away from its floor, and the Lyapunov value
+    # log(lambda_max / lambda_min), by np.log, within the spectra's bound
+    floor = PD_FLOOR * max(1.0, ref[1])
+    if abs(ref[0] - floor) > 2 * bound:
+        assert bool(is_positive_definite(new)) == bool(is_positive_definite(ref))
+    if ref[0] > floor + 2 * bound:
+        lyap = np.log(new[1]) - np.log(new[0])
+        expected = math.log(ref[1]) - math.log(ref[0])
+        assert abs(lyap - expected) <= 2 * bound * (1 / ref[0] + 1 / ref[1]) + 4 * EPS * abs(expected)
 
 
 ANGLES = [0.0, 0.25, 0.5, 1.0, 1.5, 1 / 3]  # multiples of pi, special and not
