@@ -10,18 +10,11 @@ from itertools import repeat
 
 import numpy as np
 
-from .hermitian import (
-    HermitianMatrix,
-    SpectralInterval,
-    as_hermitian_array,
-    is_positive_definite,
-    spectral_interval,
-)
+from .hermitian import as_hermitian_array, is_positive_definite, spectral_interval
 from .trace import SimulationTrace, StoppingRule, _check_count, iterate
 
 __all__ = [
     "KrausMap",
-    "DensityMatrix",
     "SpectralNestingReport",
     "ImageRadiusEstimate",
     "FixedPointResult",
@@ -67,14 +60,15 @@ class KrausMap:
     set when additionally sum V_i V_i* = I, the doubly-stochastic analog.
     `superoperator` gives both actions as one n^2 x n^2 matrix.
 
-    `_real_form` C, real n^2 x n^2 and built on first use, is the channel
-    in the orthonormal basis E_kk, (E_kl + E_lk)/sqrt(2), i(E_kl - E_lk)/sqrt(2)
-    of the Hermitian matrices (see `_to_coords`). Every action on a matrix
-    steps by one rule, `_state_space`: at n <= `_LIOUVILLE_MAX_N` = 8 the
-    matrix's coordinates c go to c C (the dual) or c C^T (the channel, the
-    adjoint: the basis is orthonormal), 32 KB per map at n = 8; above it two
-    products on the stacked operators. The two analyses, the image radius
-    and the fixed point, use C at every n. A dual step with m = 4-5
+    `_real_form` C, real n^2 x n^2, built on first use and kept, is the
+    channel in the orthonormal basis E_kk, (E_kl + E_lk)/sqrt(2),
+    i(E_kl - E_lk)/sqrt(2) of the Hermitian matrices (see `_to_coords`).
+    Every action on a matrix steps by one rule, `_state_space`: at
+    n <= `_LIOUVILLE_MAX_N` = 8 the matrix's coordinates c go to c C (the
+    dual) or c C^T (the channel, the adjoint: the basis is orthonormal),
+    32 KB per map at n = 8; above it two products on the stacked operators.
+    The two analyses, the image radius and the fixed point, use C at every
+    n (512 KB at n = 16). A dual step with m = 4-5
     operators, stacked against real (2 cores, numpy 2.4.6 on OpenBLAS, 1 and
     2 BLAS threads): 7.1-8.1 against 0.6 us at n = 2 and 4, 8.4-9.0 against
     1.0 us at n = 8, 12-14 against 3.3-3.9 us at n = 12, 18-20 against
@@ -141,8 +135,14 @@ class KrausMap:
 
     @cached_property
     def _real_form(self) -> np.ndarray:
-        """C, read-only, kept for the steps of runs, see `_real_liouville`."""
-        C = _real_liouville(self)
+        """C, read-only and built once per map: row b of C^T holds the
+        coordinates of the channel's image of basis matrix b, whose vec is
+        gathered from at most two columns of `superoperator`."""
+        n = self.dimension
+        diag, up, lo = _triangles(n)
+        T, r = self.superoperator.T, math.sqrt(0.5)
+        images = np.concatenate((T[diag], (T[up] + T[lo]) * r, (T[up] - T[lo]) * (1j * r)))
+        C = _to_coords(images.reshape(-1, n, n)).T
         C.flags.writeable = False
         return C
 
@@ -156,31 +156,17 @@ def _kraus_maps(maps, X: np.ndarray) -> Iterator[KrausMap]:
     return (_check_dims(phi, X) for phi in maps)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian PSD matrix with unit trace."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = HermitianMatrix(self.matrix).matrix
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > 1e-12:
-            raise ValueError(f"trace is {tr!r}, expected 1 within 1e-12")
-        ev = np.linalg.eigvalsh(m)
-        if ev[0] < -1e-12:
-            raise ValueError(f"not positive semidefinite: lambda_min={ev[0]:.3e}")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def n(self) -> int:
-        return int(self.matrix.shape[0])
-
-
 def _as_density_array(Z) -> np.ndarray:
-    if isinstance(Z, DensityMatrix):
-        return Z.matrix
-    return DensityMatrix(as_hermitian_array(Z)).matrix
+    """Z as a read-only density matrix: Hermitian (see `as_hermitian_array`),
+    of unit trace within 1e-12 and positive semidefinite, lambda_min >= -1e-12."""
+    m = as_hermitian_array(Z)
+    tr = float(np.trace(m).real)
+    if abs(tr - 1.0) > 1e-12:
+        raise ValueError(f"trace is {tr!r}, expected 1 within 1e-12")
+    ev = np.linalg.eigvalsh(m)
+    if ev[0] < -1e-12:
+        raise ValueError(f"not positive semidefinite: lambda_min={ev[0]:.3e}")
+    return m
 
 
 def _check_dims(phi: KrausMap, X: np.ndarray) -> KrausMap:
@@ -256,17 +242,6 @@ def _from_coords(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     np.multiply(c[..., write], write_weight, out=view)
     view[..., zero] = 0.0
     return out
-
-
-def _real_liouville(phi: KrausMap) -> np.ndarray:
-    """C, built afresh: row b of C^T holds the coordinates of the channel's
-    image of basis matrix b, whose vec is gathered from at most two columns
-    of `superoperator`."""
-    n = phi.dimension
-    diag, up, lo = _triangles(n)
-    T, r = phi.superoperator.T, math.sqrt(0.5)
-    images = np.concatenate((T[diag], (T[up] + T[lo]) * r, (T[up] - T[lo]) * (1j * r)))
-    return _to_coords(images.reshape(-1, n, n)).T
 
 
 def _step(form, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -449,10 +424,11 @@ def run_channel(maps, Z0, stop: StoppingRule | None = None, limit=None) -> Simul
 
 @dataclass(frozen=True)
 class SpectralNestingReport:
-    """Margins of the spectral interval nesting under one dual application."""
+    """Margins of the spectral interval nesting under one dual application;
+    `before` and `after` are the intervals (lambda_min, lambda_max)."""
 
-    before: SpectralInterval
-    after: SpectralInterval
+    before: tuple[float, float]
+    after: tuple[float, float]
     min_margin: float
     max_margin: float
     satisfied: bool
@@ -464,8 +440,8 @@ def check_spectral_nesting(phi: KrausMap, X, slack: float = 1e-10) -> SpectralNe
     Xm = as_hermitian_array(X)
     before = spectral_interval(Xm)
     after = spectral_interval(_act(_check_dims(phi, Xm), Xm, True))
-    min_margin = after.lambda_min - before.lambda_min
-    max_margin = before.lambda_max - after.lambda_max
+    min_margin = after[0] - before[0]
+    max_margin = before[1] - after[1]
     return SpectralNestingReport(
         before, after, min_margin, max_margin, min_margin >= -slack and max_margin >= -slack
     )
@@ -504,7 +480,7 @@ def estimate_image_radius(
     """
     if _check_count("samples", samples) < 1:
         raise ValueError("samples must be >= 1")
-    C = _real_liouville(phi)
+    C = phi._real_form
     best_val, best_proj, drawn = -math.inf, None, 0
     for batch in _radius_probes(phi.dimension, samples, seed):
         ev = np.linalg.eigvalsh(_from_coords(_to_coords(batch) @ C))
@@ -543,7 +519,7 @@ class FixedPointError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class FixedPointResult:
-    density: DensityMatrix
+    density: np.ndarray
     residual: float
     unique: bool
     eigenvalue_one_multiplicity: int
@@ -572,7 +548,7 @@ def channel_fixed_point(psi: KrausMap) -> FixedPointResult:
     `RESIDUAL_TOL`, which signals numerical breakdown for a valid map.
     """
     n = psi.dimension
-    A = _real_liouville(psi) - np.eye(n * n)
+    A = psi._real_form - np.eye(n * n)
     multiplicity = int(np.sum(np.linalg.svd(A, compute_uv=False) <= DEGENERACY_GAP))
 
     if multiplicity <= 1:
@@ -604,7 +580,7 @@ def channel_fixed_point(psi: KrausMap) -> FixedPointResult:
     if residual > RESIDUAL_TOL:
         raise FixedPointError(f"fixed-point residual {residual:.3e} exceeds {RESIDUAL_TOL}")
     try:
-        density = DensityMatrix(Z)
+        density = _as_density_array(Z)
     except ValueError as exc:
         raise FixedPointError(f"no PSD trace-1 fixed point at tolerance: {exc}") from exc
     return FixedPointResult(density, residual, unique, multiplicity)

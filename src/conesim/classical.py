@@ -14,7 +14,7 @@ from .cones import (
     hilbert_distance_orthant,
     tsitsiklis_lyapunov,
 )
-from .trace import SimulationTrace, StoppingRule, iterate
+from .trace import SimulationTrace, StoppingRule, _check_count, iterate
 
 __all__ = [
     "StochasticMatrix",
@@ -308,9 +308,9 @@ def check_connectivity(
     the opposite orientation. The window is [window_start, window_start +
     horizon], inclusive.
     """
-    if horizon < 0:
+    if _check_count("horizon", horizon) < 0:
         raise ValueError("empty window: horizon must be >= 0")
-    if window_start < 0:
+    if _check_count("window_start", window_start) < 0:
         raise ValueError("window_start must be >= 0")
     count = window_start + horizon + 1
     mats = list(islice(_matrices(sequence), count))

@@ -2,13 +2,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "PositiveVector",
-    "as_positive_vector",
     "hilbert_distance_orthant",
     "thompson_distance_orthant",
     "tsitsiklis_lyapunov",
@@ -17,50 +14,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class PositiveVector:
-    """Strictly positive vector, i.e. an interior point of the nonnegative orthant.
-
-    Construction rejects any entry <= 0; there is no epsilon floor, so callers
-    that need boundary behaviour must model it explicitly (an infinite
-    projective diameter is ``math.inf``).
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.entries, dtype=float)
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError("PositiveVector requires a nonempty 1-d array of reals")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("PositiveVector entries must be finite")
-        if not np.all(v > 0.0):
-            bad = int(np.argmin(v > 0.0))
-            raise ValueError(f"entry {bad} is not strictly positive: {v[bad]}")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "entries", v)
-
-    def __len__(self) -> int:
-        return int(self.entries.size)
-
-    @property
-    def log(self) -> np.ndarray:
-        return np.log(self.entries)
-
-
-def as_positive_vector(x) -> PositiveVector:
-    return x if isinstance(x, PositiveVector) else PositiveVector(np.asarray(x, dtype=float))
+def _positive(x) -> np.ndarray:
+    """x as a read-only strictly positive vector, an interior point of the
+    nonnegative orthant: nonempty, 1-d and finite, with no entry <= 0 (there
+    is no epsilon floor; an infinite projective diameter is ``math.inf``)."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim != 1 or v.size < 1:
+        raise ValueError("expected a nonempty 1-d array of reals")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("entries must be finite")
+    if not np.all(v > 0.0):
+        bad = int(np.argmin(v > 0.0))
+        raise ValueError(f"entry {bad} is not strictly positive: {v[bad]}")
+    v = v.view()
+    v.flags.writeable = False
+    return v
 
 
 def _log_ratios(x, y) -> np.ndarray:
-    xv = as_positive_vector(x)
-    yv = as_positive_vector(y)
+    xv, yv = _positive(x), _positive(y)
     if len(xv) != len(yv):
         raise ValueError(f"dimension mismatch: {len(xv)} vs {len(yv)}")
     # log-space keeps projective invariance near machine precision for
     # widely scaled inputs
-    return xv.log - yv.log
+    return np.log(xv) - np.log(yv)
 
 
 def hilbert_distance_orthant(x, y) -> float:
@@ -103,7 +80,7 @@ def birkhoff_lyapunov(x):
     where :func:`tsitsiklis_lyapunov` is translation-invariant; a stack of
     vectors gives the array of their distances.
     """
-    v = np.asarray(x.entries if isinstance(x, PositiveVector) else x, dtype=float)
+    v = np.asarray(x, dtype=float)
     if not np.all(v > 0.0):
         raise ValueError("entries must be strictly positive")
     return tsitsiklis_lyapunov(np.log(v))

@@ -2,13 +2,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "HermitianMatrix",
-    "SpectralInterval",
     "as_hermitian_array",
     "eigenvalues",
     "spectral_interval",
@@ -22,65 +19,38 @@ __all__ = [
 PD_FLOOR = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianMatrix:
-    """Complex square matrix symmetrized to (X + X*)/2 at construction.
-
-    Symmetrization keeps the Hermitian invariant exact after thousands of
-    repeated map applications; callers that must reject non-Hermitian user
-    input validate the deviation before constructing.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ValueError("HermitianMatrix requires a square 2-d array")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-            raise ValueError("HermitianMatrix entries must be finite")
-        # halves first: the sum of two finite entries may overflow
-        m = 0.5 * m + 0.5 * m.conj().T
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def n(self) -> int:
-        return int(self.matrix.shape[0])
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m*)/2, halves first: the sum of two finite entries may overflow."""
+    return 0.5 * m + 0.5 * m.conj().T
 
 
 def as_hermitian_array(X) -> np.ndarray:
-    """Coerce input to a validated Hermitian ndarray."""
-    if isinstance(X, HermitianMatrix):
-        return X.matrix
-    return HermitianMatrix(np.asarray(X, dtype=complex)).matrix
+    """X as a read-only Hermitian array: a nonempty square matrix with finite
+    entries, symmetrized to (X + X*)/2.
 
-
-@dataclass(frozen=True)
-class SpectralInterval:
-    lambda_min: float
-    lambda_max: float
-
-    def __post_init__(self) -> None:
-        if self.lambda_min > self.lambda_max:
-            raise ValueError(
-                f"invalid spectral interval [{self.lambda_min}, {self.lambda_max}]"
-            )
-
-    @property
-    def width(self) -> float:
-        return self.lambda_max - self.lambda_min
+    Symmetrization keeps the Hermitian invariant exact after thousands of
+    repeated map applications; callers that must reject non-Hermitian user
+    input validate the deviation before coercing.
+    """
+    m = np.asarray(X, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise ValueError("expected a nonempty square 2-d array")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("entries must be finite")
+    m = _hermitian_part(m)
+    m.flags.writeable = False
+    return m
 
 
 def eigenvalues(X) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, ascending."""
-    m = as_hermitian_array(X)
-    return np.linalg.eigvalsh(m)
+    return np.linalg.eigvalsh(as_hermitian_array(X))
 
 
-def spectral_interval(X) -> SpectralInterval:
+def spectral_interval(X) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of a Hermitian matrix."""
     ev = eigenvalues(X)
-    return SpectralInterval(float(ev[0]), float(ev[-1]))
+    return float(ev[0]), float(ev[-1])
 
 
 def is_positive_definite(evals: np.ndarray):
@@ -89,8 +59,9 @@ def is_positive_definite(evals: np.ndarray):
     return evals[..., 0] > PD_FLOOR * np.maximum(1.0, evals[..., -1])
 
 
-def _require_pd(X, name: str) -> np.ndarray:
-    ev = eigenvalues(X)
+def _require_pd(Xm: np.ndarray, name: str) -> np.ndarray:
+    """Ascending spectrum of the Hermitian array Xm, which must be PD."""
+    ev = np.linalg.eigvalsh(Xm)
     if not is_positive_definite(ev):
         raise ValueError(
             f"{name} is not positive definite: lambda_min={ev[0]:.6e} "
@@ -101,8 +72,8 @@ def _require_pd(X, name: str) -> np.ndarray:
 
 def _whitened_spectrum(X, Y) -> np.ndarray:
     """Eigenvalues of Y^{-1/2} X Y^{-1/2}, both arguments required PD."""
-    _require_pd(X, "X")
     Xm = as_hermitian_array(X)
+    _require_pd(Xm, "X")
     Ym = as_hermitian_array(Y)
     if Xm.shape != Ym.shape:
         raise ValueError(f"dimension mismatch: {Xm.shape} vs {Ym.shape}")
@@ -114,8 +85,7 @@ def _whitened_spectrum(X, Y) -> np.ndarray:
         )
     # eigendecomposition route only; no pseudo-inverse fallback near the boundary
     inv_sqrt = (U * (1.0 / np.sqrt(w))) @ U.conj().T
-    M = inv_sqrt @ Xm @ inv_sqrt
-    mu = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
+    mu = np.linalg.eigvalsh(_hermitian_part(inv_sqrt @ Xm @ inv_sqrt))
     if mu[0] <= 0.0:
         raise ValueError(
             f"whitened matrix lost positivity numerically (lambda_min={mu[0]:.6e})"
@@ -136,7 +106,7 @@ def hilbert_distance_psd(X, Y) -> float:
 
 def hilbert_distance_to_identity(X) -> float:
     """log lambda_max(X) - log lambda_min(X) for positive definite X."""
-    ev = _require_pd(X, "X")
+    ev = _require_pd(as_hermitian_array(X), "X")
     return float(math.log(ev[-1]) - math.log(ev[0]))
 
 

@@ -171,7 +171,7 @@ def _run_quantum_like(
     if s.analysis.fixed_point:
         fp = channel_fixed_point(phi)
         summary["fixed_point"] = {
-            "matrix": pairs_from_complex_array(fp.density.matrix),
+            "matrix": pairs_from_complex_array(fp.density),
             "residual": fp.residual,
             "unique": fp.unique,
             "eigenvalue_one_multiplicity": fp.eigenvalue_one_multiplicity,
@@ -181,9 +181,9 @@ def _run_quantum_like(
     limit = s.expected_limit
     if limit is None and fp is not None:
         if s.kind == "quantum_channel":
-            limit = fp.density.matrix
+            limit = fp.density
         else:
-            consensus_value = float(np.trace(fp.density.matrix @ state0).real)
+            consensus_value = float(np.trace(fp.density @ state0).real)
             limit = consensus_value * np.eye(s.dimension, dtype=complex)
 
     if s.kind == "quantum_channel":
@@ -216,7 +216,7 @@ def _run_quantum_like(
             z_probe,
             x_probe,
             s.analysis.duality_steps,
-            zbar=fp.density.matrix if fp is not None else None,
+            zbar=fp.density if fp is not None else None,
         )
         summary["duality"] = {
             "steps": report.steps,

@@ -43,8 +43,8 @@ from pathlib import PurePath
 import numpy as np
 
 from .channels import (
-    DensityMatrix,
     KrausMap,
+    _as_density_array,
     make_spin_rotation_map,
     make_spontaneous_emission_map,
     spin_rotation_special_cases,
@@ -373,7 +373,7 @@ def _parse_initial_state(data, kind: str, n: int) -> np.ndarray:
         raise _err(path, f"not Hermitian: max |X - X*| = {dev:.3e}")
     if kind == "quantum_channel":
         try:
-            DensityMatrix(arr)
+            _as_density_array(arr)
         except ValueError as exc:
             raise _err(path, f"not a density matrix: {exc}") from exc
     return arr

@@ -22,7 +22,6 @@ from conesim.channels import (
     DEGENERACY_GAP,
     MAX_FALLBACK_ITERATIONS,
     RESIDUAL_TOL,
-    DensityMatrix,
     FixedPointError,
     FixedPointResult,
     ImageRadiusEstimate,
@@ -491,7 +490,7 @@ def reference_channel_fixed_point(
     if residual > residual_tol:
         raise FixedPointError(f"fixed-point residual {residual:.3e} exceeds {residual_tol}")
     try:
-        density = DensityMatrix(Z)
+        density = _as_density_array(Z)
     except ValueError as exc:
         raise FixedPointError(f"no PSD trace-1 fixed point at tolerance: {exc}") from exc
     return FixedPointResult(density, residual, unique, multiplicity)
@@ -533,7 +532,7 @@ def reference_liouville_fixed_point(psi: KrausMap) -> FixedPointResult:
     if residual > RESIDUAL_TOL:
         raise FixedPointError(f"fixed-point residual {residual:.3e} exceeds {RESIDUAL_TOL}")
     try:
-        density = DensityMatrix(Z)
+        density = _as_density_array(Z)
     except ValueError as exc:
         raise FixedPointError(f"no PSD trace-1 fixed point at tolerance: {exc}") from exc
     return FixedPointResult(density, residual, unique, multiplicity)

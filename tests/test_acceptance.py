@@ -202,14 +202,14 @@ def test_criterion_09_fixed_points_and_duality():
 
         fp_spin = channel_fixed_point(spin)
         assert fp_spin.residual <= 1e-10
-        assert np.max(np.abs(fp_spin.density.matrix - np.eye(2) / 2)) <= 1e-8
+        assert np.max(np.abs(fp_spin.density - np.eye(2) / 2)) <= 1e-8
 
         fp_emission = channel_fixed_point(emission)
         assert fp_emission.residual <= 1e-10
-        assert np.max(np.abs(fp_emission.density.matrix - np.diag([1.0, 0.0]))) <= 1e-8
+        assert np.max(np.abs(fp_emission.density - np.diag([1.0, 0.0]))) <= 1e-8
 
         rng = np.random.default_rng(909)
-        for psi, zbar in ((spin, fp_spin.density.matrix), (emission, fp_emission.density.matrix)):
+        for psi, zbar in ((spin, fp_spin.density), (emission, fp_emission.density)):
             for _ in range(20):
                 z0 = random_density(rng, 2)
                 x0 = random_hermitian(rng, 2)

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from conesim import (
     KrausMap,
-    PositiveVector,
     StoppingRule,
     TerminalStatus,
     birkhoff_lyapunov,
@@ -354,7 +353,6 @@ def test_stacked_helpers_agree_with_their_one_state_forms():
     states = rng.uniform(0.1, 3.0, (6, 4))
     assert tsitsiklis_lyapunov(states).tolist() == [tsitsiklis_lyapunov(x) for x in states]
     assert birkhoff_lyapunov(states).tolist() == [birkhoff_lyapunov(x) for x in states]
-    assert birkhoff_lyapunov(PositiveVector(states[0])) == birkhoff_lyapunov(states[0])
     spectra = np.sort(rng.uniform(-1.0, 2.0, (6, 3)), axis=1)
     assert is_positive_definite(spectra).tolist() == [bool(is_positive_definite(e)) for e in spectra]
     with pytest.raises(ValueError, match="strictly positive"):

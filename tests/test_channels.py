@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conesim import (
-    DensityMatrix,
     KrausMap,
     StoppingRule,
     TerminalStatus,
@@ -30,6 +29,7 @@ from conesim import (
     spin_rotation_special_cases,
     spontaneous_emission_spectral_shift,
 )
+from conesim.channels import _as_density_array
 from helpers import (
     random_density,
     random_hermitian,
@@ -278,7 +278,7 @@ class TestSpectralNesting:
         assert report.satisfied
         assert report.min_margin == pytest.approx(gamma**2, abs=1e-14)
         assert report.max_margin == pytest.approx(0.0, abs=1e-14)
-        assert report.after.lambda_min == pytest.approx(gamma**2, abs=1e-14)
+        assert report.after[0] == pytest.approx(gamma**2, abs=1e-14)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(deadline=None, max_examples=100)
@@ -368,19 +368,19 @@ class TestChannelFixedPoint:
         result = channel_fixed_point(spin_map())
         assert result.unique
         assert result.residual <= 1e-10
-        assert np.max(np.abs(result.density.matrix - np.eye(2) / 2)) <= 1e-10
+        assert np.max(np.abs(result.density - np.eye(2) / 2)) <= 1e-10
 
     def test_emission_fixed_point_is_ground_state(self):
         result = channel_fixed_point(make_spontaneous_emission_map(0.2))
         assert result.unique
         assert result.residual <= 1e-10
-        assert np.max(np.abs(result.density.matrix - np.diag([1.0, 0.0]))) <= 1e-10
+        assert np.max(np.abs(result.density - np.diag([1.0, 0.0]))) <= 1e-10
 
     def test_unitary_channel_flags_non_uniqueness(self):
         result = channel_fixed_point(KrausMap((np.eye(2, dtype=complex),)))
         assert not result.unique
         assert result.eigenvalue_one_multiplicity > 1
-        assert np.max(np.abs(result.density.matrix - np.eye(2) / 2)) <= 1e-12
+        assert np.max(np.abs(result.density - np.eye(2) / 2)) <= 1e-12
 
     def test_distinct_spectrum_unitary_also_non_unique(self):
         v = np.diag([1.0, np.exp(0.71j)])
@@ -396,7 +396,7 @@ class TestChannelFixedPoint:
         psi = random_kraus_map(n, int(rng.integers(2, 5)), rng)
         result = channel_fixed_point(psi)
         assert result.residual <= 1e-10
-        z = result.density.matrix
+        z = result.density
         assert abs(np.trace(z).real - 1.0) <= 1e-12
         assert np.max(np.abs(apply_channel(psi, z) - z)) <= 1e-9
 
@@ -464,7 +464,7 @@ class TestDuality:
 
     def test_limit_fields(self):
         psi = make_spontaneous_emission_map(0.5)
-        zbar = channel_fixed_point(psi).density.matrix
+        zbar = channel_fixed_point(psi).density
         rng = np.random.default_rng(8)
         report = duality_invariant_check(
             psi, random_density(rng, 2), np.diag([1.0, 0.0]), t_max=300, zbar=zbar
@@ -607,17 +607,35 @@ class TestSpontaneousEmissionMap:
 
 
 class TestDensityMatrix:
+    """The density-matrix checks, made by `_as_density_array`."""
+
     def test_valid(self):
-        d = DensityMatrix(np.eye(2) / 2)
-        assert d.n == 2
+        d = _as_density_array(np.array([[0.5, 0.1j], [-0.1j, 0.5]]))
+        assert d.shape == (2, 2) and not d.flags.writeable
+        assert np.array_equal(d, d.conj().T)
 
     def test_rejects_wrong_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(np.eye(2))
+        with pytest.raises(ValueError, match=r"^trace is 2\.0, expected 1 within 1e-12$"):
+            _as_density_array(np.eye(2))
 
     def test_rejects_indefinite(self):
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            DensityMatrix(np.diag([1.5, -0.5]))
+        with pytest.raises(
+            ValueError, match=r"^not positive semidefinite: lambda_min=-5\.000e-01$"
+        ):
+            _as_density_array(np.diag([1.5, -0.5]))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.ones((2, 3)) / 2, "nonempty square"),
+            (np.zeros((0, 0)), "nonempty square"),
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), "finite"),
+        ],
+        ids=["non-square", "empty", "nan"],
+    )
+    def test_rejects_what_hermitian_arrays_reject(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            _as_density_array(bad)
 
 
 class TestRandomKrausMap:

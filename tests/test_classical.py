@@ -323,6 +323,20 @@ class TestConnectivity:
         with pytest.raises(ValueError, match="empty window"):
             check_connectivity(np.eye(2), horizon=-1)
 
+    def test_negative_window_start_rejected(self):
+        with pytest.raises(ValueError, match="window_start must be >= 0"):
+            check_connectivity(np.eye(2), window_start=-1)
+
+    @pytest.mark.parametrize("name", ["window_start", "horizon"])
+    @pytest.mark.parametrize("bad", [1.5, True, "1", None, np.float64(1.0)])
+    def test_window_arguments_must_be_integers(self, name, bad):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+            check_connectivity(np.full((2, 2), 0.5), **{name: bad})
+
+    def test_numpy_integer_window_arguments(self):
+        seq = [np.eye(2), np.full((2, 2), 0.5)]
+        assert check_connectivity(seq, window_start=np.int64(0), horizon=np.int32(1)).root_exists
+
     def test_window_beyond_finite_sequence(self):
         with pytest.raises(ValueError, match="only 1"):
             check_connectivity([np.eye(2)], window_start=0, horizon=1)

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conesim import (
-    PositiveVector,
     birkhoff_lyapunov,
     contraction_ratio,
     hilbert_distance_orthant,
     thompson_distance_orthant,
     tsitsiklis_lyapunov,
 )
+from conesim.cones import _positive
 
 
 def log_uniform():
@@ -37,24 +37,41 @@ def vector_triples(draw, max_n=8):
 
 
 class TestPositiveVector:
+    """The interior-point checks of the orthant, made by `_positive`."""
+
     def test_rejects_zero_entry(self):
-        with pytest.raises(ValueError, match="strictly positive"):
-            PositiveVector(np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match=r"^entry 1 is not strictly positive: 0\.0$"):
+            _positive(np.array([1.0, 0.0]))
 
     def test_rejects_negative_and_empty(self):
-        with pytest.raises(ValueError):
-            PositiveVector(np.array([1.0, -2.0]))
-        with pytest.raises(ValueError):
-            PositiveVector(np.array([]))
+        with pytest.raises(ValueError, match=r"^entry 1 is not strictly positive: -2\.0$"):
+            _positive(np.array([1.0, -2.0]))
+        with pytest.raises(ValueError, match="^expected a nonempty 1-d array of reals$"):
+            _positive(np.array([]))
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            PositiveVector(np.array([1.0, np.inf]))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="^entries must be finite$"):
+                _positive(np.array([1.0, bad]))
+
+    def test_rejects_non_vectors(self):
+        for bad in (np.ones((2, 2)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="^expected a nonempty 1-d array of reals$"):
+                _positive(bad)
 
     def test_entries_read_only(self):
-        v = PositiveVector(np.array([1.0, 2.0]))
+        x = np.array([1.0, 2.0])
+        v = _positive(x)
         with pytest.raises(ValueError):
-            v.entries[0] = 3.0
+            v[0] = 3.0
+        x[0] = 3.0  # the caller's array stays writable
+
+    def test_distances_check_both_arguments(self):
+        for f in (hilbert_distance_orthant, thompson_distance_orthant):
+            with pytest.raises(ValueError, match="entry 0 is not strictly positive"):
+                f([1.0, 2.0], [0.0, 1.0])
+            with pytest.raises(ValueError, match="finite"):
+                f([np.nan, 2.0], [1.0, 1.0])
 
 
 class TestHilbertOrthant:

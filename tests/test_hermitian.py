@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conesim import (
-    HermitianMatrix,
     eigenvalues,
     hilbert_distance_orthant,
     hilbert_distance_psd,
@@ -20,17 +19,22 @@ from helpers import random_conditioned_invertible, random_hermitian, random_posi
 
 
 class TestHermitianMatrix:
+    """The Hermitian-matrix checks, made by `as_hermitian_array`."""
+
     def test_symmetrized_at_construction(self):
-        m = HermitianMatrix(np.array([[1.0, 1.0 + 0.2j], [1.0, 2.0]]))
-        assert np.array_equal(m.matrix, m.matrix.conj().T)
+        m = as_hermitian_array(np.array([[1.0, 1.0 + 0.2j], [1.0, 2.0]]))
+        assert np.array_equal(m, m.conj().T) and not m.flags.writeable
+        assert m[0, 1] == 1.0 + 0.1j
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            HermitianMatrix(np.ones((2, 3)))
+        for bad in (np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2)), np.zeros((0, 0))):
+            with pytest.raises(ValueError, match="^expected a nonempty square 2-d array$"):
+                as_hermitian_array(bad)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            HermitianMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        for bad in (np.nan, np.inf, 1j * np.inf, complex(0.0, np.nan)):
+            with pytest.raises(ValueError, match="^entries must be finite$"):
+                as_hermitian_array(np.array([[bad, 0.0], [0.0, 1.0]]))
 
     def test_entries_above_half_the_largest_double_stay_finite(self):
         # the two halves are added, not the entries: no overflow, no warning
@@ -79,12 +83,12 @@ class TestEigenvalues:
 
 class TestSpectralInterval:
     def test_cases(self):
-        assert spectral_interval(np.eye(2)) == spectral_interval(np.eye(2))
-        si = spectral_interval(np.diag([1.0, 0.0]))
-        assert (si.lambda_min, si.lambda_max) == (0.0, 1.0)
-        si = spectral_interval(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert si.lambda_min == pytest.approx(-1.0) and si.lambda_max == pytest.approx(1.0)
-        assert si.width == pytest.approx(2.0)
+        assert spectral_interval(np.diag([1.0, 0.0])) == (0.0, 1.0)
+        lo, hi = spectral_interval(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert type(lo) is float and type(hi) is float
+        assert lo == pytest.approx(-1.0) and hi == pytest.approx(1.0)
+        with pytest.raises(ValueError, match="square"):
+            spectral_interval(np.ones((2, 3)))
 
 
 class TestHilbertPsd:
@@ -140,6 +144,13 @@ class TestHilbertPsd:
                 hilbert_distance_psd(np.diag(x), np.diag(y)) - hilbert_distance_orthant(x, y)
             ) <= 1e-12
 
+    def test_large_finite_entries_do_not_overflow(self):
+        # the whitened matrix is symmetrized halves first, as inputs are
+        big = np.diag([1e308, 1e308])
+        assert hilbert_distance_psd(big, np.eye(2)) == 0.0
+        assert hilbert_distance_psd(np.eye(2), big) == 0.0
+        assert hilbert_distance_psd(big, big) == 0.0
+
     def test_non_pd_error_names_argument(self):
         with pytest.raises(ValueError, match=r"X is not positive definite.*lambda_min"):
             hilbert_distance_psd(np.diag([1.0, 0.0]), np.eye(2))
@@ -189,6 +200,12 @@ class TestRiemannian:
             d = riemannian_distance(x, y)
             d_cong = riemannian_distance(f @ x @ f.conj().T, f @ y @ f.conj().T)
             assert abs(d - d_cong) <= 1e-9
+
+    def test_large_finite_entries_do_not_overflow(self):
+        big = np.diag([1e308, 1e308])
+        expected = math.sqrt(2.0) * math.log(1e308)
+        assert riemannian_distance(big, np.eye(2)) == pytest.approx(expected, rel=1e-14)
+        assert riemannian_distance(big, big) == 0.0
 
     def test_rejects_non_pd(self):
         with pytest.raises(ValueError, match="not positive definite"):

@@ -87,7 +87,7 @@ def assert_same_fixed_point(psi):
     bound = 1e-12
     if ref.unique:
         bound = max(bound, EPS / sv[-2])
-    assert np.abs(new.density.matrix - ref.density.matrix).max() <= bound
+    assert np.abs(new.density - ref.density).max() <= bound
 
 
 @given(kraus_maps())

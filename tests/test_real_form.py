@@ -227,6 +227,6 @@ def test_real_fixed_point_matches_the_complex_kernel(psi):
     bound = 1e-12
     if ref.unique and n > 1:
         bound = max(bound, EPS / sv[-2])
-    assert np.abs(new.density.matrix - ref.density.matrix).max() <= bound
-    M = new.density.matrix
+    assert np.abs(new.density - ref.density).max() <= bound
+    M = new.density
     assert np.array_equal(M, M.conj().T)

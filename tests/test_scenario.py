@@ -179,6 +179,25 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="not a density matrix"):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize(
+        "diagonal, message",
+        [
+            ([1.0, 1.0], "trace is 2.0, expected 1 within 1e-12"),
+            ([1.5, -0.5], "not positive semidefinite: lambda_min=-5.000e-01"),
+        ],
+        ids=["trace", "indefinite"],
+    )
+    def test_density_messages_are_pinned(self, diagonal, message):
+        doc = {
+            "kind": "quantum_channel",
+            "dimension": 2,
+            "dynamics": {"builder": {"name": "spontaneous_emission", "gamma": 0.2}},
+            "initial_state": [[[diagonal[0], 0.0], [0.0, 0.0]], [[0.0, 0.0], [diagonal[1], 0.0]]],
+        }
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(doc)
+        assert str(exc.value) == f"initial_state: not a density matrix: {message}"
+
     def test_kraus_operator_sum_checked(self):
         doc = {
             "kind": "quantum_dual",
