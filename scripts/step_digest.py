@@ -1,0 +1,68 @@
+#!/usr/bin/env python3
+"""Print SHA-256 digests of runs that step a Kraus map from its operators.
+
+Above n = 8 a dual or channel run steps each state by two complex matrix
+products. This script runs the dual and the channel of a lazy random map at
+n = 12, 24 and 32, 300 steps each from a fixed seed, and prints one digest
+per run of its trace columns, iteration count and final state, then one of
+all six. Runs under different BLAS thread counts should print the same
+lines:
+
+    OPENBLAS_NUM_THREADS=1 python3 scripts/step_digest.py
+    OPENBLAS_NUM_THREADS=2 python3 scripts/step_digest.py
+"""
+import hashlib
+import math
+
+import numpy as np
+
+from conesim import (
+    KrausMap,
+    StoppingRule,
+    random_kraus_map,
+    run_channel,
+    run_noncommutative_consensus,
+)
+
+SIZES = (12, 24, 32)
+STEPS = 300
+
+
+def lazy_map(n: int, rng: np.random.Generator) -> KrausMap:
+    """0.9 id + 0.1 a random map of 3 operators: slowly mixing."""
+    ops = random_kraus_map(n, 3, rng).operators
+    return KrausMap((math.sqrt(0.9) * np.eye(n),) + tuple(math.sqrt(0.1) * ops))
+
+
+def digest(trace) -> str:
+    h = hashlib.sha256()
+    for column in (trace.lyapunov, trace.lambda_min, trace.lambda_max, trace.dist_to_limit):
+        h.update(column.tobytes())
+    h.update(str(trace.iterations).encode())
+    h.update(np.ascontiguousarray(trace.final_state).tobytes())
+    return h.hexdigest()
+
+
+def main() -> int:
+    rng = np.random.default_rng(2010)
+    stop = StoppingRule(0.0, STEPS)
+    total = hashlib.sha256()
+    for n in SIZES:
+        phi = lazy_map(n, rng)
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        Z = G @ G.conj().T
+        Z = (Z + Z.conj().T) / (2 * np.trace(Z).real)
+        X, limit = n * Z, np.eye(n)
+        for name, run, state in (
+            ("dual", run_noncommutative_consensus, X),
+            ("channel", run_channel, Z),
+        ):
+            line = digest(run(phi, state, stop, limit))
+            total.update(line.encode())
+            print(f"{name} n={n}: {line}")
+    print(f"all: {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -66,22 +66,26 @@ class KrausMap:
     Every action on a matrix steps by one rule, `_state_space`: at
     n <= `_LIOUVILLE_MAX_N` = 8 the matrix's coordinates c go to c C (the
     dual) or c C^T (the channel, the adjoint: the basis is orthonormal),
-    32 KB per map at n = 8; above it two products on the stacked operators.
+    32 KB per map at n = 8; above it two 2-d products (see `_step`): X times
+    Ah, the operators side by side as one (n, m n) array, then AhrH, the
+    adjoint of Ah's (n m, n) flattening, times the product's (n m, n)
+    flattening, a sum over the rows of X and, within each row, over the
+    operators. `_dual` and `_channel`, built on first use, hold (Ah, AhrH)
+    of (V_i) and (V_i*).
     The two analyses, the image radius and the fixed point, use C at every
-    n (512 KB at n = 16). A dual step with m = 4-5
-    operators, stacked against real (2 cores, numpy 2.4.6 on OpenBLAS, 1 and
-    2 BLAS threads): 7.1-8.1 against 0.6 us at n = 2 and 4, 8.4-9.0 against
-    1.0 us at n = 8, 12-14 against 3.3-3.9 us at n = 12, 18-20 against
-    7-9.5 us at n = 16, 25-29 against 22-25 us at n = 20, 33-44 against
-    68-72 us at n = 24, 60-88 against 150-290 us at n = 32. The break-even is
-    near n = 20, where C holds 1.3 MB.
+    n (512 KB at n = 16). A dual step with m = 4-5 operators, stacked
+    against real (2 cores under other load, numpy 2.4.6 on OpenBLAS, 1 and 2
+    BLAS threads, medians of 11): 14 against 1.4-1.5 us at n = 2 and 4,
+    16-17 against 2.2-2.3 us at n = 8, 16-22 against 4.0-6.2 us at n = 12,
+    28-30 against 9.4-16 us at n = 16, 35-41 against 38-39 us at n = 20,
+    43-60 against 121-142 us at n = 24, 92-108 against 256-518 us at n = 32;
+    the step on the (m, n, n) stack that this replaced took 107-139 us at
+    n = 32 in the same runs. The break-even stays near n = 20, where C holds
+    1.3 MB.
     """
 
     operators: np.ndarray
     is_unital_channel: bool = field(init=False, default=False)
-    # the stacked step forms of the dual and the channel, see _step
-    _dual: tuple = field(init=False, repr=False)
-    _channel: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.operators) < 1:
@@ -99,20 +103,17 @@ class KrausMap:
         A = np.array(ops)
         A.flags.writeable = False
         n = A.shape[1]
-        dual = (A, A.reshape(-1, n).conj().T)
-        C = np.ascontiguousarray(A.conj().swapaxes(1, 2))
-        channel = (C, C.reshape(-1, n).conj().T)
-        eye = np.eye(n)
-        dev = float(np.max(np.abs(dual[1] @ A.reshape(-1, n) - eye)))
+        # sum V_i* V_i = S* S and sum V_i V_i* = Ah Ah*, with S the operators
+        # stacked and Ah the operators side by side
+        eye, S, Ah = np.eye(n), A.reshape(-1, n), A.transpose(1, 0, 2).reshape(n, -1)
+        dev = float(np.max(np.abs(S.conj().T @ S - eye)))
         if dev > KRAUS_TOL:
             raise ValueError(
                 f"sum V*V deviates from identity by {dev:.3e} (tolerance {KRAUS_TOL})"
             )
-        unital = float(np.max(np.abs(channel[1] @ C.reshape(-1, n) - eye))) <= KRAUS_TOL
+        unital = float(np.max(np.abs(Ah @ Ah.conj().T - eye))) <= KRAUS_TOL
         object.__setattr__(self, "operators", A)
         object.__setattr__(self, "is_unital_channel", unital)
-        object.__setattr__(self, "_dual", dual)
-        object.__setattr__(self, "_channel", channel)
 
     @property
     def dimension(self) -> int:
@@ -132,6 +133,16 @@ class KrausMap:
         # (A^T conj(A))[(a, c), (b, d)] = sum_i V_i[a, c] conj(V_i[b, d])
         S = (A.T @ A.conj()).reshape(n, n, n, n)
         return S.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+    @cached_property
+    def _dual(self) -> tuple[np.ndarray, np.ndarray]:
+        """The dual's step form, see `_step_form`, built on first use."""
+        return _step_form(self.operators)
+
+    @cached_property
+    def _channel(self) -> tuple[np.ndarray, np.ndarray]:
+        """The channel's step form, of the V_i*, built on first use."""
+        return _step_form(self.operators.conj().swapaxes(1, 2))
 
     @cached_property
     def _real_form(self) -> np.ndarray:
@@ -244,14 +255,23 @@ def _from_coords(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def _step_form(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Ah, AhrH) of the stack A, (m, n, n), see `_step`: Ah the A_i side by
+    side, (n, m n), and AhrH the adjoint of Ah's (n m, n) flattening, whose
+    column r m + i is row r of A_i*; both C-contiguous and read-only."""
+    m, n, _ = A.shape
+    Ah = np.ascontiguousarray(A.transpose(1, 0, 2).reshape(n, m * n))
+    return _read_only(Ah, np.ascontiguousarray(Ah.reshape(n * m, n).conj().T))
+
+
 def _step(form, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """One dual or channel step of a Hermitian matrix, its Hermitian part
-    written into `out`: sum_i A_i* X A_i as two products, the stack A,
-    (m, n, n), and the adjoint of its (m n, n) flattening, whose columns run
-    over the A_i*. `form` is the pair (A, AH), A = (V_i) for the dual and
-    (V_i*) for the channel."""
-    A, AH = form
-    return _symmetrize(AH @ (X @ A).reshape(AH.shape[1], -1), out)
+    written into `out`: sum_i A_i* X A_i as two 2-d products, X Ah, whose
+    blocks are the X A_i, then AhrH times its (n m, n) flattening, which sums
+    over the rows r of X and, within each, over the operators i. `form` is
+    `_step_form` of A = (V_i) for the dual and (V_i*) for the channel."""
+    Ah, AhrH = form
+    return _symmetrize(AhrH @ (X @ Ah).reshape(AhrH.shape[1], -1), out)
 
 
 def _state_space(n: int) -> tuple[Callable, ...]:

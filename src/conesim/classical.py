@@ -313,16 +313,19 @@ def check_connectivity(
     if _check_count("window_start", window_start) < 0:
         raise ValueError("window_start must be >= 0")
     count = window_start + horizon + 1
-    mats = list(islice(_matrices(sequence), count))
-    if len(mats) < count:
-        raise ValueError(f"sequence has only {len(mats)} matrices, requested {count}")
-    n = mats[0].n
-    mats = mats[window_start:]
+    mats = _matrices(sequence)
+    # the maps before the window are pulled and checked, not kept
+    pulled = sum(1 for _ in islice(mats, window_start))
+    window = list(islice(mats, horizon + 1))
+    pulled += len(window)
+    if pulled < count:
+        raise ValueError(f"sequence has only {pulled} matrices, requested {count}")
+    n = window[0].n
 
     union = np.zeros((n, n), dtype=bool)
     min_pos = np.inf
     diag_pos = True
-    for m in mats:
+    for m in window:
         e = m.entries
         pos = e > 0.0
         union |= pos

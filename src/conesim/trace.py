@@ -132,17 +132,23 @@ class SimulationTrace:
 
 
 # States are measured in blocks of _FIRST_BLOCK, doubling up to _MAX_BLOCK
-# states and _BLOCK_BYTES. The state cap bounds the maps applied past the
-# stopping index (a 2x2 run that stops at t = 1250 applies 1272 maps with
-# it, 2040 without), the byte cap a block's memory; a first block of 8
-# spares short runs several tiny blocks. A run of one map fills its
-# full-size blocks by doubling when its row form has at most
-# _DOUBLING_MAX_DIM rows, see `iterate`: the squares cost as much as the
-# Python steps that about 1.1, 1.3, 2.7, 3.2, 4.9 and 8.5 full blocks save
-# at 32, 48, 64, 80, 96 and 128 rows (2 cores, numpy 2.4.6 on OpenBLAS).
+# states and _BLOCK_BYTES, but to at least _MIN_BLOCK states. The state cap
+# bounds the maps applied past the stopping index (a 2x2 run that stops at
+# t = 1250 applies 1272 maps with it, 2040 without), the byte cap a block's
+# memory; a first block of 8 spares short runs several tiny blocks. The
+# floor spreads each block's measure, finiteness check, slicing and copy
+# over 16 steps where the byte cap alone would give states above 4 KB
+# (Hermitian matrices at n >= 17) fewer: a dual run of one map took 164
+# against 172 us per step at n = 32 (4 states by bytes, 256 KB per block
+# with the floor) and 93 against 99 us at n = 24 (7), 2 cores, numpy 2.4.6
+# on OpenBLAS. A run of one map fills its full-size blocks by doubling when
+# its row form has at most _DOUBLING_MAX_DIM rows, see `iterate`: the squares
+# cost as much as the Python steps that about 1.1, 1.3, 2.7, 3.2, 4.9 and 8.5
+# full blocks save at 32, 48, 64, 80, 96 and 128 rows (same machine).
 # _FIXED_TOL bounds how far a map may move the vector w it keeps (its rows
 # are checked to 1e-12, a Kraus sum to 1e-10).
 _FIRST_BLOCK = 8
+_MIN_BLOCK = 16
 _MAX_BLOCK = 256
 _BLOCK_BYTES = 1 << 16
 _DOUBLING_MAX_DIM = 64
@@ -187,8 +193,8 @@ def iterate(
     if move is None and level[0] < stop.tolerance:
         return _trace(blocks, TerminalStatus.CONVERGED, state, t)
     status = TerminalStatus.MAX_ITERATIONS
-    cap = max(1, min(_MAX_BLOCK, _BLOCK_BYTES // state.nbytes))
-    size = min(_FIRST_BLOCK, cap)
+    cap = min(_MAX_BLOCK, max(_MIN_BLOCK, _BLOCK_BYTES // state.nbytes))
+    size = _FIRST_BLOCK
     powers = None
     if form is not None and isinstance(maps, repeat):
         M = form(next(maps))

@@ -365,9 +365,10 @@ def reference_apply_channel(psi: KrausMap, Z: np.ndarray) -> np.ndarray:
 
 def reference_stacked_step(phi: KrausMap, X: np.ndarray, action: str) -> np.ndarray:
     """Reference kernel: the stacked step that small maps took before they
-    stepped by their Liouville matrix, and that larger maps still take.
-    sum_i A_i* X A_i as two products on the (m, n, n) stack A, which is
-    (V_i) for the dual and (V_i*) for the channel."""
+    stepped by their Liouville matrix, and that maps above n = 8 took before
+    they stepped by two 2-d products (`channels._step`). sum_i A_i* X A_i as
+    two products on the (m, n, n) stack A, which is (V_i) for the dual and
+    (V_i*) for the channel, the second summing over (operator, row)."""
     V, n = phi.operators, phi.dimension
     A = V if action == "dual" else np.ascontiguousarray(V.conj().swapaxes(1, 2))
     AH = A.reshape(-1, n).conj().T

@@ -31,7 +31,7 @@ from conesim import (
     tsitsiklis_lyapunov,
 )
 from conesim.hermitian import is_positive_definite
-from conesim.trace import _BLOCK_BYTES, _FIRST_BLOCK, _MAX_BLOCK, iterate
+from conesim.trace import _BLOCK_BYTES, _FIRST_BLOCK, _MAX_BLOCK, _MIN_BLOCK, iterate
 from helpers import (
     assert_same_run,
     random_density,
@@ -47,8 +47,8 @@ MAX_STEPS = 130
 
 def _block_edges(state, until=MAX_STEPS):
     """Steps that end a block, for a run from `state` with an ample budget."""
-    cap = max(1, min(_MAX_BLOCK, _BLOCK_BYTES // np.asarray(state).nbytes))
-    edges, t, size = [], 0, min(_FIRST_BLOCK, cap)
+    cap = min(_MAX_BLOCK, max(_MIN_BLOCK, _BLOCK_BYTES // np.asarray(state).nbytes))
+    edges, t, size = [], 0, _FIRST_BLOCK
     while t < until:
         t += size
         edges.append(t)
@@ -301,24 +301,33 @@ def test_error_past_the_stopping_index_never_surfaces(bad):
         iterate(_maps(bad), np.array([1.0]), _scale, _measure, StoppingRule(0.1, 10))
 
 
-@pytest.mark.parametrize("large", [False, True], ids=["state_cap", "byte_cap"])
-@pytest.mark.parametrize("name", list(RUNS))
-def test_runs_past_the_block_cap_match_the_per_step_reference(name, large):
+# the block cap a run reaches: 256 states, 64 KB of states, or the floor of
+# 16 states, which holds the 9,216-byte states of a quantum n = 24 run (7 by
+# bytes alone)
+CAPS = [(name, cap) for name in RUNS for cap in ("state_cap", "byte_cap")]
+CAPS += [("noncommutative", "block_floor"), ("channel", "block_floor")]
+
+
+@pytest.mark.parametrize("name, cap", CAPS)
+def test_runs_past_the_block_cap_match_the_per_step_reference(name, cap):
     # long enough, or with states large enough, that the blocks stop doubling.
-    # The large states are above the doubling rules (the stacked step, a
-    # vector above _DOUBLING_MAX_DIM) and match bit for bit; the small ones
-    # fill their full-size blocks by doubling, so they match within the run
-    # bound, their budgets cutting blocks short around the block edges
+    # The large states are above the doubling rules (a matrix above the size
+    # rule, a vector above _DOUBLING_MAX_DIM) and match bit for bit; the small
+    # ones fill their full-size blocks by doubling, so they match within the
+    # run bound, their budgets cutting blocks short around the block edges
     # (tests/test_doubling.py stops them at tolerances too)
     run, ref_run, moves = RUNS[name]
     rng = np.random.default_rng(5)
     quantum = name in ("noncommutative", "channel")
-    n = (12 if quantum else 256) if large else 2
+    large = cap != "state_cap"
+    n = {"state_cap": 2, "byte_cap": 12 if quantum else 256, "block_floor": 24}[cap]
     until = 150 if large else 800
     maps = _kraus(n, rng) if quantum else _lazy_stochastic(n, rng)
     state = random_density(rng, n) if quantum else rng.uniform(0.5, 2.0, n)
     edges = _block_edges(state, until)
     assert len(set(np.diff(edges))) < len(edges) - 1  # some blocks are capped
+    if cap == "block_floor":
+        assert _BLOCK_BYTES // state.nbytes < max(np.diff(edges)) == _MIN_BLOCK
     for step in _steps_around(edges[-3:], until):
         budget = StoppingRule(0.0, max(step, 1))
         if not large:
@@ -330,8 +339,15 @@ def test_runs_past_the_block_cap_match_the_per_step_reference(name, large):
             assert_same(run(maps, state, stop), ref_run(maps, state, stop))
 
 
-@pytest.mark.parametrize("stop_step", [0, 3, 10, 40, 700, 1000])
-def test_a_generator_is_advanced_to_the_end_of_the_stopping_block(stop_step):
+# stop steps of runs of 1-float states, and of 9,216-byte states (as of a
+# quantum n = 24 run), whose blocks, 8 and then 16 states, are held at the
+# floor where the byte cap alone would allow 7
+PULLS = [pytest.param(step, 1, id=str(step)) for step in (0, 3, 10, 40, 700, 1000)]
+PULLS += [pytest.param(step, 1152, id=f"floor-{step}") for step in (20, 40, 41, 100)]
+
+
+@pytest.mark.parametrize("stop_step, size", PULLS)
+def test_a_generator_is_advanced_to_the_end_of_the_stopping_block(stop_step, size):
     pulled = []
 
     def halves():
@@ -341,10 +357,10 @@ def test_a_generator_is_advanced_to_the_end_of_the_stopping_block(stop_step):
 
     # levels 1, 0.5, 0.25, ...: the first below tolerance is at stop_step
     stop = StoppingRule(0.5 ** (stop_step - 0.5), 2000)
-    trace = iterate(halves(), np.array([1.0]), _scale, _measure, stop)
+    trace = iterate(halves(), np.ones(size), _scale, _measure, stop)
     assert trace.iterations == stop_step
     assert [r.lyapunov for r in trace.records] == [0.5**k for k in range(stop_step + 1)]
-    edges = [0] + _block_edges(np.zeros(1), until=stop_step)
+    edges = [0] + _block_edges(np.ones(size), until=stop_step)
     assert len(pulled) == next(e for e in edges if e >= stop_step)
 
 

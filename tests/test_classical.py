@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -340,6 +341,22 @@ class TestConnectivity:
     def test_window_beyond_finite_sequence(self):
         with pytest.raises(ValueError, match="only 1"):
             check_connectivity([np.eye(2)], window_start=0, horizon=1)
+        with pytest.raises(ValueError, match="^sequence has only 3 matrices, requested 5$"):
+            check_connectivity([np.eye(2)] * 3, window_start=2, horizon=2)
+        with pytest.raises(ValueError, match="^sequence has only 2 matrices, requested 4$"):
+            check_connectivity([np.eye(2)] * 2, window_start=3, horizon=0)
+
+    def test_maps_before_the_window_are_not_kept(self):
+        # 200,000 maps before the window: a list of them alone takes 1.6 MB
+        A = np.array([[0.5, 0.5], [0.0, 1.0]])
+        tracemalloc.start()
+        try:
+            report = check_connectivity(A, window_start=200_000, horizon=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.root_exists and report.window_start == 200_000
+        assert peak < 100_000
 
     @given(
         st.integers(1, 40),

@@ -38,7 +38,13 @@ from conesim import (
     run_noncommutative_consensus,
 )
 from conesim.channels import _LIOUVILLE_MAX_N
-from conesim.trace import _BLOCK_BYTES, _DOUBLING_MAX_DIM, _FIRST_BLOCK, _MAX_BLOCK
+from conesim.trace import (
+    _BLOCK_BYTES,
+    _DOUBLING_MAX_DIM,
+    _FIRST_BLOCK,
+    _MAX_BLOCK,
+    _MIN_BLOCK,
+)
 from helpers import (
     assert_same_run,
     random_density,
@@ -67,8 +73,8 @@ RUNS = {
 def _block_edges(state_bytes, until):
     """Steps that end a block, and the block cap, for a run whose state
     takes `state_bytes` bytes."""
-    cap = max(1, min(_MAX_BLOCK, _BLOCK_BYTES // state_bytes))
-    edges, t, size = [], 0, min(_FIRST_BLOCK, cap)
+    cap = min(_MAX_BLOCK, max(_MIN_BLOCK, _BLOCK_BYTES // state_bytes))
+    edges, t, size = [], 0, _FIRST_BLOCK
     while t < until:
         t += size
         edges.append(t)

@@ -4,14 +4,14 @@ A `KrausMap` holds its operators as one (m, n, n) array. Every action on a
 Hermitian matrix, `apply_dual` / `apply_channel` and the steps of runs alike,
 takes one form per size, set by `_state_space`: at n <= `_LIOUVILLE_MAX_N` the
 real coordinates of the matrix are stepped by the map's real form C, above it
-the matrix is stepped by two matrix products on the stack. So `apply_dual` /
-`apply_channel` equal a run's one step bit for bit on both sides of the rule.
-`helpers.reference_apply_dual` / `reference_apply_channel` loop over the
-operators, and `helpers.reference_stacked_step` is the stacked step. They sum
-in different orders, so they agree to rounding only: a step within
-16 n eps max|X|, a whole run with the same status and iteration count and
-every trace value within 1e-13 of the state scale. Above the size rule a run
-steps by the stacked step, bit for bit.
+the matrix is stepped by two 2-d products on the operators side by side. So
+`apply_dual` / `apply_channel` equal a run's one step bit for bit on both
+sides of the rule. `helpers.reference_apply_dual` / `reference_apply_channel`
+loop over the operators, and `helpers.reference_stacked_step` is the step on
+the (m, n, n) stack that larger maps took before. They sum in different
+orders, so they agree to rounding only: a step within 16 n eps max|X| (the
+stack within 16 m n eps max|X|), a whole run with the same status and
+iteration count and every trace value within 1e-13 of the state scale.
 `superoperator`, read from the same stack, is checked against its sum of
 Kronecker products, and the stacked Frobenius norm of the channel run against
 `np.linalg.norm`, bit for bit.
@@ -43,6 +43,7 @@ from conesim.channels import (
     _frobenius,
     _from_coords,
     _state_space,
+    _symmetrize,
     _to_coords,
 )
 from conesim.hermitian import as_hermitian_array
@@ -115,6 +116,30 @@ def test_liouville_step_matches_the_stacked_step(n, m, action, log10_scale, seed
     assert np.abs(new - reference_stacked_step(phi, X, action)).max() <= bound
 
 
+@given(
+    st.integers(_LIOUVILLE_MAX_N + 1, 33),
+    st.integers(1, 6),
+    st.sampled_from(sorted(STEPS)),
+    st.floats(-8.0, 8.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(deadline=None, max_examples=150)
+def test_step_above_the_size_rule_matches_the_stacked_kernel(n, m, action, log10_scale, seed):
+    # the step of a run at n > 8 sums the same m n^2 products per entry as the
+    # kernel it replaced, over (row, operator) where that summed over
+    # (operator, row). Each product is max|X| |A_i[a, c']| |A_i[b, c]| at most,
+    # and the Kraus sum, sum_i |A_i e_c|^2 = 1, bounds their magnitudes by
+    # n max|X|; in 1,500 random draws of these sizes the two orders differed
+    # by at most 0.09 m n eps max|X|
+    rng = np.random.default_rng(seed)
+    phi = random_kraus_map(n, m, rng)
+    X = random_hermitian(rng, n, 10.0**log10_scale)
+    _, dual_step, channel_step, _ = _state_space(n)
+    new = (dual_step if action == "dual" else channel_step)(phi, X, None)
+    bound = 16 * m * n * EPS * np.abs(X).max()
+    assert np.abs(new - reference_stacked_step(phi, X, action)).max() <= bound
+
+
 @pytest.mark.parametrize("action", sorted(STEPS))
 def test_the_size_rule_picks_the_step_form(action):
     rng = np.random.default_rng(4)
@@ -131,10 +156,16 @@ def test_the_size_rule_picks_the_step_form(action):
     assert not C.flags.writeable and not C.T.flags.writeable
     expected = _from_coords(np.dot(_to_coords(X), C if action == "dual" else C.T))
     assert new.tobytes() == expected.tobytes()
-    # above it the stacked step, bit for bit, and no real form
-    X = as_hermitian_array(random_density(rng, above.dimension))
+    # above it two 2-d products on the operators side by side, Ah = (A_i)
+    # as an (n, m n) array, A_i = V_i for the dual and V_i* for the channel,
+    # bit for bit, and no real form
+    m, n = above.operator_count, above.dimension
+    A = above.operators if action == "dual" else above.operators.conj().swapaxes(1, 2)
+    Ah = np.ascontiguousarray(A.transpose(1, 0, 2).reshape(n, m * n))
+    AhrH = np.ascontiguousarray(Ah.reshape(n * m, n).conj().T)
+    X = as_hermitian_array(random_density(rng, n))
     new = run(above, X, one_step).final_state
-    assert new.tobytes() == reference_stacked_step(above, X, action).tobytes()
+    assert new.tobytes() == _symmetrize(AhrH @ (X @ Ah).reshape(n * m, n)).tobytes()
     assert "_real_form" not in vars(above)
     # a single application is the one-step run on both sides of the rule
     for phi in (at_rule, above):

@@ -41,3 +41,25 @@ def test_run_examples_writes_converged_summaries(tmp_path):
     assert [p.parent.name for p in summaries] == ["example1", "example2", "example3"]
     for path in summaries:
         assert json.loads(path.read_text())["status"] == "converged", path
+
+
+def test_step_digest_is_the_same_at_1_and_2_blas_threads():
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        paths = [str(ROOT / "src"), env.get("PYTHONPATH")]
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "step_digest.py")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    lines = outputs[0].splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        f"{action} n={n}" for n in (12, 24, 32) for action in ("dual", "channel")
+    ] + ["all"]
+    assert outputs[0] == outputs[1]
