@@ -5,13 +5,13 @@ import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 from itertools import repeat
 
 import numpy as np
 
 from .hermitian import as_hermitian_array, is_positive_definite, spectral_interval
-from .trace import SimulationTrace, StoppingRule, _check_count, iterate
+from .trace import SimulationTrace, StoppingRule, TerminalStatus, _check_count, iterate
 
 __all__ = [
     "KrausMap",
@@ -22,7 +22,6 @@ __all__ = [
     "FixedPointError",
     "apply_dual",
     "apply_channel",
-    "compose",
     "kraus_power",
     "run_noncommutative_consensus",
     "run_channel",
@@ -41,8 +40,8 @@ __all__ = [
 KRAUS_TOL = 1e-10
 # projectors mapped per batch by estimate_image_radius
 RADIUS_CHUNK = 4096
-# channel_fixed_point: residual gate, singular-value threshold of S - I, and
-# the step budget of its power-iteration fallback
+# channel_fixed_point: residual gate, singular-value threshold of C - I, and
+# the step budget of its fallback run
 RESIDUAL_TOL = 1e-10
 DEGENERACY_GAP = 1e-8
 MAX_FALLBACK_ITERATIONS = 10_000
@@ -58,7 +57,6 @@ class KrausMap:
     (see :func:`apply_dual`) and the trace-preserving channel
     Z -> sum V_i Z V_i* (see :func:`apply_channel`). `is_unital_channel` is
     set when additionally sum V_i V_i* = I, the doubly-stochastic analog.
-    `superoperator` gives both actions as one n^2 x n^2 matrix.
 
     `_real_form` C, real n^2 x n^2, built on first use and kept, is the
     channel in the orthonormal basis E_kk, (E_kl + E_lk)/sqrt(2),
@@ -123,17 +121,6 @@ class KrausMap:
     def operator_count(self) -> int:
         return len(self.operators)
 
-    @property
-    def superoperator(self) -> np.ndarray:
-        """Liouville matrix S = sum_i V_i (x) conj(V_i), built afresh on each
-        access: with row-major vec, vec(channel(Z)) = S vec(Z) and
-        vec(dual(X)) = S^* vec(X)."""
-        m, n, _ = self.operators.shape
-        A = self.operators.reshape(m, n * n)
-        # (A^T conj(A))[(a, c), (b, d)] = sum_i V_i[a, c] conj(V_i[b, d])
-        S = (A.T @ A.conj()).reshape(n, n, n, n)
-        return S.transpose(0, 2, 1, 3).reshape(n * n, n * n)
-
     @cached_property
     def _dual(self) -> tuple[np.ndarray, np.ndarray]:
         """The dual's step form, see `_step_form`, built on first use."""
@@ -147,11 +134,15 @@ class KrausMap:
     @cached_property
     def _real_form(self) -> np.ndarray:
         """C, read-only and built once per map: row b of C^T holds the
-        coordinates of the channel's image of basis matrix b, whose vec is
-        gathered from at most two columns of `superoperator`."""
+        coordinates of the channel's image of basis matrix b, gathered from
+        at most two rows of T: row (c, d) is the vec of the channel's image
+        sum_i V_i E_cd V_i* of the matrix unit E_cd."""
         n = self.dimension
+        A = self.operators.reshape(-1, n * n)
+        # (A^T conj(A))[(a, c), (b, d)] = sum_i V_i[a, c] conj(V_i[b, d])
+        T = (A.T @ A.conj()).reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n * n, n * n)
         diag, up, lo = _triangles(n)
-        T, r = self.superoperator.T, math.sqrt(0.5)
+        r = math.sqrt(0.5)
         images = np.concatenate((T[diag], (T[up] + T[lo]) * r, (T[up] - T[lo]) * (1j * r)))
         C = _to_coords(images.reshape(-1, n, n)).T
         C.flags.writeable = False
@@ -323,24 +314,14 @@ def apply_channel(psi: KrausMap, Z) -> np.ndarray:
     return _act(_check_dims(psi, Zm), Zm, False)
 
 
-def compose(outer: KrausMap, inner: KrausMap) -> KrausMap:
-    """Kraus map of the composite with operators {O_i I_j}.
-
-    As a channel the composite applies `inner` then `outer`; as a dual it
-    applies outer's dual then inner's. For powers of a single map the two
-    orderings coincide. Operator count multiplies, so deep compositions grow
-    as m^k.
-    """
-    n = outer.dimension
-    if n != inner.dimension:
-        raise ValueError("cannot compose maps of different dimensions")
-    return KrausMap((outer.operators[:, None] @ inner.operators[None]).reshape(-1, n, n))
-
-
 def kraus_power(phi: KrausMap, k: int) -> KrausMap:
-    if k < 1:
+    """phi applied k times as one Kraus map: the m^k products V_i1 ... V_ik, i1 slowest."""
+    if _check_count("k", k) < 1:
         raise ValueError("power must be >= 1")
-    return reduce(compose, [phi] * k)
+    V = ops = phi.operators
+    for _ in range(k - 1):
+        ops = (ops[:, None] @ V[None]).reshape(-1, phi.dimension, phi.dimension)
+    return phi if k == 1 else KrausMap(ops)
 
 
 def _spectral_measure(n: int, limit, lyapunov: bool) -> Callable:
@@ -457,6 +438,8 @@ class SpectralNestingReport:
 def check_spectral_nesting(phi: KrausMap, X, slack: float = 1e-10) -> SpectralNestingReport:
     """Verify that the dual map can only shrink the spectral interval:
     lambda_min may not decrease and lambda_max may not increase."""
+    if math.isnan(slack):
+        raise ValueError(f"slack must not be NaN, got {slack}")
     Xm = as_hermitian_array(X)
     before = spectral_interval(Xm)
     after = spectral_interval(_act(_check_dims(phi, Xm), Xm, True))
@@ -486,7 +469,7 @@ def estimate_image_radius(
     samples: int,
     seed: int = 0,
 ) -> ImageRadiusEstimate:
-    """Estimate the image radius of a (possibly composed) dual map by sampling
+    """Estimate the image radius of a dual map, such as a Kraus power, by sampling
     rank-1 projectors.
 
     The standard basis projectors are probed first (deterministically), then
@@ -557,9 +540,9 @@ def channel_fixed_point(psi: KrausMap) -> FixedPointResult:
     preservation makes the rows of C - I at the diagonal coordinates sum to
     zero, so the first of them is replaced by the unit-trace condition. When
     the multiplicity exceeds 1 the fixed point is not unique; the routine
-    then falls back to at most `MAX_FALLBACK_ITERATIONS` steps of power
-    iteration from I/n and flags non-uniqueness rather than fabricating a
-    choice.
+    then runs the channel from I/n for at most `MAX_FALLBACK_ITERATIONS`
+    steps, until successive states differ by at most `RESIDUAL_TOL`, and
+    flags non-uniqueness rather than fabricating a choice.
 
     Uniqueness is guaranteed only when some power of the dual map has finite
     projective diameter.
@@ -581,20 +564,11 @@ def channel_fixed_point(psi: KrausMap) -> FixedPointResult:
         except np.linalg.LinAlgError:
             raise FixedPointError("fixed direction has numerically zero trace") from None
         Z = _from_coords(v)
-        unique = True
     else:
-        Z = np.eye(n, dtype=complex) / n
-        for _ in range(MAX_FALLBACK_ITERATIONS):
-            Z_new = _act(psi, Z, False)
-            settled = float(np.linalg.norm(Z_new - Z)) <= RESIDUAL_TOL
-            Z = Z_new
-            if settled:
-                break
-        else:
-            raise FixedPointError(
-                "degenerate fixed-point space and power iteration did not settle"
-            )
-        unique = False
+        run = run_channel(psi, np.eye(n) / n, StoppingRule(RESIDUAL_TOL, MAX_FALLBACK_ITERATIONS))
+        if run.status is not TerminalStatus.CONVERGED:
+            raise FixedPointError("degenerate fixed-point space and power iteration did not settle")
+        Z = run.final_state
 
     residual = float(np.linalg.norm(_act(psi, Z, False) - Z))
     if residual > RESIDUAL_TOL:
@@ -603,7 +577,7 @@ def channel_fixed_point(psi: KrausMap) -> FixedPointResult:
         density = _as_density_array(Z)
     except ValueError as exc:
         raise FixedPointError(f"no PSD trace-1 fixed point at tolerance: {exc}") from exc
-    return FixedPointResult(density, residual, unique, multiplicity)
+    return FixedPointResult(density, residual, multiplicity <= 1, multiplicity)
 
 
 @dataclass(frozen=True)
@@ -746,9 +720,11 @@ def spontaneous_emission_spectral_shift(X, gamma: float) -> tuple[float, float]:
     of the traceless part), the mapped state has radius
     r' = sqrt((1-g^2)^2 d^2 + (1-g^2) |x12|^2) and midpoint shifted by g^2 d,
     hence rho_pm = (r - r') pm g^2 d. Both shifts are nonnegative, which is
-    the strict interval contraction; on diagonal states they reduce to
+    the strict interval contraction; on diagonal states they are
     g^2 (r pm d).
     """
+    if not (0.0 < gamma < 1.0):
+        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     Xm = as_hermitian_array(X)
     if Xm.shape != (2, 2):
         raise ValueError("closed form is specific to 2x2 states")

@@ -81,6 +81,8 @@ def random_stochastic_matrix(
     with the diagonal always present so every row stays normalizable and the
     positive-diagonal hypothesis class is matched.
     """
+    if density is not None and not (0.0 < density <= 1.0):
+        raise ValueError(f"density must be in (0, 1], got {density}")
     entries = rng.uniform(size=(n, n))
     if density is not None:
         mask = rng.uniform(size=(n, n)) < density
@@ -259,6 +261,8 @@ def check_birkhoff_contraction(A, pairs, slack: float = 1e-9) -> ContractionChec
     reported; when the diameter is infinite the bound degenerates to 1 and no
     strict contraction is certified.
     """
+    if math.isnan(slack):
+        raise ValueError(f"slack must not be NaN, got {slack}")
     m = _as_nonneg_matrix(A)
     diam = projective_diameter(m)
     bound = contraction_ratio(diam)

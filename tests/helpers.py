@@ -31,6 +31,7 @@ from conesim.channels import (
     _state_space,
     _symmetrize,
     _to_coords,
+    _triangles,
 )
 from conesim.classical import (
     ConnectivityReport,
@@ -344,6 +345,39 @@ def assert_same_run(new, ref, scale):
             assert abs(a.dist_to_limit - b.dist_to_limit) <= tol
 
 
+# --- the Liouville matrix and the composition that left `KrausMap` -------
+
+
+def superoperator(phi: KrausMap) -> np.ndarray:
+    """Reference kernel: the Liouville matrix S = sum_i V_i (x) conj(V_i) by
+    one product on the stack, as `KrausMap.superoperator` built it: with
+    row-major vec, vec(channel(Z)) = S vec(Z) and vec(dual(X)) = S^* vec(X)."""
+    m, n, _ = phi.operators.shape
+    A = phi.operators.reshape(m, n * n)
+    # (A^T conj(A))[(a, c), (b, d)] = sum_i V_i[a, c] conj(V_i[b, d])
+    S = (A.T @ A.conj()).reshape(n, n, n, n)
+    return S.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
+def reference_real_form(phi: KrausMap) -> np.ndarray:
+    """Reference kernel: the real form C as `KrausMap._real_form` gathered it
+    from the columns of `superoperator`, the images of the matrix units."""
+    n = phi.dimension
+    diag, up, lo = _triangles(n)
+    T, r = superoperator(phi).T, math.sqrt(0.5)
+    images = np.concatenate((T[diag], (T[up] + T[lo]) * r, (T[up] - T[lo]) * (1j * r)))
+    return _to_coords(images.reshape(-1, n, n)).T
+
+
+def compose(outer: KrausMap, inner: KrausMap) -> KrausMap:
+    """Reference kernel: the composite with operators {O_i I_j}, the first
+    index slowest. As a channel it applies `inner` then `outer`; as a dual,
+    outer's dual then inner's. `reduce(compose, [phi] * k)` is the k-th
+    power that `kraus_power` builds."""
+    n = outer.dimension
+    return KrausMap((outer.operators[:, None] @ inner.operators[None]).reshape(-1, n, n))
+
+
 # --- the Kraus-sum loops that the stacked step and superoperator replaced ---
 
 
@@ -379,7 +413,7 @@ def reference_liouville_step(phi: KrausMap, X: np.ndarray, action: str) -> np.nd
     """Reference kernel: the complex Liouville step that maps of dimension
     n <= 8 took before they stepped in real coordinates, vec(X) conj(S) for
     the dual and vec(X) S^T for the channel, then the Hermitian part."""
-    S = phi.superoperator
+    S = superoperator(phi)
     form = S.conj() if action == "dual" else S.T
     return _symmetrize((X.reshape(-1) @ form).reshape(X.shape))
 
@@ -390,7 +424,7 @@ def reference_superoperator(phi: KrausMap) -> np.ndarray:
 
 
 # --- the Hermitian-coordinate fixed point and the Kraus-sum radius images --
-# that `KrausMap.superoperator` replaced
+# that the Liouville matrix replaced
 
 
 def _hermitian_coords(X: np.ndarray) -> np.ndarray:
@@ -503,7 +537,7 @@ def reference_liouville_fixed_point(psi: KrausMap) -> FixedPointResult:
     values of S - I, the fixed point from one complex solve with the trace
     row, then the Hermitian part."""
     n = psi.dimension
-    A = psi.superoperator
+    A = superoperator(psi)
     A[np.diag_indices_from(A)] -= 1.0
     multiplicity = int(np.sum(np.linalg.svd(A, compute_uv=False) <= DEGENERACY_GAP))
     if multiplicity <= 1:

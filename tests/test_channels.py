@@ -14,7 +14,6 @@ from conesim import (
     build_classical_embedding,
     channel_fixed_point,
     check_spectral_nesting,
-    compose,
     duality_invariant_check,
     eigenvalues,
     estimate_image_radius,
@@ -31,10 +30,12 @@ from conesim import (
 )
 from conesim.channels import _as_density_array
 from helpers import (
+    compose,
     random_density,
     random_hermitian,
     random_positive_definite,
     reference_classical_embedding,
+    superoperator,
 )
 
 SPIN = dict(alpha=0.7, beta=1.1, p=0.3)
@@ -156,6 +157,14 @@ class TestComposition:
     def test_operator_count(self):
         phi = spin_map()
         assert kraus_power(phi, 3).operator_count == 8
+        assert kraus_power(phi, 1) is phi
+
+    def test_power_must_be_a_positive_integer(self):
+        with pytest.raises(ValueError, match="power must be >= 1"):
+            kraus_power(spin_map(), 0)
+        for bad in (2.0, True):
+            with pytest.raises(TypeError, match=f"k must be an integer, got {bad!r}"):
+                kraus_power(spin_map(), bad)
 
     def test_composition_matches_sequential_application(self):
         rng = np.random.default_rng(3)
@@ -170,10 +179,6 @@ class TestComposition:
         np.testing.assert_allclose(
             apply_channel(comp, z), apply_channel(a, apply_channel(b, z)), atol=1e-12
         )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            compose(spin_map(), random_kraus_map(3, 2, 0))
 
 
 class TestRunNoncommutativeConsensus:
@@ -288,6 +293,10 @@ class TestSpectralNesting:
         phi = random_kraus_map(n, int(rng.integers(1, 5)), rng)
         for _ in range(5):
             assert check_spectral_nesting(phi, random_hermitian(rng, n)).satisfied
+
+    def test_nan_slack_rejected(self):
+        with pytest.raises(ValueError, match="slack must not be NaN"):
+            check_spectral_nesting(spin_map(), np.diag([1.0, 0.0]), slack=math.nan)
 
 
 class TestImageRadius:
@@ -408,7 +417,7 @@ class TestSuperoperator:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 6))
         psi = random_kraus_map(n, int(rng.integers(1, 5)), rng)
-        S = psi.superoperator
+        S = superoperator(psi)
         assert S.shape == (n * n, n * n)
         z, x = random_hermitian(rng, n), random_hermitian(rng, n)
         np.testing.assert_allclose(S @ z.ravel(), apply_channel(psi, z).ravel(), atol=1e-12)
@@ -420,14 +429,8 @@ class TestSuperoperator:
         rng = np.random.default_rng(6)
         a, b = random_kraus_map(3, 2, rng), random_kraus_map(3, 3, rng)
         np.testing.assert_allclose(
-            compose(a, b).superoperator, a.superoperator @ b.superoperator, atol=1e-12
+            superoperator(compose(a, b)), superoperator(a) @ superoperator(b), atol=1e-12
         )
-
-    def test_each_access_builds_a_fresh_matrix(self):
-        psi = spin_map()
-        first = psi.superoperator
-        first[:] = 0.0
-        assert np.abs(psi.superoperator).max() > 0.5
 
 
 class TestDuality:
@@ -573,6 +576,13 @@ class TestSpontaneousEmissionMap:
         for bad in (0.0, 1.0, -0.1, 2.0):
             with pytest.raises(ValueError, match="gamma must be"):
                 make_spontaneous_emission_map(bad)
+
+    def test_shift_gamma_domain(self):
+        # outside (0, 1) the closed form is no emission map's: 1.5 gives a
+        # negative shift, -0.5 the shifts of 0.5, NaN two NaNs
+        for bad in (0.0, 1.0, 1.5, -0.5, math.nan):
+            with pytest.raises(ValueError, match=r"gamma must be in \(0, 1\), got"):
+                spontaneous_emission_spectral_shift(np.diag([1.0, 0.0]), bad)
 
     def test_dual_on_diagonals_is_leader_matrix_action(self):
         gamma = 0.2

@@ -282,6 +282,15 @@ class TestBirkhoffContraction:
         assert report.pairs_checked == 0
         assert report.worst_ratio is None
 
+    def test_nan_slack_rejected(self):
+        # a NaN slack would compare false and pass every pair
+        A = np.array([[0.6, 0.4], [0.3, 0.7]])
+        pairs = [(np.array([1.0, 2.0]), np.array([2.0, 1.0]))]
+        pairs.append((np.array([1.0, 3.0]), np.array([2.0, 1.0])))
+        assert check_birkhoff_contraction(A, pairs, slack=-1.0).violations == 2
+        with pytest.raises(ValueError, match="slack must not be NaN"):
+            check_birkhoff_contraction(A, pairs, slack=math.nan)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(deadline=None, max_examples=40)
     def test_certificate_on_stochastic_matrices(self, seed):
@@ -388,6 +397,16 @@ class TestSequences:
         for _ in range(20):
             m = random_stochastic_matrix(6, rng, density=0.1)
             assert np.all(m.entries.diagonal() > 0.0)
+
+    def test_density_must_be_in_the_unit_interval(self):
+        rng = np.random.default_rng(7)
+        for bad in (0.0, -0.5, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"density must be in \(0, 1\], got"):
+                random_stochastic_matrix(3, rng, density=bad)
+        # rejected before any draw: the stream goes on as a fresh one
+        fresh = random_stochastic_matrix(3, np.random.default_rng(7), density=1.0)
+        again = random_stochastic_matrix(3, rng, density=1.0)
+        assert again.entries.tobytes() == fresh.entries.tobytes()
 
     def test_dimension_consistency_enforced(self):
         with pytest.raises(ValueError, match="dimension mismatch: map is 3, state is 2"):

@@ -12,11 +12,13 @@ the (m, n, n) stack that larger maps took before. They sum in different
 orders, so they agree to rounding only: a step within 16 n eps max|X| (the
 stack within 16 m n eps max|X|), a whole run with the same status and
 iteration count and every trace value within 1e-13 of the state scale.
-`superoperator`, read from the same stack, is checked against its sum of
-Kronecker products, and the stacked Frobenius norm of the channel run against
-`np.linalg.norm`, bit for bit.
+The reference Liouville matrix `helpers.superoperator`, read from the same
+stack, is checked against its sum of Kronecker products, `kraus_power`
+against `helpers.compose` folded k times, and the stacked Frobenius norm of
+the channel run against `np.linalg.norm`, the last two bit for bit.
 """
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from conesim import (
     apply_dual,
     build_classical_embedding,
     builtin_example,
-    compose,
+    kraus_power,
     make_spin_rotation_map,
     make_spontaneous_emission_map,
     random_kraus_map,
@@ -47,8 +49,10 @@ from conesim.channels import (
     _to_coords,
 )
 from conesim.hermitian import as_hermitian_array
+from conesim.scenario import MAX_POWER_ENTRIES
 from helpers import (
     assert_same_run,
+    compose,
     random_density,
     random_hermitian,
     reference_apply_channel,
@@ -57,6 +61,7 @@ from helpers import (
     reference_run_noncommutative_consensus,
     reference_stacked_step,
     reference_superoperator,
+    superoperator,
 )
 
 EPS = np.finfo(float).eps
@@ -187,7 +192,17 @@ def test_stacked_frobenius_norm_is_the_per_matrix_norm(count, n, log10_scale, se
 @settings(deadline=None, max_examples=60)
 def test_superoperator_matches_the_kronecker_sum(phi):
     bound = 4 * phi.operator_count * EPS
-    assert np.abs(phi.superoperator - reference_superoperator(phi)).max() <= bound
+    assert np.abs(superoperator(phi) - reference_superoperator(phi)).max() <= bound
+
+
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 6), st.integers(0, 2**32 - 1))
+@settings(deadline=None, max_examples=60)
+def test_kraus_power_is_the_folded_composition_bit_for_bit(n, m, k, seed):
+    phi = random_kraus_map(n, m, np.random.default_rng(seed))
+    assert m**k * n * n <= MAX_POWER_ENTRIES  # every power here also parses
+    power = kraus_power(phi, k)
+    assert np.array_equal(power.operators, reduce(compose, [phi] * k).operators)
+    assert power.operator_count == m**k
 
 
 def test_operators_are_one_read_only_stack():

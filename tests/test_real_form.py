@@ -9,6 +9,9 @@ step too); they sum in other orders, so the steps agree within
 16 n eps max|X|.
 `channel_fixed_point` takes its SVD and its solve on the real C - I;
 `helpers.reference_liouville_fixed_point` took them on the complex S - I.
+C itself is gathered from the images of the matrix units, bit for bit as
+`helpers.reference_real_form` gathers it from the columns of the Liouville
+matrix `helpers.superoperator`.
 """
 import math
 
@@ -39,6 +42,8 @@ from helpers import (
     reference_apply_channel,
     reference_liouville_fixed_point,
     reference_liouville_step,
+    reference_real_form,
+    superoperator,
 )
 
 EPS = np.finfo(float).eps
@@ -92,6 +97,13 @@ def test_real_form_is_the_channel_in_the_hermitian_basis(n, m, seed):
     images = [reference_apply_channel(phi, B) for B in basis]
     ref = np.array([[np.trace(A @ image).real for image in images] for A in basis])
     assert np.abs(phi._real_form - ref).max() <= 4 * n * m * EPS
+
+
+@given(st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**32 - 1))
+@settings(deadline=None, max_examples=60)
+def test_real_form_is_gathered_bit_for_bit_as_from_the_liouville_matrix(n, m, seed):
+    phi = random_kraus_map(n, m, np.random.default_rng(seed))
+    assert np.array_equal(phi._real_form, reference_real_form(phi))
 
 
 @given(
@@ -209,7 +221,7 @@ def _outcome(kernel, psi):
 def test_real_fixed_point_matches_the_complex_kernel(psi):
     n = psi.dimension
     new = _outcome(channel_fixed_point, psi)
-    sv = np.linalg.svd(psi.superoperator - np.eye(n * n), compute_uv=False)
+    sv = np.linalg.svd(superoperator(psi) - np.eye(n * n), compute_uv=False)
     if np.any((sv >= DEGENERACY_GAP / 2) & (sv <= 2 * DEGENERACY_GAP)):
         # counted or not as rounding falls: hold the new kernel to its
         # definition, the singular values of C - I

@@ -280,7 +280,6 @@ class TestParsing:
         def fail(*args):
             raise AssertionError("a Kraus power was built")
 
-        monkeypatch.setattr(conesim.channels, "compose", fail)
         monkeypatch.setattr(conesim.channels, "kraus_power", fail)
         doc = json.loads(json.dumps(EXAMPLE2))
         for power in (40, 10**18):
