@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 KRAUS_TOL = 1e-10
+# duality_invariant_check: largest pairing error a report calls ok
+PAIRING_TOL = 1e-10
 # projectors mapped per batch by estimate_image_radius
 RADIUS_CHUNK = 4096
 # channel_fixed_point: residual gate, singular-value threshold of C - I, and
@@ -592,9 +594,7 @@ class DualityReport:
     limit_error: float | None = None
 
 
-def duality_invariant_check(
-    psi: KrausMap, Z0, X0, t_max: int, zbar=None, tol: float = 1e-10
-) -> DualityReport:
+def duality_invariant_check(psi: KrausMap, Z0, X0, t_max: int, zbar=None) -> DualityReport:
     """Run the channel on Z and the dual on X for t <= t_max and compare the
     two expressions of the pairing at every step.
 
@@ -624,7 +624,7 @@ def duality_invariant_check(
     if zbar is not None:
         limit_value = float(np.trace(as_hermitian_array(zbar) @ Xm).real)
         limit_error = abs(pairing - limit_value)
-    return DualityReport(t_max, max_err, max_err <= tol, pairing, limit_value, limit_error)
+    return DualityReport(t_max, max_err, max_err <= PAIRING_TOL, pairing, limit_value, limit_error)
 
 
 # --- classical embedding ----------------------------------------------------

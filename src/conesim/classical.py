@@ -147,11 +147,12 @@ def run_consensus(sequence, x0, stop: StoppingRule | None = None, limit=None) ->
 
     def measure(states: np.ndarray):
         lo, hi = states.min(axis=1), states.max(axis=1)
-        # a state's spread is that of its extremes
-        spread = tsitsiklis_lyapunov(np.column_stack((lo, hi)))
+        # both Lyapunov values of a state are those of its extremes
+        extremes = np.column_stack((lo, hi))
+        spread = tsitsiklis_lyapunov(extremes)
         positive = lo > 0.0
         proj = np.full(len(states), np.nan)
-        proj[positive] = birkhoff_lyapunov(states[positive])
+        proj[positive] = birkhoff_lyapunov(extremes[positive])
         return (spread, lo, hi, _sup_distance(states, limit_v), proj), spread
 
     return iterate(

@@ -76,7 +76,11 @@ def _cmd_examples(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means "budget exhausted"
+        return 1 if exc.code else 0
     try:
         if args.command == "run":
             return _cmd_run(args)

@@ -59,9 +59,8 @@ def is_positive_definite(evals: np.ndarray):
     return evals[..., 0] > PD_FLOOR * np.maximum(1.0, evals[..., -1])
 
 
-def _require_pd(Xm: np.ndarray, name: str) -> np.ndarray:
-    """Ascending spectrum of the Hermitian array Xm, which must be PD."""
-    ev = np.linalg.eigvalsh(Xm)
+def _require_pd(ev: np.ndarray, name: str) -> np.ndarray:
+    """The ascending spectrum `ev` of the matrix `name`, which must be PD."""
     if not is_positive_definite(ev):
         raise ValueError(
             f"{name} is not positive definite: lambda_min={ev[0]:.6e} "
@@ -73,16 +72,12 @@ def _require_pd(Xm: np.ndarray, name: str) -> np.ndarray:
 def _whitened_spectrum(X, Y) -> np.ndarray:
     """Eigenvalues of Y^{-1/2} X Y^{-1/2}, both arguments required PD."""
     Xm = as_hermitian_array(X)
-    _require_pd(Xm, "X")
+    _require_pd(np.linalg.eigvalsh(Xm), "X")
     Ym = as_hermitian_array(Y)
     if Xm.shape != Ym.shape:
         raise ValueError(f"dimension mismatch: {Xm.shape} vs {Ym.shape}")
     w, U = np.linalg.eigh(Ym)
-    if not is_positive_definite(w):
-        raise ValueError(
-            f"Y is not positive definite: lambda_min={w[0]:.6e} "
-            f"(lambda_max={w[-1]:.6e})"
-        )
+    _require_pd(w, "Y")
     # eigendecomposition route only; no pseudo-inverse fallback near the boundary
     inv_sqrt = (U * (1.0 / np.sqrt(w))) @ U.conj().T
     mu = np.linalg.eigvalsh(_hermitian_part(inv_sqrt @ Xm @ inv_sqrt))
@@ -106,7 +101,7 @@ def hilbert_distance_psd(X, Y) -> float:
 
 def hilbert_distance_to_identity(X) -> float:
     """log lambda_max(X) - log lambda_min(X) for positive definite X."""
-    ev = _require_pd(as_hermitian_array(X), "X")
+    ev = _require_pd(eigenvalues(X), "X")
     return float(math.log(ev[-1]) - math.log(ev[0]))
 
 

@@ -25,7 +25,7 @@ from .scenario import (
     SpinRotationSpec,
     pairs_from_complex_array,
 )
-from .trace import SimulationTrace, StoppingRule, TerminalStatus
+from .trace import SimulationTrace, StoppingRule, TerminalStatus, _check_count
 
 __all__ = ["RunResult", "run_scenario"]
 
@@ -79,11 +79,11 @@ def run_scenario(
     budget (or exhausted a finite sequence); errors raise and the CLI maps
     them to exit 1.
     """
-    if seed_override is not None and seed_override < 0:
+    if seed_override is not None and _check_count("seed_override", seed_override) < 0:
         raise ValueError(f"seed_override must be >= 0, got {seed_override}")
     stop = s.stop
     if max_iters_override is not None:
-        if max_iters_override < 1:
+        if _check_count("max_iters_override", max_iters_override) < 1:
             raise ValueError(f"max_iters_override must be >= 1, got {max_iters_override}")
         stop = StoppingRule(stop.tolerance, max_iters_override)
     out = Path(out_dir)
@@ -102,9 +102,7 @@ def run_scenario(
         run = run_consensus if s.kind == "classical" else run_dual_consensus
         trace = run(s.dynamics, s.initial_state, stop, s.expected_limit)
     else:
-        trace, upper = _run_quantum_like(s, stop, summary, seed_override)
-        if upper is not None and math.isfinite(upper):
-            factor = contraction_ratio(upper)
+        trace, factor = _run_quantum_like(s, stop, summary, seed_override)
 
     if s.analysis.compute_diameter:
         # embedded runs start diagonal and stay diagonal, so the classical
@@ -143,8 +141,8 @@ def run_scenario(
 def _run_quantum_like(
     s: Scenario, stop: StoppingRule, summary: dict, seed_override: int | None
 ) -> tuple[SimulationTrace, float | None]:
-    """Run a Kraus map scenario and its analyses; also return the upper end
-    2R of the diameter bracket [R, 2R] when the image radius R was estimated."""
+    """Run a Kraus map scenario and its analyses; also return tanh(2R/4), the
+    factor of the diameter bracket [R, 2R], when the image radius R is finite."""
     if s.kind == "embedded":
         phi = build_classical_embedding(s.dynamics)
         state0 = np.diag(s.initial_state).astype(complex)
@@ -161,11 +159,13 @@ def _run_quantum_like(
     # one radius estimate per run: it decides the fixed point's
     # hypothesis_certified and the run's factor, and fills the image_radius
     # block
-    upper: float | None = None
+    factor = certified = None
     if est is not None:
         target = kraus_power(phi, est.power) if est.power > 1 else phi
         estimate = estimate_image_radius(target, est.samples, est_seed)
         upper = 2.0 * estimate.radius
+        factor = contraction_ratio(upper)
+        certified = math.isfinite(upper)
 
     fp: FixedPointResult | None = None
     if s.analysis.fixed_point:
@@ -175,7 +175,7 @@ def _run_quantum_like(
             "residual": fp.residual,
             "unique": fp.unique,
             "eigenvalue_one_multiplicity": fp.eigenvalue_one_multiplicity,
-            "hypothesis_certified": None if upper is None else math.isfinite(upper),
+            "hypothesis_certified": certified,
         }
 
     limit = s.expected_limit
@@ -195,7 +195,7 @@ def _run_quantum_like(
         summary["image_radius"] = {
             "lower": _json_extended(estimate.radius),
             "upper": _json_extended(upper),
-            "contraction_factor": contraction_ratio(upper),
+            "contraction_factor": factor,
             "samples": est.samples,
             "seed": est_seed,
             "power": est.power,
@@ -226,4 +226,4 @@ def _run_quantum_like(
             "limit_value": report.limit_value,
             "limit_error": report.limit_error,
         }
-    return trace, upper
+    return trace, factor if certified else None

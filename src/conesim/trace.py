@@ -98,9 +98,6 @@ class SimulationTrace:
         present = np.flatnonzero(~np.isnan(self.lyapunov))
         return self.lyapunov[present[-1]].item() if present.size else None
 
-    def lyapunov_values(self) -> list[float]:
-        return self.lyapunov[~np.isnan(self.lyapunov)].tolist()
-
     def check_lyapunov_monotone(self) -> None:
         ts = np.flatnonzero(~np.isnan(self.lyapunov))
         v = self.lyapunov[ts]

@@ -152,6 +152,11 @@ def trace_from_records(records, status, final_state, iterations) -> SimulationTr
     return SimulationTrace(*columns, status, final_state, iterations)
 
 
+def lyapunov_values(trace: SimulationTrace) -> list[float]:
+    """The trace's present Lyapunov values, in step order."""
+    return trace.lyapunov[~np.isnan(trace.lyapunov)].tolist()
+
+
 def reference_check_lyapunov_monotone(records) -> None:
     """Reference kernel: the Lyapunov check as a loop over the records."""
     prev: float | None = None

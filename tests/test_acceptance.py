@@ -36,7 +36,12 @@ from conesim import (
     spontaneous_emission_spectral_shift,
 )
 from conesim.cli import main as cli_main
-from helpers import random_density, random_hermitian, random_positive_definite
+from helpers import (
+    lyapunov_values,
+    random_density,
+    random_hermitian,
+    random_positive_definite,
+)
 
 LEADER = np.array([[1.0, 0.0], [0.25, 0.75]])
 
@@ -83,7 +88,7 @@ def test_criterion_02_tsitsiklis_monotonicity():
             rng = np.random.default_rng(10_000 + trial)
             x0 = rng.uniform(-1.0, 2.0, n)
             trace = run_consensus(seq, x0, StoppingRule(0.0, 100))
-            vals = trace.lyapunov_values()
+            vals = lyapunov_values(trace)
             assert len(vals) == 101
             assert all(b <= a + 1e-13 for a, b in zip(vals, vals[1:]))
 
@@ -142,7 +147,7 @@ def test_criterion_06_hilbert_lyapunov_monotonicity():
         for phi, n, rng in _map_population(1000):
             x0 = random_positive_definite(rng, n)
             trace = run_noncommutative_consensus(phi, x0, StoppingRule(1e-14, 40))
-            vals = trace.lyapunov_values()
+            vals = lyapunov_values(trace)
             assert len(vals) == len(trace.records)
             assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 

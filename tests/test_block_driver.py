@@ -198,6 +198,39 @@ def test_quantum_runs_match_the_per_step_reference(name, case):
     _check(name, case)
 
 
+@st.composite
+def copying_runs(draw):
+    """A state of positive entries from subnormal to 1e308 (one entry
+    possibly 0), and maps whose rows are unit vectors: each map permutes the
+    entries or copies one over another, so every state is exact and its
+    extremes change along the run."""
+    n = draw(st.integers(1, 128))
+    x0 = np.array(draw(st.lists(st.floats(5e-324, 1e308), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        x0[draw(st.integers(0, n - 1))] = 0.0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    maps = []
+    for _ in range(draw(st.integers(1, MAX_STEPS))):
+        rows = rng.permutation(n)
+        if rng.uniform() < 0.5:
+            rows[rng.integers(n)] = rng.integers(n)
+        maps.append(np.eye(n)[rows])
+    return maps, x0
+
+
+@given(run=copying_runs())
+@settings(deadline=None, max_examples=60)
+def test_projective_column_is_the_log_spread_of_each_whole_state(run):
+    # the measure reads both Lyapunov columns off each state's (min, max);
+    # the reference takes birkhoff_lyapunov of every whole positive state
+    maps, x0 = run
+    stop = StoppingRule(0.0, len(maps))
+    new = run_consensus(maps, x0, stop)
+    ref = reference_run_consensus(maps, x0, stop)
+    assert new.projective_lyapunov.tobytes() == ref.projective_lyapunov.tobytes()
+    assert_same(new, ref)
+
+
 def _depolarizing(n):
     """Kraus operators E_ij / sqrt(n): the dual sends X to tr(X) I / n, the
     channel every density to I / n."""

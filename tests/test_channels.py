@@ -31,6 +31,7 @@ from conesim import (
 from conesim.channels import _as_density_array
 from helpers import (
     compose,
+    lyapunov_values,
     random_density,
     random_hermitian,
     random_positive_definite,
@@ -207,7 +208,7 @@ class TestRunNoncommutativeConsensus:
         phi = random_kraus_map(4, 3, rng)
         x0 = random_positive_definite(rng, 4)
         trace = run_noncommutative_consensus(phi, x0, StoppingRule(0.0, 60))
-        vals = trace.lyapunov_values()
+        vals = lyapunov_values(trace)
         assert len(vals) == 61
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -257,11 +258,11 @@ class TestRunChannel:
 
     def test_lyapunov_column_only_for_unital_channels(self):
         unital = run_channel(spin_map(), np.diag([1.0, 0.0]), StoppingRule(1e-10, 50))
-        assert len(unital.lyapunov_values()) > 0
+        assert len(lyapunov_values(unital)) > 0
         non_unital = run_channel(
             make_spontaneous_emission_map(0.3), np.eye(2) / 2, StoppingRule(1e-10, 50)
         )
-        assert non_unital.lyapunov_values() == []
+        assert lyapunov_values(non_unital) == []
 
     def test_rejects_non_density_start(self):
         with pytest.raises(ValueError, match="trace"):
@@ -656,3 +657,29 @@ class TestRandomKrausMap:
         n, m = int(rng.integers(2, 7)), int(rng.integers(1, 5))
         phi = random_kraus_map(n, m, rng)
         assert phi.dimension == n and phi.operator_count == m
+
+
+NAN_2 = np.array([[math.nan, 0.0], [0.0, 1.0]])
+
+CHANNEL_REJECTIONS = {
+    "non_square_operator": (
+        lambda: KrausMap([np.ones((2, 3))]),
+        "operator 0 is not square: shape (2, 3)",
+    ),
+    "non_finite_operator": (lambda: KrausMap([NAN_2]), "operator 0 has non-finite entries"),
+    "zero_radius_samples": (
+        lambda: estimate_image_radius(spin_map(), samples=0),
+        "samples must be >= 1",
+    ),
+    "emission_shift_of_3x3": (
+        lambda: spontaneous_emission_spectral_shift(np.eye(3), 0.5),
+        "closed form is specific to 2x2 states",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", CHANNEL_REJECTIONS.values(), ids=CHANNEL_REJECTIONS)
+def test_rejection_messages_are_pinned(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -23,7 +23,11 @@ from conesim import (
     run_dual_consensus,
 )
 
-from helpers import quadruple_projective_diameter, reference_check_connectivity
+from helpers import (
+    lyapunov_values,
+    quadruple_projective_diameter,
+    reference_check_connectivity,
+)
 
 LEADER = np.array([[1.0, 0.0], [0.25, 0.75]])  # gamma^2 = 0.25
 
@@ -117,7 +121,7 @@ class TestRunConsensus:
         trace = run_consensus(np.eye(2), [0.0, 1.0], StoppingRule(1e-10, 25))
         assert trace.status is TerminalStatus.MAX_ITERATIONS
         assert trace.iterations == 25
-        vals = trace.lyapunov_values()
+        vals = lyapunov_values(trace)
         assert vals == [1.0] * 26
 
     def test_leader_matrix_converges_to_first_coordinate(self):
@@ -164,7 +168,7 @@ class TestRunConsensus:
         seq = (random_stochastic_matrix(n, draws, density=0.5) for _ in range(40))
         x0 = rng.uniform(-1.0, 2.0, n)
         trace = run_consensus(seq, x0, StoppingRule(0.0, 40))
-        vals = trace.lyapunov_values()
+        vals = lyapunov_values(trace)
         assert all(b <= a + 1e-13 for a, b in zip(vals, vals[1:]))
         # iterates stay inside the initial interval
         assert all(r.lambda_min >= x0.min() - 1e-12 for r in trace.records)
@@ -181,7 +185,7 @@ class TestRunDualConsensus:
 
     def test_no_lyapunov_column(self):
         trace = run_dual_consensus(LEADER, [1.0, 1.0], StoppingRule(1e-12, 50))
-        assert trace.lyapunov_values() == []
+        assert lyapunov_values(trace) == []
 
 
 class TestProjectiveDiameter:
@@ -413,3 +417,36 @@ class TestSequences:
             check_connectivity([np.eye(2), np.eye(3)], horizon=1)
         with pytest.raises(ValueError, match="dimension mismatch: map is 3, state is 2"):
             run_consensus([np.eye(2), np.eye(3)], [0.0, 1.0])
+
+
+CLASSICAL_REJECTIONS = {
+    "nan_stochastic_entry": (
+        lambda: StochasticMatrix([[math.nan, 1.0], [0.0, 1.0]]),
+        "StochasticMatrix entries must be finite",
+    ),
+    "nan_state_entry": (
+        lambda: consensus_step(np.eye(2), [math.nan, 1.0]),
+        "state vector entries must be finite",
+    ),
+    "non_square_diameter": (
+        lambda: projective_diameter(np.ones((2, 3))),
+        "expected a square 2-d array",
+    ),
+    "non_finite_diameter": (
+        lambda: projective_diameter([[math.inf, 1.0], [1.0, 1.0]]),
+        "matrix entries must be finite",
+    ),
+    "negative_diameter": (
+        lambda: projective_diameter([[-1.0, 1.0], [1.0, 1.0]]),
+        "matrix must be entrywise nonnegative",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call, message", CLASSICAL_REJECTIONS.values(), ids=CLASSICAL_REJECTIONS
+)
+def test_rejection_messages_are_pinned(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -7,6 +7,7 @@ import conesim.channels
 import conesim.runner
 from conesim import TerminalStatus, builtin_example, parse_scenario, run_scenario
 from conesim.cli import main
+from conesim.scenario import complex_array_from_pairs, scenario_to_jsonable
 from helpers import assert_same_scenario
 
 IDENTITY_SCENARIO = {
@@ -22,6 +23,22 @@ def write_scenario(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+class TestUsage:
+    # exit code 2 means "budget exhausted", so a bad command line exits 1
+    @pytest.mark.parametrize(
+        "argv",
+        [["bogus"], ["run"], ["run", "x.json", "--max-iters-override", "abc"]],
+        ids=["unknown_command", "missing_scenario", "non_integer_override"],
+    )
+    def test_usage_error_exits_one(self, argv, capsys):
+        assert main(argv) == 1
+        assert "usage: conesim" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage: conesim" in capsys.readouterr().out
 
 
 class TestExamplesCommand:
@@ -174,6 +191,22 @@ class TestRunnerArtifacts:
         with pytest.raises(ValueError, match=r"^max_iters_override must be >= 1, got 0$"):
             run_scenario(builtin_example("example1"), tmp_path / "out", max_iters_override=0)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["seed_override", "max_iters_override"])
+    @pytest.mark.parametrize("value", [True, 1.5], ids=["bool", "float"])
+    def test_non_integer_override_rejected(self, tmp_path, name, value):
+        message = f"^{name} must be an integer, got {value!r}$"
+        with pytest.raises(TypeError, match=message):
+            run_scenario(builtin_example("example2"), tmp_path / "out", **{name: value})
+        assert not (tmp_path / "out").exists()
+
+    def test_channel_without_limit_is_measured_against_its_fixed_point(self, tmp_path):
+        doc = scenario_to_jsonable(builtin_example("example2"))
+        del doc["expected_limit"]
+        s = run_scenario(parse_scenario(doc), tmp_path).summary
+        final = complex_array_from_pairs(s["final_state"])
+        fixed = complex_array_from_pairs(s["fixed_point"]["matrix"])
+        assert s["expected_limit_distance_final"] == np.linalg.norm(final - fixed)
 
     def test_example2_estimates_image_radius_once(self, tmp_path, monkeypatch):
         calls = []

@@ -210,3 +210,16 @@ class TestRiemannian:
     def test_rejects_non_pd(self):
         with pytest.raises(ValueError, match="not positive definite"):
             riemannian_distance(np.diag([1.0, 0.0]), np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "X, Y, message",
+    [
+        (np.eye(2), np.eye(3), "dimension mismatch: (2, 2) vs (3, 3)"),
+        (np.eye(3), np.eye(2), "dimension mismatch: (3, 3) vs (2, 2)"),
+    ],
+)
+def test_rejection_messages_are_pinned(X, Y, message):
+    with pytest.raises(ValueError) as info:
+        hilbert_distance_psd(X, Y)
+    assert str(info.value) == message

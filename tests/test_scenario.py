@@ -394,6 +394,122 @@ class TestParsing:
         assert s.initial_state.dtype == np.float64 and s.initial_state.shape == (2,)
 
 
+SPIN = {"name": "spin_rotation", "alpha_over_pi": "7/32", "beta_over_pi": "11/32", "p": 0.3}
+IDENTITY_2 = [[1.0, 0.0], [0.0, 1.0]]
+
+
+def _classical(**fields):
+    return dict(MINIMAL_CLASSICAL, **fields)
+
+
+def _quantum(**fields):
+    return dict(EMISSION_SCENARIO, **fields)
+
+
+def _builder(dimension=2, **fields):
+    return _quantum(dimension=dimension, dynamics={"builder": fields})
+
+
+REJECTIONS = {
+    "top_level_not_object": ("[]", "scenario must be a JSON object"),
+    "dynamics_not_object": (_classical(dynamics=[]), "dynamics: expected an object"),
+    "builder_not_object": (
+        _quantum(dynamics={"builder": "spin_rotation"}),
+        "dynamics.builder: expected an object",
+    ),
+    "stop_not_object": (_classical(stop=5), "stop: expected an object"),
+    "analysis_not_object": (_classical(analysis=[]), "analysis: expected an object"),
+    "estimate_not_object": (
+        _quantum(analysis={"estimate_image_radius": 3}),
+        "analysis.estimate_image_radius: expected an object",
+    ),
+    "output_not_object": (_classical(output="trace.csv"), "output: expected an object"),
+    "embedded_sequence": (
+        _classical(kind="embedded", dynamics={"matrices": [IDENTITY_2]}),
+        "dynamics: kind 'embedded' requires a constant 'matrix'",
+    ),
+    "quantum_matrix": (
+        _quantum(dynamics={"matrix": IDENTITY_2}),
+        "dynamics: kind 'quantum_dual' requires 'kraus_operators' or 'builder'",
+    ),
+    "empty_matrices": (
+        _classical(dynamics={"matrices": []}),
+        "dynamics.matrices: expected a nonempty list of matrices",
+    ),
+    "empty_kraus_operators": (
+        _quantum(dynamics={"kraus_operators": []}),
+        "dynamics.kraus_operators: expected a nonempty list of operators",
+    ),
+    "builder_missing_field": (
+        _builder(**{k: v for k, v in SPIN.items() if k != "p"}),
+        "dynamics.builder: missing field 'p'",
+    ),
+    "spin_rotation_dimension": (
+        _builder(3, **SPIN),
+        "dynamics.builder: spin_rotation is a qubit map, dimension must be 2, got 3",
+    ),
+    "spontaneous_emission_dimension": (
+        _builder(3, name="spontaneous_emission", gamma=0.2),
+        "dynamics.builder: spontaneous_emission is a qubit map, dimension must be 2, got 3",
+    ),
+    "p_outside_unit_interval": (
+        _builder(**dict(SPIN, p=1)),
+        "dynamics.builder.p: must be in (0, 1), got 1.0",
+    ),
+    "missing_gamma": (
+        _builder(name="spontaneous_emission"),
+        "dynamics.builder: missing field 'gamma'",
+    ),
+    "unknown_builder": (
+        _builder(name="dephasing"),
+        "dynamics.builder: unknown builder 'dephasing'; supported: spin_rotation, "
+        "spontaneous_emission",
+    ),
+    "negative_tolerance": (
+        _classical(stop={"tolerance": -1}),
+        "stop.tolerance: must be >= 0, got -1.0",
+    ),
+    "estimate_without_samples": (
+        _quantum(analysis={"estimate_image_radius": {"seed": 1}}),
+        "analysis.estimate_image_radius: missing field 'samples'",
+    ),
+    "estimate_on_classical": (
+        _classical(analysis={"estimate_image_radius": {"samples": 1}}),
+        "analysis.estimate_image_radius: not applicable to kind 'classical'",
+    ),
+    "fixed_point_on_classical": (
+        _classical(analysis={"fixed_point": True}),
+        "analysis.fixed_point: not applicable to kind 'classical'",
+    ),
+    "empty_output_name": (
+        _classical(output={"trace_csv": ""}),
+        "output.trace_csv: expected a nonempty string",
+    ),
+    "unknown_kind": (
+        _classical(kind="markov"),
+        "kind: expected one of ['classical', 'classical_dual', 'quantum_dual', "
+        "'quantum_channel', 'embedded'], got 'markov'",
+    ),
+    "non_integer_field": (_classical(dimension=2.0), "dimension: expected an integer, got 2.0"),
+    "non_boolean_field": (
+        _quantum(analysis={"fixed_point": 1}),
+        "analysis.fixed_point: expected true/false, got 1",
+    ),
+    "boolean_angle": (
+        _builder(**dict(SPIN, alpha_over_pi=True)),
+        'dynamics.builder.alpha_over_pi: expected a rational number (e.g. "7/32" or 0.5), '
+        "got True",
+    ),
+}
+
+
+@pytest.mark.parametrize("doc, message", REJECTIONS.values(), ids=REJECTIONS)
+def test_rejection_messages_are_pinned(doc, message):
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(doc)
+    assert str(info.value) == message
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", sorted(BUILTIN_EXAMPLES))
     def test_builtins_round_trip(self, name):

@@ -64,6 +64,11 @@ class TestCsvWriter:
             trace.write_csv(tmp_path / "t.csv")
         assert not (tmp_path / "t.csv").exists()
 
+    def test_violation_is_caught_by_its_package_name(self, tmp_path):
+        trace = make_trace([1.0, 2.0])
+        with pytest.raises(conesim.TraceInvariantError):
+            trace.write_csv(tmp_path / "t.csv")
+
     def test_gaps_in_lyapunov_column_are_allowed(self, tmp_path):
         records = [
             TraceRecord(0, None, 0.0, 1.0),
