@@ -3,136 +3,14 @@
 Classical averaging on the positive orthant and its non-commutative
 counterpart on the cone of positive definite matrices, with Hilbert-metric
 Lyapunov certificates, projective-diameter contraction bounds, and
-channel fixed-point analysis.
+channel fixed-point analysis. The package exports the union of its modules'
+`__all__` lists.
 """
 
-from .cones import (
-    birkhoff_lyapunov,
-    contraction_ratio,
-    hilbert_distance_orthant,
-    thompson_distance_orthant,
-    tsitsiklis_lyapunov,
-)
-from .classical import (
-    ConnectivityReport,
-    ContractionCheckReport,
-    StochasticMatrix,
-    check_birkhoff_contraction,
-    check_connectivity,
-    consensus_step,
-    dual_consensus_step,
-    projective_diameter,
-    random_stochastic_matrix,
-    run_consensus,
-    run_dual_consensus,
-)
-from .hermitian import (
-    eigenvalues,
-    hilbert_distance_psd,
-    hilbert_distance_to_identity,
-    riemannian_distance,
-    spectral_interval,
-)
-from .channels import (
-    DualityReport,
-    FixedPointError,
-    FixedPointResult,
-    ImageRadiusEstimate,
-    KrausMap,
-    SpectralNestingReport,
-    apply_channel,
-    apply_dual,
-    build_classical_embedding,
-    channel_fixed_point,
-    check_spectral_nesting,
-    duality_invariant_check,
-    estimate_image_radius,
-    kraus_power,
-    make_spin_rotation_map,
-    make_spontaneous_emission_map,
-    random_kraus_map,
-    run_channel,
-    run_noncommutative_consensus,
-    spin_rotation_special_cases,
-    spontaneous_emission_spectral_shift,
-)
-from .trace import (
-    SimulationTrace,
-    StoppingRule,
-    TerminalStatus,
-    TraceInvariantError,
-    TraceRecord,
-)
-from .scenario import (
-    BUILTIN_EXAMPLES,
-    AnalysisFlags,
-    EstimateSettings,
-    Scenario,
-    ScenarioError,
-    builtin_example,
-    parse_scenario,
-    serialize_scenario,
-)
-from .runner import RunResult, run_scenario
+from . import cones, classical, hermitian, channels, trace, scenario, runner
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisFlags",
-    "BUILTIN_EXAMPLES",
-    "ConnectivityReport",
-    "ContractionCheckReport",
-    "DualityReport",
-    "EstimateSettings",
-    "FixedPointError",
-    "FixedPointResult",
-    "ImageRadiusEstimate",
-    "KrausMap",
-    "RunResult",
-    "Scenario",
-    "ScenarioError",
-    "SimulationTrace",
-    "SpectralNestingReport",
-    "StochasticMatrix",
-    "StoppingRule",
-    "TerminalStatus",
-    "TraceInvariantError",
-    "TraceRecord",
-    "apply_channel",
-    "apply_dual",
-    "birkhoff_lyapunov",
-    "build_classical_embedding",
-    "builtin_example",
-    "channel_fixed_point",
-    "check_birkhoff_contraction",
-    "check_connectivity",
-    "check_spectral_nesting",
-    "consensus_step",
-    "contraction_ratio",
-    "dual_consensus_step",
-    "duality_invariant_check",
-    "eigenvalues",
-    "estimate_image_radius",
-    "hilbert_distance_orthant",
-    "hilbert_distance_psd",
-    "hilbert_distance_to_identity",
-    "kraus_power",
-    "make_spin_rotation_map",
-    "make_spontaneous_emission_map",
-    "parse_scenario",
-    "projective_diameter",
-    "random_kraus_map",
-    "random_stochastic_matrix",
-    "riemannian_distance",
-    "run_channel",
-    "run_consensus",
-    "run_dual_consensus",
-    "run_noncommutative_consensus",
-    "run_scenario",
-    "serialize_scenario",
-    "spectral_interval",
-    "spin_rotation_special_cases",
-    "spontaneous_emission_spectral_shift",
-    "thompson_distance_orthant",
-    "tsitsiklis_lyapunov",
-]
+_MODULES = (cones, classical, hermitian, channels, trace, scenario, runner)
+__all__ = sorted({name for module in _MODULES for name in module.__all__})
+globals().update({name: getattr(module, name) for module in _MODULES for name in module.__all__})

@@ -26,6 +26,10 @@ A scenario is a JSON object:
       "output": {"trace_csv": "trace.csv", "summary": "summary.json"}
     }
 
+The keys of `stop`, `analysis` (with `estimate_image_radius`) and a builder
+are the field names of the block's dataclass. An absent field takes its
+default, and `null` for an optional block takes all of them.
+
 Complex scalars are two-element arrays [re, im]; complex matrices are
 row-major nested arrays of such pairs. Rotation angles are exact rational
 multiples of pi ("p/q" strings or plain numbers) so that the degenerate
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from fractions import Fraction
 from itertools import chain
 from pathlib import PurePath
@@ -109,10 +113,18 @@ def _require_bool(value, path: str) -> bool:
     return value
 
 
-def _require_keys(obj: dict, allowed: set[str], path: str) -> None:
-    unknown = set(obj) - allowed
+def _object(data, path: str, allowed=None, required=()) -> dict:
+    """`data`, checked to be an object whose keys are among `allowed` (any
+    keys when None) and include each key of `required`."""
+    if not isinstance(data, dict):
+        raise _err(path, "expected an object")
+    unknown = set() if allowed is None else set(data).difference(allowed)
     if unknown:
         raise _err(path, f"unknown field(s): {sorted(unknown)}")
+    for key in required:
+        if key not in data:
+            raise _err(path, f"missing field {key!r}")
+    return data
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -226,21 +238,25 @@ class SpinRotationSpec:
     def special_cases(self) -> tuple[str, ...]:
         return spin_rotation_special_cases(self.alpha_over_pi, self.beta_over_pi)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "name": "spin_rotation",
-            "alpha_over_pi": str(self.alpha_over_pi),
-            "beta_over_pi": str(self.beta_over_pi),
-            "p": self.p,
-        }
-
 
 @dataclass(frozen=True)
 class SpontaneousEmissionSpec:
     gamma: float
 
-    def to_jsonable(self) -> dict:
-        return {"name": "spontaneous_emission", "gamma": self.gamma}
+
+# builder name -> (its parameters, the map they build)
+_BUILDERS = {
+    "spin_rotation": (
+        SpinRotationSpec,
+        lambda s: make_spin_rotation_map(
+            float(s.alpha_over_pi) * math.pi, float(s.beta_over_pi) * math.pi, s.p
+        ),
+    ),
+    "spontaneous_emission": (
+        SpontaneousEmissionSpec,
+        lambda s: make_spontaneous_emission_map(s.gamma),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -286,10 +302,8 @@ class Scenario:
 def _parse_dynamics(data, kind: str, n: int):
     """(dynamics, builder) as held by Scenario."""
     path = "dynamics"
-    if not isinstance(data, dict):
-        raise _err(path, "expected an object")
-    _require_keys(data, {"matrix", "matrices", "kraus_operators", "builder"}, path)
-    present = [k for k in ("matrix", "matrices", "kraus_operators", "builder") if k in data]
+    entries = ("matrix", "matrices", "kraus_operators", "builder")
+    present = [k for k in entries if k in _object(data, path, entries)]
     if len(present) != 1:
         raise _err(path, f"exactly one dynamics entry required, found {present or 'none'}")
     spec = present[0]
@@ -326,51 +340,34 @@ def _parse_dynamics(data, kind: str, n: int):
         except ValueError as exc:
             raise _err(f"{path}.kraus_operators", str(exc)) from exc
 
-    builder = data["builder"]
     bpath = f"{path}.builder"
-    if not isinstance(builder, dict):
-        raise _err(bpath, "expected an object")
+    builder = _object(data["builder"], bpath)
     name = builder.get("name")
-    if name == "spin_rotation":
-        _require_keys(builder, {"name", "alpha_over_pi", "beta_over_pi", "p"}, bpath)
-        for key in ("alpha_over_pi", "beta_over_pi", "p"):
-            if key not in builder:
-                raise _err(bpath, f"missing field {key!r}")
-        if n != 2:
-            raise _err(bpath, f"spin_rotation is a qubit map, dimension must be 2, got {n}")
-        p = _require_number(builder["p"], f"{bpath}.p")
-        if not (0.0 < p < 1.0):
-            raise _err(f"{bpath}.p", f"must be in (0, 1), got {p}")
-        alpha = _parse_fraction(builder["alpha_over_pi"], f"{bpath}.alpha_over_pi")
-        beta = _parse_fraction(builder["beta_over_pi"], f"{bpath}.beta_over_pi")
-        try:
-            phi = make_spin_rotation_map(float(alpha) * math.pi, float(beta) * math.pi, p)
-        except (ValueError, OverflowError) as exc:
-            raise _err(bpath, str(exc)) from exc
-        return phi, SpinRotationSpec(alpha, beta, p)
-    if name == "spontaneous_emission":
-        _require_keys(builder, {"name", "gamma"}, bpath)
-        if "gamma" not in builder:
-            raise _err(bpath, "missing field 'gamma'")
-        if n != 2:
-            raise _err(bpath, f"spontaneous_emission is a qubit map, dimension must be 2, got {n}")
-        gamma = _require_number(builder["gamma"], f"{bpath}.gamma")
-        if not (0.0 < gamma < 1.0):
-            raise _err(f"{bpath}.gamma", f"must be in (0, 1), got {gamma}")
-        return make_spontaneous_emission_map(gamma), SpontaneousEmissionSpec(gamma)
-    raise _err(
-        bpath, f"unknown builder {name!r}; supported: spin_rotation, spontaneous_emission"
-    )
+    if not isinstance(name, str) or name not in _BUILDERS:
+        raise _err(bpath, f"unknown builder {name!r}; supported: {', '.join(_BUILDERS)}")
+    if n != 2:
+        raise _err(bpath, f"{name} is a qubit map, dimension must be 2, got {n}")
+    params_type, build = _BUILDERS[name]
+    params = _read_block(params_type, {k: v for k, v in builder.items() if k != "name"}, bpath)
+    try:
+        return build(params), params
+    except (ValueError, OverflowError) as exc:
+        raise _err(bpath, str(exc)) from exc
+
+
+def _parse_hermitian(data, n: int, path: str) -> np.ndarray:
+    arr = _parse_complex_matrix(data, n, path)
+    dev = float(np.max(np.abs(arr - arr.conj().T)))
+    if dev > HERMITIAN_INPUT_TOL:
+        raise _err(path, f"not Hermitian: max |X - X*| = {dev:.3e}")
+    return arr
 
 
 def _parse_initial_state(data, kind: str, n: int) -> np.ndarray:
     path = "initial_state"
     if kind in CLASSICAL_KINDS or kind == "embedded":
         return _parse_real_vector(data, n, path)
-    arr = _parse_complex_matrix(data, n, path)
-    dev = float(np.max(np.abs(arr - arr.conj().T)))
-    if dev > HERMITIAN_INPUT_TOL:
-        raise _err(path, f"not Hermitian: max |X - X*| = {dev:.3e}")
+    arr = _parse_hermitian(data, n, path)
     if kind == "quantum_channel":
         try:
             _as_density_array(arr)
@@ -379,64 +376,52 @@ def _parse_initial_state(data, kind: str, n: int) -> np.ndarray:
     return arr
 
 
-def _parse_stop(data) -> StoppingRule:
+# lower bounds of the blocks' numbers; every other int field is >= 1
+_MINIMUM = {"tolerance": 0, "seed": 0}
+
+
+def _read_block(cls, data, path: str):
+    """A `cls` from the block `data`, whose keys are the dataclass's field
+    names: a field without a default is required, an absent one takes its
+    default, and a `null` block takes every default. Each value is checked
+    by its field's annotation, with the bounds of `_MINIMUM`; a builder's
+    `p` and `gamma` lie in (0, 1)."""
     if data is None:
-        return StoppingRule()
-    path = "stop"
-    if not isinstance(data, dict):
-        raise _err(path, "expected an object")
-    _require_keys(data, {"tolerance", "max_iterations"}, path)
-    tol = _require_number(data.get("tolerance", StoppingRule.tolerance), f"{path}.tolerance")
-    if tol < 0.0:
-        raise _err(f"{path}.tolerance", f"must be >= 0, got {tol}")
-    max_it = _require_int(
-        data.get("max_iterations", StoppingRule.max_iterations), f"{path}.max_iterations", 1
-    )
-    return StoppingRule(tol, max_it)
+        return cls()
+    specs = fields(cls)
+    required = [f.name for f in specs if f.default is MISSING]
+    _object(data, path, [f.name for f in specs], required)
+    present = [f for f in specs if f.name in data]
+    return cls(**{f.name: _read_field(f, data[f.name], f"{path}.{f.name}") for f in present})
+
+
+def _read_field(f, value, path: str):
+    if f.type == "bool":
+        return _require_bool(value, path)
+    if f.type == "int":
+        return _require_int(value, path, _MINIMUM.get(f.name, 1))
+    if f.type == "Fraction":
+        return _parse_fraction(value, path)
+    if f.type == "float":
+        v = _require_number(value, path)
+        if f.name in ("p", "gamma") and not 0.0 < v < 1.0:
+            raise _err(path, f"must be in (0, 1), got {v}")
+        if v < _MINIMUM.get(f.name, -math.inf):
+            raise _err(path, f"must be >= {_MINIMUM[f.name]}, got {v}")
+        return v
+    # the one nested block, analysis.estimate_image_radius, whose null is None
+    return None if value is None else _read_block(EstimateSettings, value, path)
 
 
 def _parse_analysis(data, kind: str) -> AnalysisFlags:
-    if data is None:
-        return AnalysisFlags()
-    path = "analysis"
-    if not isinstance(data, dict):
-        raise _err(path, "expected an object")
-    # the document's keys are the field names
-    _require_keys(data, {f.name for f in fields(AnalysisFlags)}, path)
-    compute_diameter = _require_bool(data.get("compute_diameter", False), f"{path}.compute_diameter")
-    diameter_powers = _require_int(data.get("diameter_powers", 1), f"{path}.diameter_powers", 1)
-    fixed_point = _require_bool(data.get("fixed_point", False), f"{path}.fixed_point")
-    duality_check = _require_bool(data.get("duality_check", False), f"{path}.duality_check")
-    duality_steps = _require_int(data.get("duality_steps", 200), f"{path}.duality_steps", 1)
-
-    estimate = None
-    if "estimate_image_radius" in data and data["estimate_image_radius"] is not None:
-        e = data["estimate_image_radius"]
-        epath = f"{path}.estimate_image_radius"
-        if not isinstance(e, dict):
-            raise _err(epath, "expected an object")
-        _require_keys(e, {"samples", "seed", "power"}, epath)
-        if "samples" not in e:
-            raise _err(epath, "missing field 'samples'")
-        estimate = EstimateSettings(
-            _require_int(e["samples"], f"{epath}.samples", 1),
-            _require_int(e.get("seed", 0), f"{epath}.seed", 0),
-            _require_int(e.get("power", 1), f"{epath}.power", 1),
-        )
-
+    analysis = _read_block(AnalysisFlags, data, "analysis")
     quantum_like = kind in QUANTUM_KINDS or kind == "embedded"
-    if compute_diameter and kind not in ("classical", "classical_dual", "embedded"):
-        raise _err(f"{path}.compute_diameter", f"not applicable to kind {kind!r}")
-    if estimate is not None and not quantum_like:
-        raise _err(f"{path}.estimate_image_radius", f"not applicable to kind {kind!r}")
-    if fixed_point and not quantum_like:
-        raise _err(f"{path}.fixed_point", f"not applicable to kind {kind!r}")
-    if duality_check and not quantum_like:
-        raise _err(f"{path}.duality_check", f"not applicable to kind {kind!r}")
-
-    return AnalysisFlags(
-        compute_diameter, diameter_powers, estimate, fixed_point, duality_check, duality_steps
-    )
+    if analysis.compute_diameter and kind in QUANTUM_KINDS:
+        raise _err("analysis.compute_diameter", f"not applicable to kind {kind!r}")
+    for name in ("estimate_image_radius", "fixed_point", "duality_check"):
+        if getattr(analysis, name) and not quantum_like:
+            raise _err(f"analysis.{name}", f"not applicable to kind {kind!r}")
+    return analysis
 
 
 # complex entries (64 MB) that the Kraus power of an image-radius estimate,
@@ -477,19 +462,15 @@ def _parse_expected_limit(data, kind: str, n: int) -> np.ndarray | None:
     path = "expected_limit"
     if kind in CLASSICAL_KINDS:
         return _parse_real_vector(data, n, path)
-    return _parse_complex_matrix(data, n, path)
+    return _parse_hermitian(data, n, path)
 
 
 def _parse_output(data) -> tuple[str, str]:
-    if data is None:
-        return "trace.csv", "summary.json"
     path = "output"
-    if not isinstance(data, dict):
-        raise _err(path, "expected an object")
-    _require_keys(data, {"trace_csv", "summary"}, path)
-    trace_csv = data.get("trace_csv", "trace.csv")
-    summary = data.get("summary", "summary.json")
-    for name, value in (("trace_csv", trace_csv), ("summary", summary)):
+    names = {"trace_csv": Scenario.trace_csv, "summary": Scenario.summary_path}
+    if data is not None:
+        names.update(_object(data, path, names))
+    for name, value in names.items():
         if not isinstance(value, str) or not value:
             raise _err(f"{path}.{name}", "expected a nonempty string")
         # subdirectories are fine, the runner creates them
@@ -500,6 +481,7 @@ def _parse_output(data) -> tuple[str, str]:
                 f"must be a file path inside the output directory, got {value!r}",
             )
     # one name may not be the other, nor a directory on the other's path
+    trace_csv, summary = names.values()
     a, b = PurePath(trace_csv), PurePath(summary)
     if a == b or a in b.parents or b in a.parents:
         raise _err(f"{path}.summary", f"collides with {path}.trace_csv: {summary!r}, {trace_csv!r}")
@@ -522,21 +504,9 @@ def parse_scenario(source) -> Scenario:
         obj = source
     if not isinstance(obj, dict):
         raise ScenarioError("scenario must be a JSON object")
-    _require_keys(
-        obj,
-        {
-            "kind",
-            "dimension",
-            "dynamics",
-            "initial_state",
-            "stop",
-            "analysis",
-            "expected_limit",
-            "output",
-        },
-        "scenario",
-    )
-    for key in ("kind", "dimension", "dynamics", "initial_state"):
+    required = ("kind", "dimension", "dynamics", "initial_state")
+    _object(obj, "scenario", (*required, "stop", "analysis", "expected_limit", "output"))
+    for key in required:
         if key not in obj:
             raise ScenarioError(f"scenario: missing required field {key!r}")
     kind = obj["kind"]
@@ -546,7 +516,7 @@ def parse_scenario(source) -> Scenario:
 
     dynamics, builder = _parse_dynamics(obj["dynamics"], kind, n)
     initial_state = _parse_initial_state(obj["initial_state"], kind, n)
-    stop = _parse_stop(obj.get("stop"))
+    stop = _read_block(StoppingRule, obj.get("stop"), "stop")
     analysis = _parse_analysis(obj.get("analysis"), kind)
     _check_sizes(analysis, dynamics, n)
     expected = _parse_expected_limit(obj.get("expected_limit"), kind, n)
@@ -572,7 +542,9 @@ def _state_to_jsonable(x: np.ndarray) -> list:
 
 def _dynamics_to_jsonable(s: Scenario) -> dict:
     if s.builder is not None:
-        return {"builder": s.builder.to_jsonable()}
+        name = next(k for k, (spec, _) in _BUILDERS.items() if isinstance(s.builder, spec))
+        values = {k: str(v) if isinstance(v, Fraction) else v for k, v in asdict(s.builder).items()}
+        return {"builder": {"name": name, **values}}
     if isinstance(s.dynamics, KrausMap):
         return {"kraus_operators": pairs_from_complex_array(s.dynamics.operators)}
     if isinstance(s.dynamics, tuple):
@@ -581,7 +553,7 @@ def _dynamics_to_jsonable(s: Scenario) -> dict:
 
 
 def scenario_to_jsonable(s: Scenario) -> dict:
-    # the document's keys are the field names, as in _parse_analysis
+    # the document's keys are the field names, as in _read_block
     analysis = asdict(s.analysis)
     if analysis["estimate_image_radius"] is None:
         del analysis["estimate_image_radius"]

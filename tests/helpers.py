@@ -3,9 +3,9 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from itertools import islice
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 
@@ -32,6 +32,8 @@ from conesim.channels import (
     _symmetrize,
     _to_coords,
     _triangles,
+    make_spin_rotation_map,
+    make_spontaneous_emission_map,
 )
 from conesim.classical import (
     ConnectivityReport,
@@ -43,7 +45,19 @@ from conesim.classical import (
 )
 from conesim.hermitian import PD_FLOOR, as_hermitian_array, is_positive_definite
 import conesim.scenario
-from conesim.scenario import _err, _require_number, complex_array_from_pairs
+from conesim.scenario import (
+    QUANTUM_KINDS,
+    AnalysisFlags,
+    EstimateSettings,
+    SpinRotationSpec,
+    SpontaneousEmissionSpec,
+    _err,
+    _parse_fraction,
+    _require_bool,
+    _require_int,
+    _require_number,
+    complex_array_from_pairs,
+)
 from conesim.trace import CSV_HEADER, TraceInvariantError
 
 
@@ -719,3 +733,142 @@ def per_entry_number_parsing():
     finally:
         for name, original in saved.items():
             setattr(conesim.scenario, name, original)
+
+
+# --- the field-by-field block readers of scenario documents -----------------
+# One hand-written reader per block: the references for `_read_block`, the
+# one reader of every block by its dataclass's fields.
+
+
+def _require_keys(obj: dict, allowed: set[str], path: str) -> None:
+    unknown = set(obj) - allowed
+    if unknown:
+        raise _err(path, f"unknown field(s): {sorted(unknown)}")
+
+
+def reference_parse_stop(data) -> StoppingRule:
+    if data is None:
+        return StoppingRule()
+    path = "stop"
+    if not isinstance(data, dict):
+        raise _err(path, "expected an object")
+    _require_keys(data, {"tolerance", "max_iterations"}, path)
+    tol = _require_number(data.get("tolerance", StoppingRule.tolerance), f"{path}.tolerance")
+    if tol < 0.0:
+        raise _err(f"{path}.tolerance", f"must be >= 0, got {tol}")
+    max_it = _require_int(
+        data.get("max_iterations", StoppingRule.max_iterations), f"{path}.max_iterations", 1
+    )
+    return StoppingRule(tol, max_it)
+
+
+def reference_parse_analysis(data, kind: str) -> AnalysisFlags:
+    if data is None:
+        return AnalysisFlags()
+    path = "analysis"
+    if not isinstance(data, dict):
+        raise _err(path, "expected an object")
+    # the document's keys are the field names
+    _require_keys(data, {f.name for f in fields(AnalysisFlags)}, path)
+    compute_diameter = _require_bool(data.get("compute_diameter", False), f"{path}.compute_diameter")
+    diameter_powers = _require_int(data.get("diameter_powers", 1), f"{path}.diameter_powers", 1)
+    fixed_point = _require_bool(data.get("fixed_point", False), f"{path}.fixed_point")
+    duality_check = _require_bool(data.get("duality_check", False), f"{path}.duality_check")
+    duality_steps = _require_int(data.get("duality_steps", 200), f"{path}.duality_steps", 1)
+
+    estimate = None
+    if "estimate_image_radius" in data and data["estimate_image_radius"] is not None:
+        e = data["estimate_image_radius"]
+        epath = f"{path}.estimate_image_radius"
+        if not isinstance(e, dict):
+            raise _err(epath, "expected an object")
+        _require_keys(e, {"samples", "seed", "power"}, epath)
+        if "samples" not in e:
+            raise _err(epath, "missing field 'samples'")
+        estimate = EstimateSettings(
+            _require_int(e["samples"], f"{epath}.samples", 1),
+            _require_int(e.get("seed", 0), f"{epath}.seed", 0),
+            _require_int(e.get("power", 1), f"{epath}.power", 1),
+        )
+
+    quantum_like = kind in QUANTUM_KINDS or kind == "embedded"
+    if compute_diameter and kind not in ("classical", "classical_dual", "embedded"):
+        raise _err(f"{path}.compute_diameter", f"not applicable to kind {kind!r}")
+    if estimate is not None and not quantum_like:
+        raise _err(f"{path}.estimate_image_radius", f"not applicable to kind {kind!r}")
+    if fixed_point and not quantum_like:
+        raise _err(f"{path}.fixed_point", f"not applicable to kind {kind!r}")
+    if duality_check and not quantum_like:
+        raise _err(f"{path}.duality_check", f"not applicable to kind {kind!r}")
+
+    return AnalysisFlags(
+        compute_diameter, diameter_powers, estimate, fixed_point, duality_check, duality_steps
+    )
+
+
+def reference_parse_builder(data, n: int):
+    """The builder branch of the reader of `dynamics`, with `data` the
+    `dynamics` object: (dynamics, builder) as held by Scenario."""
+    path = "dynamics"
+    builder = data["builder"]
+    bpath = f"{path}.builder"
+    if not isinstance(builder, dict):
+        raise _err(bpath, "expected an object")
+    name = builder.get("name")
+    if name == "spin_rotation":
+        _require_keys(builder, {"name", "alpha_over_pi", "beta_over_pi", "p"}, bpath)
+        for key in ("alpha_over_pi", "beta_over_pi", "p"):
+            if key not in builder:
+                raise _err(bpath, f"missing field {key!r}")
+        if n != 2:
+            raise _err(bpath, f"spin_rotation is a qubit map, dimension must be 2, got {n}")
+        p = _require_number(builder["p"], f"{bpath}.p")
+        if not (0.0 < p < 1.0):
+            raise _err(f"{bpath}.p", f"must be in (0, 1), got {p}")
+        alpha = _parse_fraction(builder["alpha_over_pi"], f"{bpath}.alpha_over_pi")
+        beta = _parse_fraction(builder["beta_over_pi"], f"{bpath}.beta_over_pi")
+        try:
+            phi = make_spin_rotation_map(float(alpha) * math.pi, float(beta) * math.pi, p)
+        except (ValueError, OverflowError) as exc:
+            raise _err(bpath, str(exc)) from exc
+        return phi, SpinRotationSpec(alpha, beta, p)
+    if name == "spontaneous_emission":
+        _require_keys(builder, {"name", "gamma"}, bpath)
+        if "gamma" not in builder:
+            raise _err(bpath, "missing field 'gamma'")
+        if n != 2:
+            raise _err(bpath, f"spontaneous_emission is a qubit map, dimension must be 2, got {n}")
+        gamma = _require_number(builder["gamma"], f"{bpath}.gamma")
+        if not (0.0 < gamma < 1.0):
+            raise _err(f"{bpath}.gamma", f"must be in (0, 1), got {gamma}")
+        return make_spontaneous_emission_map(gamma), SpontaneousEmissionSpec(gamma)
+    raise _err(
+        bpath, f"unknown builder {name!r}; supported: spin_rotation, spontaneous_emission"
+    )
+
+
+def reference_parse_output(data) -> tuple[str, str]:
+    if data is None:
+        return "trace.csv", "summary.json"
+    path = "output"
+    if not isinstance(data, dict):
+        raise _err(path, "expected an object")
+    _require_keys(data, {"trace_csv", "summary"}, path)
+    trace_csv = data.get("trace_csv", "trace.csv")
+    summary = data.get("summary", "summary.json")
+    for name, value in (("trace_csv", trace_csv), ("summary", summary)):
+        if not isinstance(value, str) or not value:
+            raise _err(f"{path}.{name}", "expected a nonempty string")
+        # subdirectories are fine, the runner creates them
+        name_path = PurePath(value)
+        if not name_path.parts or name_path.is_absolute() or ".." in name_path.parts:
+            raise _err(
+                f"{path}.{name}",
+                f"must be a file path inside the output directory, got {value!r}",
+            )
+    # one name may not be the other, nor a directory on the other's path
+    a, b = PurePath(trace_csv), PurePath(summary)
+    if a == b or a in b.parents or b in a.parents:
+        raise _err(f"{path}.summary", f"collides with {path}.trace_csv: {summary!r}, {trace_csv!r}")
+    return trace_csv, summary
+

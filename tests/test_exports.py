@@ -37,3 +37,13 @@ def test_every_imported_name_is_used(name):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(imported - used - set(getattr(module, "__all__", [])))
     assert not unused, f"{name} imports {unused} and never uses them"
+
+
+def test_package_exports_the_union_of_its_modules():
+    # each public name is declared once, in its module's __all__
+    modules = [importlib.import_module(name) for name in MODULES[1:]]
+    union = {name for module in modules for name in getattr(module, "__all__", [])}
+    assert conesim.__all__ == sorted(union)
+    for module in modules:
+        for name in getattr(module, "__all__", []):
+            assert getattr(conesim, name) is getattr(module, name), name
