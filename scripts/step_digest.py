@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Print SHA-256 digests of runs that step a Kraus map from its operators.
+"""Print SHA-256 digests of runs whose steps are BLAS products.
 
 Above n = 8 a dual or channel run steps each state by two complex matrix
 products. This script runs the dual and the channel of a lazy random map at
-n = 12, 24 and 32, 300 steps each from a fixed seed, and prints one digest
-per run of its trace columns, iteration count and final state, then one of
-all six. Runs under different BLAS thread counts should print the same
-lines:
+n = 12, 24 and 32, 300 steps each from a fixed seed. A classical run of one
+matrix fills its full blocks of 256 states by doubling, from squares of the
+matrix; the script runs `run_consensus` and `run_dual_consensus` of a lazy
+random stochastic matrix at n = 64 and 128, 1,300 steps each, four full
+blocks and part of a fifth. It prints one digest per run of its trace
+columns, iteration count and final state, then one of all ten. Runs under
+different BLAS thread counts should print the same lines:
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/step_digest.py
     OPENBLAS_NUM_THREADS=2 python3 scripts/step_digest.py
@@ -20,18 +23,28 @@ from conesim import (
     KrausMap,
     StoppingRule,
     random_kraus_map,
+    random_stochastic_matrix,
     run_channel,
+    run_consensus,
+    run_dual_consensus,
     run_noncommutative_consensus,
 )
 
 SIZES = (12, 24, 32)
 STEPS = 300
+DOUBLED_SIZES = (64, 128)
+DOUBLED_STEPS = 1300
 
 
 def lazy_map(n: int, rng: np.random.Generator) -> KrausMap:
     """0.9 id + 0.1 a random map of 3 operators: slowly mixing."""
     ops = random_kraus_map(n, 3, rng).operators
     return KrausMap((math.sqrt(0.9) * np.eye(n),) + tuple(math.sqrt(0.1) * ops))
+
+
+def lazy_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
+    """0.9 I + 0.1 a random stochastic matrix: slowly mixing."""
+    return 0.9 * np.eye(n) + 0.1 * random_stochastic_matrix(n, rng).entries
 
 
 def digest(trace) -> str:
@@ -58,6 +71,14 @@ def main() -> int:
             ("channel", run_channel, Z),
         ):
             line = digest(run(phi, state, stop, limit))
+            total.update(line.encode())
+            print(f"{name} n={n}: {line}")
+    stop = StoppingRule(0.0, DOUBLED_STEPS)
+    for n in DOUBLED_SIZES:
+        A, x = lazy_matrix(n, rng), rng.uniform(0.5, 2.0, n)
+        limit = np.full(n, x.mean())
+        for name, run in (("consensus", run_consensus), ("dual_consensus", run_dual_consensus)):
+            line = digest(run(A, x, stop, limit))
             total.update(line.encode())
             print(f"{name} n={n}: {line}")
     print(f"all: {total.hexdigest()}")

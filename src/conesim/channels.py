@@ -544,7 +544,10 @@ def channel_fixed_point(psi: KrausMap) -> FixedPointResult:
     the multiplicity exceeds 1 the fixed point is not unique; the routine
     then runs the channel from I/n for at most `MAX_FALLBACK_ITERATIONS`
     steps, until successive states differ by at most `RESIDUAL_TOL`, and
-    flags non-uniqueness rather than fabricating a choice.
+    flags non-uniqueness rather than fabricating a choice. A run that does
+    not settle (a periodic one) gives the fixed point it averages to: I/n
+    projected onto the null space of C - I along its range, which a
+    channel's eigenvalue 1, semisimple, makes complementary.
 
     Uniqueness is guaranteed only when some power of the dual map has finite
     projective diameter.
@@ -568,9 +571,13 @@ def channel_fixed_point(psi: KrausMap) -> FixedPointResult:
         Z = _from_coords(v)
     else:
         run = run_channel(psi, np.eye(n) / n, StoppingRule(RESIDUAL_TOL, MAX_FALLBACK_ITERATIONS))
-        if run.status is not TerminalStatus.CONVERGED:
-            raise FixedPointError("degenerate fixed-point space and power iteration did not settle")
         Z = run.final_state
+        if run.status is not TerminalStatus.CONVERGED:
+            # the last singular vectors span the null space of A (right) and
+            # the complement of its range (left)
+            u, _, vt = np.linalg.svd(A)
+            K, L = vt[-multiplicity:].T, u[:, -multiplicity:]
+            Z = _from_coords(K @ np.linalg.solve(L.T @ K, L[:n].sum(axis=0) / n))
 
     residual = float(np.linalg.norm(_act(psi, Z, False) - Z))
     if residual > RESIDUAL_TOL:

@@ -21,6 +21,7 @@ __all__ = [
     "ConnectivityReport",
     "ContractionCheckReport",
     "random_stochastic_matrix",
+    "random_stochastic_matrices",
     "consensus_step",
     "dual_consensus_step",
     "run_consensus",
@@ -47,25 +48,42 @@ class StochasticMatrix:
         m = np.array(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError("StochasticMatrix requires a square 2-d array")
-        # one check on the passing path: a NaN or negative entry fails the
-        # minimum, an infinite entry its row sum; the diagnosis comes after
-        if not (m.min() >= 0.0 and np.abs(m.sum(axis=1) - 1.0).max() <= ROW_SUM_TOL):
-            if not np.all(np.isfinite(m)):
-                raise ValueError("StochasticMatrix entries must be finite")
-            if np.any(m < 0.0):
-                i, j = np.unravel_index(int(np.argmin(m)), m.shape)
-                raise ValueError(f"negative entry at ({i},{j}): {m[i, j]}")
-            sums = m.sum(axis=1)
-            i = int(np.argmax(np.abs(sums - 1.0) > ROW_SUM_TOL))
-            raise ValueError(
-                f"row {i} sums to {float(sums[i])!r}, expected 1 within {ROW_SUM_TOL}"
-            )
+        _check_stochastic(m)
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
+
+    @classmethod
+    def _checked(cls, m: np.ndarray) -> StochasticMatrix:
+        """A StochasticMatrix of read-only entries `_check_stochastic` passed."""
+        A = object.__new__(cls)
+        object.__setattr__(A, "entries", m)
+        return A
 
     @property
     def n(self) -> int:
         return int(self.entries.shape[0])
+
+
+def _check_stochastic(m: np.ndarray) -> None:
+    """Raise ValueError for the first matrix of a stack (..., n, n) that is
+    not row-stochastic, with the message of that matrix alone."""
+    sums = m.sum(axis=-1)
+    # one check on the passing path: a NaN or negative entry fails the
+    # minimum, an infinite entry its row sum; the diagnosis comes after
+    if m.size == 0 or (m.min() >= 0.0 and np.abs(sums - 1.0).max() <= ROW_SUM_TOL):
+        return
+    n = m.shape[-1]
+    m, sums = m.reshape(-1, n, n), sums.reshape(-1, n)
+    passes = (m.min(axis=(1, 2)) >= 0.0) & (np.abs(sums - 1.0).max(axis=1) <= ROW_SUM_TOL)
+    k = int(np.argmin(passes))
+    m, sums = m[k], sums[k]
+    if not np.all(np.isfinite(m)):
+        raise ValueError("StochasticMatrix entries must be finite")
+    if np.any(m < 0.0):
+        i, j = np.unravel_index(int(np.argmin(m)), m.shape)
+        raise ValueError(f"negative entry at ({i},{j}): {m[i, j]}")
+    i = int(np.argmax(np.abs(sums - 1.0) > ROW_SUM_TOL))
+    raise ValueError(f"row {i} sums to {float(sums[i])!r}, expected 1 within {ROW_SUM_TOL}")
 
 
 def as_stochastic_matrix(A) -> StochasticMatrix:
@@ -81,15 +99,26 @@ def random_stochastic_matrix(
     with the diagonal always present so every row stays normalizable and the
     positive-diagonal hypothesis class is matched.
     """
+    return random_stochastic_matrices(n, 1, rng, density)[0]
+
+
+def random_stochastic_matrices(
+    n: int, count: int, rng: np.random.Generator, density: float | None = None
+) -> list[StochasticMatrix]:
+    """`count` draws of `random_stochastic_matrix`, bit for bit, from one
+    draw of the stream each takes in turn (its entries, then its mask) and
+    one check of the stack."""
     if density is not None and not (0.0 < density <= 1.0):
         raise ValueError(f"density must be in (0, 1], got {density}")
-    entries = rng.uniform(size=(n, n))
+    entries = rng.uniform(size=(count, n, n) if density is None else (count, 2, n, n))
     if density is not None:
-        mask = rng.uniform(size=(n, n)) < density
-        np.fill_diagonal(mask, True)
-        entries = entries * mask
-    entries = entries / entries.sum(axis=1, keepdims=True)
-    return StochasticMatrix(entries)
+        mask = entries[:, 1] < density
+        mask[:, np.arange(n), np.arange(n)] = True
+        entries = entries[:, 0] * mask
+    entries = entries / entries.sum(axis=-1, keepdims=True)
+    _check_stochastic(entries)
+    entries.flags.writeable = False
+    return [StochasticMatrix._checked(m) for m in entries]
 
 
 def _matrices(dynamics, n: int | None = None) -> Iterator[StochasticMatrix]:

@@ -129,26 +129,33 @@ class SimulationTrace:
 
 
 # States are measured in blocks of _FIRST_BLOCK, doubling up to _MAX_BLOCK
-# states and _BLOCK_BYTES, but to at least _MIN_BLOCK states. The state cap
-# bounds the maps applied past the stopping index (a 2x2 run that stops at
-# t = 1250 applies 1272 maps with it, 2040 without), the byte cap a block's
-# memory; a first block of 8 spares short runs several tiny blocks. The
+# states and, in a run stepped one map at a time, _BLOCK_BYTES, but to at
+# least _MIN_BLOCK states. The state cap bounds the maps applied past the
+# stopping index (a 2x2 run that stops at t = 1250 applies 1272 maps with
+# it, 2040 without), the byte cap a stepped block's memory; a doubled state,
+# at most _DOUBLING_MAX_DIM floats, is at most 1 KB, so a doubled block at
+# most 256 KB. A first block of 8 spares short runs several tiny blocks. The
 # floor spreads each block's measure, finiteness check, slicing and copy
 # over 16 steps where the byte cap alone would give states above 4 KB
 # (Hermitian matrices at n >= 17) fewer: a dual run of one map took 164
 # against 172 us per step at n = 32 (4 states by bytes, 256 KB per block
 # with the floor) and 93 against 99 us at n = 24 (7), 2 cores, numpy 2.4.6
 # on OpenBLAS. A run of one map fills its full-size blocks by doubling when
-# its row form has at most _DOUBLING_MAX_DIM rows, see `iterate`: the squares
-# cost as much as the Python steps that about 1.1, 1.3, 2.7, 3.2, 4.9 and 8.5
-# full blocks save at 32, 48, 64, 80, 96 and 128 rows (same machine).
+# its row form has at most _DOUBLING_MAX_DIM rows, see `iterate`: the seven
+# corrected squares of a 256-state block cost as much as the Python steps
+# that about 1.1, 0.5, 0.9, 1.0, 1.1-1.6 and 2-4 full blocks save at 32, 48,
+# 64, 80, 96 and 128 rows (same machine). So at 80 to 128 rows a run ended
+# by its budget between about 500 and 1,100 steps is slower than stepped
+# (5.3 against 3.3 ms at 600 steps and 128 rows), and a longer one faster.
+# The larger blocks cost matrix runs at n = 8 (512-byte states, 128 to a
+# block by bytes) 7-9% at 1,050 steps: their measure takes longer per state.
 # _FIXED_TOL bounds how far a map may move the vector w it keeps (its rows
 # are checked to 1e-12, a Kraus sum to 1e-10).
 _FIRST_BLOCK = 8
 _MIN_BLOCK = 16
 _MAX_BLOCK = 256
 _BLOCK_BYTES = 1 << 16
-_DOUBLING_MAX_DIM = 64
+_DOUBLING_MAX_DIM = 128
 _FIXED_TOL = 1e-8
 
 
@@ -166,9 +173,10 @@ def iterate(
     `apply(map, state, out)`, except in the full-size blocks of a run of one
     map. For those, `form(map)` gives the map's row form M, a square array
     with apply(map, x) = x @ M, and when `maps` is one map repeated and M has
-    at most `_DOUBLING_MAX_DIM` rows a full-size block is filled by doubling
-    (`_double`), from powers of M squared once per run that keep w, 1 on the
-    first `fixed` coordinates and 0 on the rest, as M keeps it (`_Powers`).
+    at most `_DOUBLING_MAX_DIM` rows a full-size block, of `_MAX_BLOCK` states
+    whatever their bytes, is filled by doubling (`_double`), from powers of M
+    squared once per run that keep w, 1 on the first `fixed` coordinates and
+    0 on the rest, as M keeps it (`_Powers`).
     Blocks growing toward the cap, a block cut short by the budget, and the
     replay of a block that raised are applied one map at a time.
 
@@ -190,12 +198,15 @@ def iterate(
     if move is None and level[0] < stop.tolerance:
         return _trace(blocks, TerminalStatus.CONVERGED, state, t)
     status = TerminalStatus.MAX_ITERATIONS
-    cap = min(_MAX_BLOCK, max(_MIN_BLOCK, _BLOCK_BYTES // state.nbytes))
     size = _FIRST_BLOCK
     powers = None
     if form is not None and isinstance(maps, repeat):
         M = form(next(maps))
         powers = _Powers(M, fixed) if len(M) <= _DOUBLING_MAX_DIM else None
+    if powers is None:
+        cap = min(_MAX_BLOCK, max(_MIN_BLOCK, _BLOCK_BYTES // state.nbytes))
+    else:
+        cap = _MAX_BLOCK
     it = iter(maps)
     while t < stop.max_iterations:
         n = min(size, stop.max_iterations - t)

@@ -10,6 +10,7 @@ from pathlib import Path, PurePath
 import numpy as np
 
 from conesim import (
+    KrausMap,
     SimulationTrace,
     StoppingRule,
     TerminalStatus,
@@ -75,6 +76,14 @@ def random_density(rng: np.random.Generator, n: int) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     z = g @ g.conj().T
     return z / np.trace(z).real
+
+
+def periodic_channel() -> KrausMap:
+    """The n = 4 channel of E_10, E_21, E_12 and E_33 (E_ij = |i><j|): level
+    0 decays to 1, levels 1 and 2 swap and level 3 stays, so its fixed points
+    diag(0, a, a, b) are not unique and a run from I/4 never settles."""
+    units = np.eye(16, dtype=complex).reshape(16, 4, 4)
+    return KrausMap(tuple(units[4 * i + j] for i, j in ((1, 0), (2, 1), (1, 2), (3, 3))))
 
 
 def random_conditioned_invertible(
@@ -154,6 +163,22 @@ def reference_check_connectivity(
     return ConnectivityReport(
         window_start, horizon, root is not None, root, float(min_pos), diag_pos
     )
+
+
+def reference_random_stochastic_matrix(
+    n: int, rng: np.random.Generator, density: float | None = None
+) -> StochasticMatrix:
+    """Reference kernel: `random_stochastic_matrix` as it was before it took
+    one matrix of the block draw, each matrix drawn and checked alone."""
+    if density is not None and not (0.0 < density <= 1.0):
+        raise ValueError(f"density must be in (0, 1], got {density}")
+    entries = rng.uniform(size=(n, n))
+    if density is not None:
+        mask = rng.uniform(size=(n, n)) < density
+        np.fill_diagonal(mask, True)
+        entries = entries * mask
+    entries = entries / entries.sum(axis=1, keepdims=True)
+    return StochasticMatrix(entries)
 
 
 # --- traces as records, and the per-row kernels the columnar trace replaced ---

@@ -29,6 +29,7 @@ from conesim import (
     make_spontaneous_emission_map,
     projective_diameter,
     random_kraus_map,
+    random_stochastic_matrices,
     random_stochastic_matrix,
     run_consensus,
     run_noncommutative_consensus,
@@ -84,7 +85,7 @@ def test_criterion_02_tsitsiklis_monotonicity():
         for trial in range(1000):
             n = 2 + trial % 9
             draws = np.random.default_rng(trial)
-            seq = (random_stochastic_matrix(n, draws, densities[trial % 3]) for _ in range(100))
+            seq = random_stochastic_matrices(n, 100, draws, densities[trial % 3])
             rng = np.random.default_rng(10_000 + trial)
             x0 = rng.uniform(-1.0, 2.0, n)
             trace = run_consensus(seq, x0, StoppingRule(0.0, 100))

@@ -21,12 +21,6 @@ from conesim import (
 )
 
 
-def _unit(i, j, n):
-    m = np.zeros((n, n), dtype=complex)
-    m[i, j] = 1.0
-    return m
-
-
 def test_zero_trace_fixed_direction(monkeypatch):
     def singular(a, b):
         raise np.linalg.LinAlgError("Singular matrix")
@@ -35,16 +29,6 @@ def test_zero_trace_fixed_direction(monkeypatch):
     with pytest.raises(FixedPointError) as info:
         channel_fixed_point(make_spontaneous_emission_map(0.2))
     assert str(info.value) == "fixed direction has numerically zero trace"
-
-
-def test_degenerate_fixed_space_whose_run_does_not_settle():
-    # populations: 0 -> 1, 1 -> 2, 2 -> 1, and 3 stays; the fixed points are
-    # diag(0, a, a, b), and the run from I/4 swaps levels 1 and 2 forever
-    n = 4
-    phi = KrausMap([_unit(1, 0, n), _unit(2, 1, n), _unit(1, 2, n), _unit(3, 3, n)])
-    with pytest.raises(FixedPointError) as info:
-        channel_fixed_point(phi)
-    assert str(info.value) == "degenerate fixed-point space and power iteration did not settle"
 
 
 def test_fixed_point_residual_over_tolerance(monkeypatch):

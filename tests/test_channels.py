@@ -28,10 +28,11 @@ from conesim import (
     spin_rotation_special_cases,
     spontaneous_emission_spectral_shift,
 )
-from conesim.channels import _as_density_array
+from conesim.channels import RESIDUAL_TOL, _as_density_array
 from helpers import (
     compose,
     lyapunov_values,
+    periodic_channel,
     random_density,
     random_hermitian,
     random_positive_definite,
@@ -397,6 +398,18 @@ class TestChannelFixedPoint:
         result = channel_fixed_point(KrausMap((v,)))
         assert not result.unique
         assert result.eigenvalue_one_multiplicity == 2
+
+    def test_periodic_degenerate_channel_gives_the_average_of_its_run(self):
+        # the fixed points are diag(0, a, a, b), and the run from I/4 swaps
+        # the populations of levels 1 and 2 forever: its average is returned
+        result = channel_fixed_point(periodic_channel())
+        assert not result.unique
+        assert result.eigenvalue_one_multiplicity == 2
+        assert result.residual <= RESIDUAL_TOL
+        assert np.max(np.abs(result.density - np.diag([0.0, 0.375, 0.375, 0.25]))) <= 1e-15
+        run = run_channel(periodic_channel(), np.eye(4) / 4, StoppingRule(0.0, 1000))
+        assert run.status is TerminalStatus.MAX_ITERATIONS
+        assert np.diagonal(run.final_state).real.tolist() == [0.0, 0.25, 0.5, 0.25]
 
     @given(st.integers(0, 2**32 - 1))
     @settings(deadline=None, max_examples=25)

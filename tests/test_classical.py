@@ -18,15 +18,18 @@ from conesim import (
     contraction_ratio,
     dual_consensus_step,
     projective_diameter,
+    random_stochastic_matrices,
     random_stochastic_matrix,
     run_consensus,
     run_dual_consensus,
 )
+from conesim.classical import _check_stochastic
 
 from helpers import (
     lyapunov_values,
     quadruple_projective_diameter,
     reference_check_connectivity,
+    reference_random_stochastic_matrix,
 )
 
 LEADER = np.array([[1.0, 0.0], [0.25, 0.75]])  # gamma^2 = 0.25
@@ -63,6 +66,63 @@ class TestStochasticMatrix:
     def test_no_silent_renormalization(self):
         with pytest.raises(ValueError):
             StochasticMatrix(np.array([[0.45, 0.45], [0.5, 0.5]]))
+
+
+# matrices that fail the check, each with the message StochasticMatrix gives
+DEFECTS = [
+    np.array([[0.5, 0.5], [0.5, 0.4]]),
+    np.array([[1.5, -0.5], [0.5, 0.5]]),
+    np.array([[np.nan, 1.0], [0.5, 0.5]]),
+    np.array([[np.inf, 1.0], [0.5, 0.5]]),
+    np.array([[0.45, 0.45], [0.5, 0.5]]),
+]
+
+
+def _message(m):
+    with pytest.raises(ValueError) as info:
+        StochasticMatrix(m)
+    return str(info.value)
+
+
+class TestBlockDraw:
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 50),
+        st.none() | st.floats(0.1, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_matches_the_per_matrix_draws_bit_for_bit(self, n, count, density, seed):
+        block = random_stochastic_matrices(n, count, np.random.default_rng(seed), density)
+        rng = np.random.default_rng(seed)
+        singles = [reference_random_stochastic_matrix(n, rng, density) for _ in range(count)]
+        assert len(block) == count
+        for A, B in zip(block, singles):
+            assert isinstance(A, StochasticMatrix)
+            assert A.entries.tobytes() == B.entries.tobytes()
+            assert not A.entries.flags.writeable
+        # and the stream goes on where the per-matrix draws leave it
+        after = np.random.default_rng(seed)
+        random_stochastic_matrices(n, count, after, density)
+        assert after.uniform() == rng.uniform()
+        rng = np.random.default_rng(seed)
+        one = random_stochastic_matrix(n, rng, density)
+        assert one.entries.tobytes() == block[0].entries.tobytes()
+
+    @pytest.mark.parametrize("density", [0.0, -0.5, 1.5])
+    def test_rejects_a_density_outside_the_unit_interval(self, density):
+        with pytest.raises(ValueError, match="density must be in"):
+            random_stochastic_matrices(3, 2, np.random.default_rng(0), density)
+
+    @pytest.mark.parametrize("defect", range(len(DEFECTS)))
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_stacked_check_gives_the_first_defective_matrix_message(self, defect, k):
+        stack = np.stack([np.full((2, 2), 0.5)] * 4)
+        stack[k] = DEFECTS[defect]
+        stack[3] = DEFECTS[(defect + 1) % len(DEFECTS)]
+        with pytest.raises(ValueError) as info:
+            _check_stochastic(stack)
+        assert str(info.value) == _message(DEFECTS[defect])
 
 
 class TestConsensusStep:

@@ -7,8 +7,12 @@ import conesim.channels
 import conesim.runner
 from conesim import TerminalStatus, builtin_example, parse_scenario, run_scenario
 from conesim.cli import main
-from conesim.scenario import complex_array_from_pairs, scenario_to_jsonable
-from helpers import assert_same_scenario
+from conesim.scenario import (
+    complex_array_from_pairs,
+    pairs_from_complex_array,
+    scenario_to_jsonable,
+)
+from helpers import assert_same_scenario, periodic_channel
 
 IDENTITY_SCENARIO = {
     "kind": "classical",
@@ -86,6 +90,25 @@ class TestRunCommand:
         assert "status=converged" in out
         assert (tmp_path / "out" / "trace.csv").exists()
         assert (tmp_path / "out" / "summary.json").exists()
+
+    def test_periodic_degenerate_channel_with_its_fixed_point_exits_zero(self, tmp_path):
+        # a channel whose run from I/4 never settles; from this state it is
+        # fixed after one step, and the fixed point is the average of that run
+        doc = {
+            "kind": "quantum_channel",
+            "dimension": 4,
+            "dynamics": {"kraus_operators": pairs_from_complex_array(periodic_channel().operators)},
+            "initial_state": pairs_from_complex_array(np.diag([0.2, 0.4, 0.2, 0.2]) + 0j),
+            "stop": {"tolerance": 1e-12, "max_iterations": 50},
+            "analysis": {"fixed_point": True},
+        }
+        path = write_scenario(tmp_path, doc)
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        fixed = summary["fixed_point"]
+        assert (fixed["unique"], fixed["eigenvalue_one_multiplicity"]) == (False, 2)
+        density = complex_array_from_pairs(fixed["matrix"])
+        assert np.abs(density - np.diag([0.0, 0.375, 0.375, 0.25])).max() <= 1e-15
 
     def test_non_converged_scenario_exits_two(self, tmp_path):
         path = write_scenario(tmp_path, IDENTITY_SCENARIO)

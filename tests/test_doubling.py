@@ -5,7 +5,8 @@ per-step reference.
 first state by doubling, rows [f, 2f) being rows [0, f) times M^f, when the
 run's row form M has at most `_DOUBLING_MAX_DIM` rows: A^T for
 `run_consensus`, A for `run_dual_consensus`, C for the Kraus dual and C^T for
-the channel at n <= 8. The powers round differently from the steps, so a
+the channel at n <= 8. Such a run's blocks grow to `_MAX_BLOCK` states
+whatever its states' bytes. The powers round differently from the steps, so a
 doubled run matches `helpers`' per-step reference within the run bound of
 `helpers.assert_same_run`, with the same status and iteration count wherever
 the stopping level is clear of the tolerance. Blocks that grow toward the
@@ -71,9 +72,13 @@ RUNS = {
 
 
 def _block_edges(state_bytes, until):
-    """Steps that end a block, and the block cap, for a run whose state
-    takes `state_bytes` bytes."""
-    cap = min(_MAX_BLOCK, max(_MIN_BLOCK, _BLOCK_BYTES // state_bytes))
+    """Steps that end a block, and the block cap, for a stepped run whose
+    state takes `state_bytes` bytes, or for a doubled run (None), whose
+    blocks take _MAX_BLOCK states whatever their bytes."""
+    if state_bytes is None:
+        cap = _MAX_BLOCK
+    else:
+        cap = min(_MAX_BLOCK, max(_MIN_BLOCK, _BLOCK_BYTES // state_bytes))
     edges, t, size = [], 0, _FIRST_BLOCK
     while t < until:
         t += size
@@ -82,8 +87,8 @@ def _block_edges(state_bytes, until):
     return edges, cap
 
 
-def _first_full_block(state_bytes):
-    """The step at which a run's first full-size block starts."""
+def _first_full_block(state_bytes=None):
+    """The step at which a run's first full-size block starts, and its size."""
     edges, cap = _block_edges(state_bytes, 10**6)
     return next(e for e, f in zip([0] + edges, edges) if f - e == cap), cap
 
@@ -99,11 +104,6 @@ def _lazy_kraus(n, rng):
     eps = rng.uniform(0.02, 0.5)
     ops = random_kraus_map(n, int(rng.integers(1, 4)), rng).operators
     return KrausMap((math.sqrt(1.0 - eps) * np.eye(n),) + tuple(math.sqrt(eps) * ops))
-
-
-def _state_bytes(name, n):
-    # the coordinates of a matrix run, n^2 floats
-    return 8 * n * n if RUNS[name][2] else 8 * n
 
 
 def _levels(name, maps, state, steps):
@@ -135,7 +135,7 @@ def doubled_runs(draw):
     matrices = RUNS[name][2]
     n = draw(st.integers(1, _LIOUVILLE_MAX_N if matrices else _DOUBLING_MAX_DIM))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    start, cap = _first_full_block(_state_bytes(name, n))
+    start, cap = _first_full_block()
     # budgets at the edges of the full blocks, that cut a full block short,
     # and that stop before the first
     edges = [start + k * cap for k in range(4)]
@@ -211,14 +211,21 @@ def doubling(monkeypatch):
     return counted
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_only_full_size_blocks_of_one_map_double(name, doubling):
+# every run at n = 2, and vector runs at the largest row form that doubles
+ONE_MAP_RUNS = [pytest.param(name, 2, id=name) for name in sorted(RUNS)]
+ONE_MAP_RUNS += [
+    pytest.param(name, _DOUBLING_MAX_DIM, id=f"{name}-{_DOUBLING_MAX_DIM}")
+    for name in ("consensus", "dual_consensus")
+]
+
+
+@pytest.mark.parametrize("name, n", ONE_MAP_RUNS)
+def test_only_full_size_blocks_of_one_map_double(name, n, doubling):
     run, ref_run, matrices = RUNS[name]
     rng = np.random.default_rng(11)
-    n = 2
     maps = _lazy_kraus(n, rng) if matrices else _lazy_stochastic(n, rng)
     state = random_density(rng, n) if matrices else rng.uniform(0.5, 2.0, n)
-    start, cap = _first_full_block(_state_bytes(name, n))
+    start, cap = _first_full_block()
     # up to the first full block, and a block cut short by the budget, the
     # run steps one map at a time, bit for bit
     for budget in (start, start + cap - 1):
