@@ -7,9 +7,12 @@ n = 12, 24 and 32, 300 steps each from a fixed seed. A classical run of one
 matrix fills its full blocks of 256 states by doubling, from squares of the
 matrix; the script runs `run_consensus` and `run_dual_consensus` of a lazy
 random stochastic matrix at n = 64 and 128, 1,300 steps each, four full
-blocks and part of a fifth. It prints one digest per run of its trace
-columns, iteration count and final state, then one of all ten. Runs under
-different BLAS thread counts should print the same lines:
+blocks and part of a fifth. Runs of the other row forms double too: the
+script runs the dual of a lazy map at n = 8 (a 64-row form) for 900 steps,
+its channel at n = 2 (4 rows) for 1,250 and `run_consensus` at n = 48 for
+800. It prints one digest per run of its trace columns, iteration count and
+final state, then one of all thirteen. Runs under different BLAS thread
+counts should print the same lines:
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/step_digest.py
     OPENBLAS_NUM_THREADS=2 python3 scripts/step_digest.py
@@ -34,6 +37,11 @@ SIZES = (12, 24, 32)
 STEPS = 300
 DOUBLED_SIZES = (64, 128)
 DOUBLED_STEPS = 1300
+SMALL_DOUBLED = (
+    ("dual", run_noncommutative_consensus, 8, 900),
+    ("channel", run_channel, 2, 1250),
+    ("consensus", run_consensus, 48, 800),
+)
 
 
 def lazy_map(n: int, rng: np.random.Generator) -> KrausMap:
@@ -45,6 +53,13 @@ def lazy_map(n: int, rng: np.random.Generator) -> KrausMap:
 def lazy_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
     """0.9 I + 0.1 a random stochastic matrix: slowly mixing."""
     return 0.9 * np.eye(n) + 0.1 * random_stochastic_matrix(n, rng).entries
+
+
+def random_density(n: int, rng: np.random.Generator) -> np.ndarray:
+    """G G* / trace, G a complex Gaussian matrix."""
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    Z = G @ G.conj().T
+    return (Z + Z.conj().T) / (2 * np.trace(Z).real)
 
 
 def digest(trace) -> str:
@@ -62,9 +77,7 @@ def main() -> int:
     total = hashlib.sha256()
     for n in SIZES:
         phi = lazy_map(n, rng)
-        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        Z = G @ G.conj().T
-        Z = (Z + Z.conj().T) / (2 * np.trace(Z).real)
+        Z = random_density(n, rng)
         X, limit = n * Z, np.eye(n)
         for name, run, state in (
             ("dual", run_noncommutative_consensus, X),
@@ -81,6 +94,14 @@ def main() -> int:
             line = digest(run(A, x, stop, limit))
             total.update(line.encode())
             print(f"{name} n={n}: {line}")
+    for name, run, n, steps in SMALL_DOUBLED:
+        if name == "consensus":
+            maps, state = lazy_matrix(n, rng), rng.uniform(0.5, 2.0, n)
+        else:
+            maps, state = lazy_map(n, rng), random_density(n, rng)
+        line = digest(run(maps, state, StoppingRule(0.0, steps)))
+        total.update(line.encode())
+        print(f"{name} n={n}: {line}")
     print(f"all: {total.hexdigest()}")
     return 0
 

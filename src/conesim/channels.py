@@ -10,6 +10,7 @@ from itertools import repeat
 
 import numpy as np
 
+from .classical import as_stochastic_matrix
 from .hermitian import as_hermitian_array, is_positive_definite, spectral_interval
 from .trace import SimulationTrace, StoppingRule, TerminalStatus, _check_count, iterate
 
@@ -331,9 +332,9 @@ def _spectral_measure(n: int, limit, lyapunov: bool) -> Callable:
     (see `_state_space`): the spectral interval, the Frobenius distance to
     `limit` when one is supplied and, when `lyapunov` is set, the Hilbert
     distance to the identity ray log(lambda_max / lambda_min) of the positive
-    definite states. The run's level is the spectral width. A qubit's
-    spectrum is read off its coordinates; other states are rebuilt as
-    matrices for `eigvalsh`."""
+    definite states; `iterate` stops a run on the spectral width lambda_max -
+    lambda_min. A qubit's spectrum is read off its coordinates; other states
+    are rebuilt as matrices for `eigvalsh`."""
     to_matrix = _state_space(n)[3]
     limit_m = None if limit is None else as_hermitian_array(limit)
 
@@ -347,7 +348,7 @@ def _spectral_measure(n: int, limit, lyapunov: bool) -> Callable:
             pd = is_positive_definite(ev)
             lyap[pd] = np.log(hi[pd]) - np.log(lo[pd])
         dist = None if limit_m is None else _frobenius(M - limit_m)
-        return (lyap, lo, hi, dist, None), hi - lo
+        return lyap, lo, hi, dist, None
 
     return measure
 
@@ -420,9 +421,7 @@ def run_channel(maps, Z0, stop: StoppingRule | None = None, limit=None) -> Simul
     Z = np.array(_as_density_array(Z0))
     unital = isinstance(maps, KrausMap) and maps.is_unital_channel
     measure = _spectral_measure(Z.shape[0], limit, lyapunov=unital)
-    return _run_kraus(
-        maps, Z, False, measure, stop, move=lambda states: _frobenius(np.diff(states, axis=0))
-    )
+    return _run_kraus(maps, Z, False, measure, stop, move=_frobenius)
 
 
 @dataclass(frozen=True)
@@ -646,8 +645,6 @@ def build_classical_embedding(A) -> KrausMap:
     A, so the Kraus condition is exactly row-stochasticity, and the dual map
     leaves diagonal matrices diagonal, acting on their diagonals as A does.
     """
-    from .classical import as_stochastic_matrix
-
     a = as_stochastic_matrix(A).entries
     n = len(a)
     k = np.arange(n)

@@ -182,7 +182,7 @@ def run_consensus(sequence, x0, stop: StoppingRule | None = None, limit=None) ->
         positive = lo > 0.0
         proj = np.full(len(states), np.nan)
         proj[positive] = birkhoff_lyapunov(extremes[positive])
-        return (spread, lo, hi, _sup_distance(states, limit_v), proj), spread
+        return spread, lo, hi, _sup_distance(states, limit_v), proj
 
     return iterate(
         _matrices(sequence, x.size),
@@ -209,7 +209,7 @@ def run_dual_consensus(
 
     def measure(states: np.ndarray):
         lo, hi = states.min(axis=1), states.max(axis=1)
-        return (None, lo, hi, _sup_distance(states, limit_v), None), None
+        return None, lo, hi, _sup_distance(states, limit_v), None
 
     return iterate(
         _matrices(sequence, z.size),
@@ -217,7 +217,7 @@ def run_dual_consensus(
         lambda A, z, out: np.dot(A.entries.T, z, out=out),
         measure,
         stop,
-        move=lambda states: np.abs(np.diff(states, axis=0)).max(axis=1),
+        move=lambda steps: np.abs(steps).max(axis=1),
         form=lambda A: A.entries,
         fixed=z.size,
     )

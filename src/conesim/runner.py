@@ -17,12 +17,15 @@ from .channels import (
     kraus_power,
     run_channel,
     run_noncommutative_consensus,
+    spin_rotation_special_cases,
 )
 from .classical import projective_diameter, run_consensus, run_dual_consensus
 from .cones import contraction_ratio
 from .scenario import (
+    CLASSICAL_KINDS,
     Scenario,
     SpinRotationSpec,
+    _state_to_jsonable,
     pairs_from_complex_array,
 )
 from .trace import SimulationTrace, StoppingRule, TerminalStatus, _check_count
@@ -40,9 +43,10 @@ class RunResult:
     trace: SimulationTrace
 
 
-def _json_extended(d: float) -> float | str:
-    """A diameter or radius in the summary: a float, or "+inf" when infinite."""
-    return d if math.isfinite(d) else "+inf"
+def _json_extended(d: float | None) -> float | str | None:
+    """A summary value that may be infinite: "+inf" then, else d. The summary
+    is strict JSON, so any other non-finite float fails its dump."""
+    return d if d is None or math.isfinite(d) else "+inf"
 
 
 def _diameter_windows(s: Scenario) -> tuple[list[dict], int | None, float | None]:
@@ -98,7 +102,7 @@ def run_scenario(
     # the reported factor tanh(Δ/4): a finite image-radius bracket wins,
     # otherwise the first finite product diameter gives it
     factor: float | None = None
-    if s.kind in ("classical", "classical_dual"):
+    if s.kind in CLASSICAL_KINDS:
         run = run_consensus if s.kind == "classical" else run_dual_consensus
         trace = run(s.dynamics, s.initial_state, stop, s.expected_limit)
     else:
@@ -118,21 +122,20 @@ def run_scenario(
 
     summary["status"] = trace.status.value
     summary["iterations"] = trace.iterations
-    summary["final_lyapunov"] = trace.final_lyapunov
+    summary["final_lyapunov"] = _json_extended(trace.final_lyapunov)
     summary["certified_contraction_factor"] = factor
-    dist = trace.dist_to_limit[-1]
-    summary["expected_limit_distance_final"] = None if np.isnan(dist) else float(dist)
-    if s.kind in ("classical", "classical_dual"):
-        summary["final_state"] = [float(v) for v in trace.final_state]
-    else:
-        summary["final_state"] = pairs_from_complex_array(trace.final_state)
+    dist = trace.dist_to_limit[-1].item()
+    summary["expected_limit_distance_final"] = None if math.isnan(dist) else _json_extended(dist)
+    summary["final_state"] = _state_to_jsonable(trace.final_state)
 
+    # dumped first, so that a summary that is no JSON leaves no trace either
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
     trace_path = out / s.trace_csv
     summary_path = out / s.summary_path
     trace_path.parent.mkdir(parents=True, exist_ok=True)
     summary_path.parent.mkdir(parents=True, exist_ok=True)
     trace.write_csv(trace_path)
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    summary_path.write_text(text)
 
     exit_code = 0 if trace.status is TerminalStatus.CONVERGED else 2
     return RunResult(trace.status, exit_code, trace_path, summary_path, summary, trace)
@@ -150,8 +153,10 @@ def _run_quantum_like(
         phi = s.dynamics
         state0 = s.initial_state
 
-    if isinstance(s.builder, SpinRotationSpec):
-        summary["spin_rotation_special_cases"] = list(s.builder.special_cases())
+    b = s.builder
+    if isinstance(b, SpinRotationSpec):
+        cases = spin_rotation_special_cases(b.alpha_over_pi, b.beta_over_pi)
+        summary["spin_rotation_special_cases"] = list(cases)
 
     est = s.analysis.estimate_image_radius
     est_seed = seed_override if seed_override is not None else (est.seed if est else 0)

@@ -51,7 +51,6 @@ from .channels import (
     _as_density_array,
     make_spin_rotation_map,
     make_spontaneous_emission_map,
-    spin_rotation_special_cases,
 )
 from .classical import StochasticMatrix
 from .trace import StoppingRule
@@ -234,9 +233,6 @@ class SpinRotationSpec:
     alpha_over_pi: Fraction
     beta_over_pi: Fraction
     p: float
-
-    def special_cases(self) -> tuple[str, ...]:
-        return spin_rotation_special_cases(self.alpha_over_pi, self.beta_over_pi)
 
 
 @dataclass(frozen=True)

@@ -182,20 +182,21 @@ def iterate(
 
     `measure(states)` returns the block's columns (lyapunov, lambda_min,
     lambda_max, dist_to_limit, projective_lyapunov: None for a column the run
-    does not record, NaN for an undefined value) and the level of each state; it must
-    raise on a block exactly when it raises on one of its states. Without
-    `move` the run stops at the first level below tolerance, from t = 0; with
-    `move` at the first move(states)[k], a state's distance from the one
-    before, below it, so after one step at least. The budget is tested before
-    a map is pulled: a finite sequence of exactly max_iterations maps ends
-    MAX_ITERATIONS, a shorter one INCOMPLETE_SEQUENCE. A state with a
-    non-finite entry raises ValueError. Maps applied past the stopping index,
-    and errors raised on them, never reach the result.
+    does not record, NaN for an undefined value); it must raise on a block
+    exactly when it raises on one of its states. One rule stops every run, at
+    the first state whose level is below tolerance: lambda_max - lambda_min
+    (the spread, the spectral width) from t = 0, or with `move` the norm of
+    a state's step, move(np.diff(states, axis=0))[k], after one step at least.
+    The budget is tested before a map is pulled: a finite sequence of exactly
+    max_iterations maps ends MAX_ITERATIONS, a shorter one
+    INCOMPLETE_SEQUENCE. A state with a non-finite entry raises ValueError.
+    Maps applied past the stopping index, and errors raised on them, never
+    reach the result.
     """
     stop = stop or StoppingRule()
-    columns, level = measure(state[None])
+    columns = measure(state[None])
     blocks, t = [columns], 0
-    if move is None and level[0] < stop.tolerance:
+    if move is None and columns[2][0] - columns[1][0] < stop.tolerance:
         return _trace(blocks, TerminalStatus.CONVERGED, state, t)
     status = TerminalStatus.MAX_ITERATIONS
     size = _FIRST_BLOCK
@@ -224,9 +225,8 @@ def iterate(
             states = states[: len(pulled) + 1]
             if not np.isfinite(states).all():
                 raise ValueError("state entries must be finite")
-            columns, level = measure(states[1:])
-            if move is not None:
-                level = move(states)
+            columns = measure(states[1:])
+            level = columns[2] - columns[1] if move is None else move(np.diff(states, axis=0))
         except Exception as exc:
             if n == 1:
                 raise

@@ -303,10 +303,11 @@ def _scale(m, x, out):
 
 
 def _measure(states):
+    # lambda_min 0 and lambda_max |x|: the run's level is |x|
     if np.isnan(states).any():
         raise ValueError("entries must be finite")
     level = np.abs(states).max(axis=1)
-    return (level, level, level, None, None), level
+    return level, np.zeros_like(level), level, None, None
 
 
 def _maps(bad):

@@ -23,6 +23,10 @@ IDENTITY_SCENARIO = {
 }
 
 
+def _reject_constant(name):
+    raise ValueError(f"summary holds the non-standard JSON constant {name}")
+
+
 def write_scenario(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -113,6 +117,44 @@ class TestRunCommand:
     def test_non_converged_scenario_exits_two(self, tmp_path):
         path = write_scenario(tmp_path, IDENTITY_SCENARIO)
         assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("kind", ["classical", "quantum_dual"])
+    def test_infinite_values_are_spelled_plus_inf_in_strict_json(self, tmp_path, kind):
+        # the spread and the distance to the limit overflow to inf
+        big = np.finfo(float).max
+        doc = dict(
+            IDENTITY_SCENARIO,
+            kind=kind,
+            initial_state=[big, -big],
+            expected_limit=[-big, big],
+            stop={"tolerance": 1e-10, "max_iterations": 5},
+        )
+        if kind == "quantum_dual":
+            doc["dynamics"] = {"kraus_operators": [pairs_from_complex_array(np.eye(2) + 0j)]}
+            for key in ("initial_state", "expected_limit"):
+                doc[key] = pairs_from_complex_array(np.diag(doc[key]) + 0j)
+        path = write_scenario(tmp_path, doc)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        summary = json.loads(
+            (tmp_path / "out" / "summary.json").read_text(), parse_constant=_reject_constant
+        )
+        assert summary["expected_limit_distance_final"] == "+inf"
+        # the dual's states are not positive definite: no Lyapunov value
+        assert summary["final_lyapunov"] == ("+inf" if kind == "classical" else None)
+
+    def test_other_non_finite_summary_value_exits_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(conesim.runner, "contraction_ratio", lambda d: float("nan"))
+        # a positive matrix, whose diameter is finite and whose factor is NaN
+        doc = dict(
+            IDENTITY_SCENARIO,
+            dynamics={"matrix": [[0.75, 0.25], [0.25, 0.75]]},
+            analysis={"compute_diameter": True},
+        )
+        path = write_scenario(tmp_path, doc)
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        assert "Out of range float values are not JSON compliant" in capsys.readouterr().err
+        assert not any((tmp_path / "out").iterdir())
 
     def test_invalid_scenario_exits_one(self, tmp_path, capsys):
         doc = dict(IDENTITY_SCENARIO, dynamics={"matrix": [[1.0, 0.0], [0.4, 0.5]]})

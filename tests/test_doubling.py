@@ -16,10 +16,6 @@ pairings a run conserves drift no more than the per-step reference's over
 runs as long as the longest benchmark runs and longer.
 """
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,42 +322,3 @@ def test_conserved_pairings_drift_no_more_than_per_step(name, steps, monkeypatch
     assert np.all(doubled <= per_step + 8.0 * math.sqrt(steps) * EPS)
     assert doubled.sum() <= 1.1 * per_step.sum()
     assert doubled.max() <= steps * EPS
-
-
-_THREADS_SCRIPT = """
-import hashlib, sys
-import numpy as np
-sys.path[:0] = {paths!r}
-from conesim import StoppingRule, run_channel, run_consensus, run_noncommutative_consensus
-from test_doubling import _lazy_kraus, _lazy_stochastic, _mixing_cycle
-from helpers import random_density, random_hermitian
-rng = np.random.default_rng(3)
-traces = [
-    run_consensus(_mixing_cycle(64, 1200, rng), rng.uniform(0.5, 2.0, 64), StoppingRule(0.0, 1200)),
-    run_consensus(_lazy_stochastic(48, rng), rng.uniform(0.5, 2.0, 48), StoppingRule(0.0, 800)),
-    run_noncommutative_consensus(
-        _lazy_kraus(8, rng), random_hermitian(rng, 8) + 3 * np.eye(8), StoppingRule(0.0, 900)
-    ),
-    run_channel(_lazy_kraus(2, rng), random_density(rng, 2), StoppingRule(0.0, 1250)),
-]
-digest = hashlib.sha256()
-for t in traces:
-    for column in (t.lyapunov, t.lambda_min, t.lambda_max, t.projective_lyapunov, t.final_state):
-        digest.update(np.ascontiguousarray(column).tobytes())
-print(digest.hexdigest())
-"""
-
-
-def test_doubled_traces_are_byte_identical_at_one_and_two_blas_threads():
-    # the benchmark runs at two threads; `test_determinism_byte_identical_traces`
-    # needs the doubled products to sum in the same order at any count
-    tests = Path(__file__).parent
-    script = _THREADS_SCRIPT.format(paths=[str(tests.parent / "src"), str(tests)])
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        out = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-        )
-        digests.append(out.stdout.strip())
-    assert len(digests[0]) == 64 and digests[0] == digests[1]

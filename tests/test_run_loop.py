@@ -6,6 +6,7 @@ stop on the move between successive states, so they always take a step. The
 iteration budget is tested before the next map is pulled.
 """
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from conesim import (
     run_dual_consensus,
     run_noncommutative_consensus,
 )
+from conesim.trace import iterate
 
 LAZY = np.array([[0.9, 0.1], [0.1, 0.9]])  # doubly stochastic, slow mixing
 SPIN = make_spin_rotation_map(0.3, 0.7, 0.5)  # unital as a channel
@@ -113,3 +115,28 @@ def test_wrong_dimension_map_raises_at_its_step(case):
     # a single map is checked once, before the run starts
     with pytest.raises(ValueError, match=mismatch):
         case.run(case.wrong(), case.fixed, StoppingRule(1e-10, 10))
+
+
+def test_the_level_is_the_measured_width_or_the_norm_of_the_step():
+    # x halves each step; the Lyapunov column stays at 1, so only the width
+    # lambda_max - lambda_min = 2x, or the norm of the step the run's `move`
+    # is handed, can stop the run
+    def measure(states):
+        x = states[:, 0]
+        return np.ones(len(x)), -x, x, None, None
+
+    def halve(_, x, out):
+        np.multiply(x, 0.5, out=out)
+
+    stop = StoppingRule(0.3, 50)
+    trace = iterate(repeat(None), np.array([1.0]), halve, measure, stop)
+    assert trace.iterations == 3  # widths 2, 1, 0.5, 0.25
+    steps = []
+
+    def move(d):
+        steps.append(d.copy())
+        return np.abs(d[:, 0])
+
+    trace = iterate(repeat(None), np.array([1.0]), halve, measure, stop, move)
+    assert trace.iterations == 2  # steps -0.5, -0.25
+    np.testing.assert_array_equal(steps[0][:, 0], -(0.5 ** np.arange(1, 9)))

@@ -25,6 +25,7 @@ from conesim import (
     run_consensus,
     run_scenario,
     serialize_scenario,
+    spin_rotation_special_cases,
 )
 from conesim.channels import KrausMap
 from conesim.cli import main as cli_main
@@ -161,7 +162,7 @@ class TestParsing:
         assert isinstance(b, SpinRotationSpec)
         assert b.alpha_over_pi == Fraction(7, 32)
         assert b.beta_over_pi == Fraction(1, 2)
-        assert b.special_cases() == ()
+        assert spin_rotation_special_cases(b.alpha_over_pi, b.beta_over_pi) == ()
 
     def test_non_hermitian_initial_state_rejected(self):
         doc = json.loads(json.dumps(EMISSION_SCENARIO))
@@ -576,7 +577,8 @@ class TestBuiltins:
         np.testing.assert_array_equal(e1.dynamics.entries, [[1.0, 0.0], [0.25, 0.75]])
         e2 = builtin_example("example2")
         assert e2.kind == "quantum_channel"
-        assert e2.builder.special_cases() == ()
+        b = e2.builder
+        assert spin_rotation_special_cases(b.alpha_over_pi, b.beta_over_pi) == ()
         e3 = builtin_example("example3")
         assert e3.kind == "quantum_dual"
         assert e3.analysis.fixed_point and e3.analysis.duality_check

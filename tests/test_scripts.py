@@ -61,5 +61,10 @@ def test_step_digest_is_the_same_at_1_and_2_blas_threads():
     lines = outputs[0].splitlines()
     assert [line.split(":")[0] for line in lines] == [
         f"{action} n={n}" for n in (12, 24, 32) for action in ("dual", "channel")
-    ] + [f"{run} n={n}" for n in (64, 128) for run in ("consensus", "dual_consensus")] + ["all"]
+    ] + [f"{run} n={n}" for n in (64, 128) for run in ("consensus", "dual_consensus")] + [
+        "dual n=8",
+        "channel n=2",
+        "consensus n=48",
+        "all",
+    ]
     assert outputs[0] == outputs[1]
