@@ -112,20 +112,38 @@ class SimulationTrace:
             )
 
     def write_csv(self, path: str | Path) -> Path:
-        """Write the trace with 17 significant digits per float, an empty cell
-        for an absent value.
+        """Write the trace, one row per step t: each float cell is exactly
+        Python's '%.17g' of its value, and empty for NaN.
 
-        The Lyapunov column is asserted non-increasing before anything is
+        Cells are formatted in numpy, with Python for the cells the formatter
+        cannot decide and for traces of fewer than _NUMPY_MIN_ROWS rows. The
+        Lyapunov column is asserted non-increasing before anything is
         written; a violation aborts with the offending step in the message.
         """
         self.check_lyapunov_monotone()
         path = Path(path)
         columns = (self.lyapunov, self.lambda_min, self.lambda_max, self.dist_to_limit)
-        cells = np.column_stack((np.arange(len(self.lyapunov)), *columns))
-        # one format for the whole table; Python prints every NaN as "nan"
-        body = ("\n%d,%.17g,%.17g,%.17g,%.17g" * len(cells)) % tuple(cells.ravel().tolist())
-        path.write_text(CSV_HEADER + body.replace(",nan", ",") + "\n", newline="\n")
+        rows = len(self.lyapunov)
+        if rows < _NUMPY_MIN_ROWS:
+            cells = np.column_stack((np.arange(rows), *columns))
+            # one format for the whole table; Python prints every NaN as "nan"
+            body = ("\n%d,%.17g,%.17g,%.17g,%.17g" * rows) % tuple(cells.ravel().tolist())
+            data = body.replace(",nan", ",").encode()
+        else:
+            from ._csvcells import csv_body
+
+            data = csv_body(columns)
+        path.write_bytes(CSV_HEADER.encode() + data + b"\n")
         return path
+
+
+# Traces below _NUMPY_MIN_ROWS rows are formatted by Python. In process, with
+# 101 alternating calls on a classical and a dual trace written to tmpfs
+# (2 cores, numpy 2.4.6), the numpy writer took 1.12-1.19 times the Python
+# writer's time at 64 rows, 0.93-0.96 at 96 and 0.78-0.79 at 128. Its module
+# is imported on first use: compiled without cached bytecode, it would add
+# about 5 ms to every process that imports conesim.
+_NUMPY_MIN_ROWS = 128
 
 
 # States are measured in blocks of _FIRST_BLOCK, doubling up to _MAX_BLOCK
@@ -196,7 +214,7 @@ def iterate(
     stop = stop or StoppingRule()
     columns = measure(state[None])
     blocks, t = [columns], 0
-    if move is None and columns[2][0] - columns[1][0] < stop.tolerance:
+    if move is None and _width(columns)[0] < stop.tolerance:
         return _trace(blocks, TerminalStatus.CONVERGED, state, t)
     status = TerminalStatus.MAX_ITERATIONS
     size = _FIRST_BLOCK
@@ -226,7 +244,7 @@ def iterate(
             if not np.isfinite(states).all():
                 raise ValueError("state entries must be finite")
             columns = measure(states[1:])
-            level = columns[2] - columns[1] if move is None else move(np.diff(states, axis=0))
+            level = _width(columns) if move is None else move(np.diff(states, axis=0))
         except Exception as exc:
             if n == 1:
                 raise
@@ -247,6 +265,14 @@ def iterate(
             break
         size = min(2 * size, cap)
     return _trace(blocks, status, state, t)
+
+
+def _width(columns) -> np.ndarray:
+    """lambda_max - lambda_min, silently inf or NaN where it overflows: the
+    measure that reported the columns has warned already, and such a level
+    never stops a run."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return columns[2] - columns[1]
 
 
 def _double(states: np.ndarray, powers: _Powers) -> None:

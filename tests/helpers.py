@@ -229,6 +229,18 @@ def reference_write_csv(records, path) -> Path:
     return path
 
 
+def mixing_cycle(n, steps, rng):
+    """A lazy cycle with random weights whose spread shrinks by about e^-13.8
+    over `steps` steps, as the benchmark's trajectories do."""
+    scale = min(0.3, (13.8 / steps) / (2.0 - 2.0 * math.cos(2.0 * math.pi / n)))
+    fwd, bwd = scale * rng.uniform(0.5, 1.5, (2, n))
+    a = np.diag(1.0 - fwd - bwd)
+    idx = np.arange(n)
+    a[idx, (idx + 1) % n] += fwd
+    a[idx, (idx - 1) % n] += bwd
+    return a / a.sum(axis=1, keepdims=True)
+
+
 def reference_iterate(maps, state, apply, record, stop, move=None) -> SimulationTrace:
     """Reference driver: the per-step loop that `conesim.trace.iterate`
     replaced. `record(t, state)` returns the trace row and the level; `move`

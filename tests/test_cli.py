@@ -1,4 +1,6 @@
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,6 +144,27 @@ class TestRunCommand:
         assert summary["expected_limit_distance_final"] == "+inf"
         # the dual's states are not positive definite: no Lyapunov value
         assert summary["final_lyapunov"] == ("+inf" if kind == "classical" else None)
+
+    @pytest.mark.parametrize(
+        "kind, sources",
+        [("classical", {"cones.py", "classical.py"}), ("quantum_dual", {"channels.py"})],
+    )
+    def test_an_overflow_warns_only_where_its_columns_are_measured(self, tmp_path, kind, sources):
+        # the run loop's level, lambda_max - lambda_min, repeats the spread
+        big = np.finfo(float).max
+        doc = dict(IDENTITY_SCENARIO, kind=kind, initial_state=[big, -big])
+        doc["expected_limit"] = [-big, big]
+        if kind == "quantum_dual":
+            doc["dynamics"] = {"kraus_operators": [pairs_from_complex_array(np.eye(2) + 0j)]}
+            for key in ("initial_state", "expected_limit"):
+                doc[key] = pairs_from_complex_array(np.diag(doc[key]) + 0j)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_scenario(parse_scenario(doc), out_dir=tmp_path)
+        assert result.exit_code == 2
+        raised_in = {Path(w.filename).parts[-2:] for w in caught}
+        assert ("conesim", "trace.py") not in raised_in
+        assert raised_in == {("conesim", name) for name in sources}
 
     def test_other_non_finite_summary_value_exits_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(conesim.runner, "contraction_ratio", lambda d: float("nan"))

@@ -44,6 +44,7 @@ from conesim.trace import (
 )
 from helpers import (
     assert_same_run,
+    mixing_cycle,
     random_density,
     random_hermitian,
     reference_run_channel,
@@ -258,18 +259,6 @@ def test_maps_above_the_size_rules_step_one_at_a_time(name, doubling):
 # --- drift of the conserved pairings -----------------------------------------
 
 
-def _mixing_cycle(n, steps, rng):
-    """A lazy cycle with random weights whose spread shrinks by about e^-13.8
-    over `steps` steps, as the benchmark's trajectories do."""
-    scale = min(0.3, (13.8 / steps) / (2.0 - 2.0 * math.cos(2.0 * math.pi / n)))
-    fwd, bwd = scale * rng.uniform(0.5, 1.5, (2, n))
-    a = np.diag(1.0 - fwd - bwd)
-    idx = np.arange(n)
-    a[idx, (idx + 1) % n] += fwd
-    a[idx, (idx - 1) % n] += bwd
-    return a / a.sum(axis=1, keepdims=True)
-
-
 def _unitary(n, rng):
     q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
@@ -310,7 +299,7 @@ def test_conserved_pairings_drift_no_more_than_per_step(name, steps, monkeypatch
         rng = np.random.default_rng(seed)
         for n in (8, 32, _DOUBLING_MAX_DIM) if name == "dual_consensus" else (2, 4, 8):
             if name == "dual_consensus":
-                maps, state = _mixing_cycle(n, steps, rng), rng.uniform(0.5, 2.0, n)
+                maps, state = mixing_cycle(n, steps, rng), rng.uniform(0.5, 2.0, n)
             elif name == "channel":
                 maps, state = _mixing_kraus(n, steps, rng, False), random_density(rng, n)
             else:

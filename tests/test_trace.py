@@ -1,21 +1,30 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conesim._csvcells
 import conesim.trace
 from conesim import (
+    SimulationTrace,
     StoppingRule,
     TerminalStatus,
     TraceRecord,
     builtin_example,
     parse_scenario,
+    run_consensus,
     run_scenario,
 )
 from conesim.trace import TraceInvariantError
-from helpers import reference_check_lyapunov_monotone, reference_write_csv, trace_from_records
+from helpers import (
+    mixing_cycle,
+    reference_check_lyapunov_monotone,
+    reference_write_csv,
+    trace_from_records,
+)
 
 
 def make_trace(lyapunov_values):
@@ -153,6 +162,81 @@ def test_columnar_writer_and_check_match_the_per_row_reference(n, seed, chain, t
         with pytest.raises(TraceInvariantError):
             trace.write_csv(tmp / "new.csv")
         assert not (tmp / "new.csv").exists()
+
+
+# --- the numpy writer at decimal boundaries, on real traces, and its fast path ---
+
+# 10^k and both its float neighbours, where the digits and the notation switch
+# (1e-5 and 1e-4, 1e16 and 1e17 among them); exact ties at the 17th digit;
+# signed zeros, the smallest normal, subnormals and infinities
+BOUNDARY = [
+    v
+    for ten in (float(f"1e{k}") for k in range(-30, 31))
+    for v in (math.nextafter(ten, -math.inf), ten, math.nextafter(ten, math.inf))
+]
+BOUNDARY += [2.0**-25, 3 * 2.0**-25, 0.0, sys.float_info.min, 5e-324, sys.float_info.min / 3]
+BOUNDARY += [math.inf] + [-v for v in BOUNDARY]
+
+
+def _written_and_reference(trace, tmp_path):
+    new = trace.write_csv(tmp_path / "new.csv").read_bytes()
+    return new, reference_write_csv(trace.records, tmp_path / "ref.csv").read_bytes()
+
+
+def _cycle_trace(n):
+    """A 3,500-step run on a lazy cycle, with all four CSV columns."""
+    rng = np.random.default_rng(n)
+    cycle, state = mixing_cycle(n, 3500, rng), rng.uniform(0.5, 2.0, n)
+    return run_consensus(cycle, state, StoppingRule(0.0, 3500), limit=np.ones(n))
+
+
+@pytest.fixture
+def python_cells(monkeypatch):
+    """The values the numpy writer hands to Python, in the order handed."""
+    handed = []
+    python_format = conesim._csvcells._python_format
+
+    def counted(values):
+        handed.extend(values.tolist())
+        return python_format(values)
+
+    monkeypatch.setattr(conesim._csvcells, "_python_format", counted)
+    return handed
+
+
+def test_writer_matches_the_reference_at_decimal_boundaries(tmp_path):
+    values = np.array(BOUNDARY)
+    assert len(values) >= conesim.trace._NUMPY_MIN_ROWS
+    columns = (np.sort(values)[::-1], values, np.roll(values, 1), values[::-1])
+    nan = np.full(len(values), np.nan)
+    trace = SimulationTrace(*columns, nan, TerminalStatus.CONVERGED, nan, len(values) - 1)
+    new, reference = _written_and_reference(trace, tmp_path)
+    assert new == reference
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+def test_built_in_example_traces_match_the_reference(tmp_path, name):
+    result = run_scenario(builtin_example(name), out_dir=tmp_path)
+    reference = reference_write_csv(result.trace.records, tmp_path / "ref.csv")
+    assert result.trace_path.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("n", [8, 128])
+def test_lazy_cycle_traces_are_written_by_numpy_alone(tmp_path, python_cells, n):
+    new, reference = _written_and_reference(_cycle_trace(n), tmp_path)
+    assert new == reference
+    assert python_cells == []
+
+
+def test_python_formats_exactly_the_cells_numpy_leaves_undecided(tmp_path, python_cells):
+    trace = _cycle_trace(8)
+    # a tie at the 17th digit, a subnormal, infinities, |x| outside 1e-100..1e100
+    undecided = [2.0**-25, 3 * 2.0**-25, 5e-324, math.inf, -math.inf, 1e-300, -1e300]
+    trace.lambda_min[7::500] = undecided
+    trace.lambda_min[11::500] = np.resize([0.0, -0.0, np.nan], 7)  # no digits to decide
+    new, reference = _written_and_reference(trace, tmp_path)
+    assert new == reference
+    assert python_cells == undecided
 
 
 def test_no_trace_record_is_built_on_the_run_path(tmp_path, monkeypatch):
