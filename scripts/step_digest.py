@@ -4,15 +4,19 @@
 Above n = 8 a dual or channel run steps each state by two complex matrix
 products. This script runs the dual and the channel of a lazy random map at
 n = 12, 24 and 32, 300 steps each from a fixed seed. A classical run of one
-matrix fills its full blocks of 256 states by doubling, from squares of the
-matrix; the script runs `run_consensus` and `run_dual_consensus` of a lazy
-random stochastic matrix at n = 64 and 128, 1,300 steps each, four full
-blocks and part of a fifth. Runs of the other row forms double too: the
-script runs the dual of a lazy map at n = 8 (a 64-row form) for 900 steps,
-its channel at n = 2 (4 rows) for 1,250 and `run_consensus` at n = 48 for
-800. It prints one digest per run of its trace columns, iteration count and
-final state, then one of all thirteen. Runs under different BLAS thread
-counts should print the same lines:
+matrix fills its blocks by doubling, from squares of the matrix, wherever
+the squares pay for themselves; the script runs `run_consensus` and
+`run_dual_consensus` of a lazy random stochastic matrix at n = 64 and 128,
+1,300 steps each. Runs of the other row forms double too: the script runs
+the dual of a lazy map at n = 8 (a 64-row form) for 900 steps, its channel
+at n = 2 (4 rows) for 1,250 and `run_consensus` at n = 48 for 800. At n = 32
+and 128 it runs `run_consensus` for 200 steps, shorter than the 248 steps
+before the first block of 256 states (doubled from its first block at
+n = 32, stepped at n = 128, where the squares cost more than 200 steps), and
+`run_dual_consensus` for 1,000 steps, which the budget ends 240 states into
+a block. It prints one digest per run of its trace columns, iteration count
+and final state, then one of all seventeen. Runs under different BLAS
+thread counts should print the same lines:
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/step_digest.py
     OPENBLAS_NUM_THREADS=2 python3 scripts/step_digest.py
@@ -42,6 +46,9 @@ SMALL_DOUBLED = (
     ("channel", run_channel, 2, 1250),
     ("consensus", run_consensus, 48, 800),
 )
+# runs shorter than the first block of 256 states, and cut short by the budget
+SHORT_AND_CUT_SIZES = (32, 128)
+SHORT_AND_CUT = (("consensus", run_consensus, 200), ("dual_consensus", run_dual_consensus, 1000))
 
 
 def lazy_map(n: int, rng: np.random.Generator) -> KrausMap:
@@ -102,6 +109,12 @@ def main() -> int:
         line = digest(run(maps, state, StoppingRule(0.0, steps)))
         total.update(line.encode())
         print(f"{name} n={n}: {line}")
+    for n in SHORT_AND_CUT_SIZES:
+        A, x = lazy_matrix(n, rng), rng.uniform(0.5, 2.0, n)
+        for name, run, steps in SHORT_AND_CUT:
+            line = digest(run(A, x, StoppingRule(0.0, steps)))
+            total.update(line.encode())
+            print(f"{name} {steps} steps n={n}: {line}")
     print(f"all: {total.hexdigest()}")
     return 0
 

@@ -48,6 +48,10 @@ RADIUS_CHUNK = 4096
 RESIDUAL_TOL = 1e-10
 DEGENERACY_GAP = 1e-8
 MAX_FALLBACK_ITERATIONS = 10_000
+# a unique fixed point whose gap, the second-smallest singular value of
+# C - I, is below this takes one inverse-iteration step: the solve alone is
+# accurate to about eps / gap, 2.2e-14 here
+_REFINE_GAP = 1e-2
 _LIOUVILLE_MAX_N = 8  # the step size rule, see KrausMap
 
 
@@ -539,11 +543,15 @@ def channel_fixed_point(psi: KrausMap) -> FixedPointResult:
     at most `DEGENERACY_GAP`: the geometric multiplicity of eigenvalue 1.
     When it is at most 1, one real linear solve gives the fixed point: trace
     preservation makes the rows of C - I at the diagonal coordinates sum to
-    zero, so the first of them is replaced by the unit-trace condition. When
-    the multiplicity exceeds 1 the fixed point is not unique; the routine
-    then runs the channel from I/n for at most `MAX_FALLBACK_ITERATIONS`
-    steps, until successive states differ by at most `RESIDUAL_TOL`, and
-    flags non-uniqueness rather than fabricating a choice. A run that does
+    zero, so the first of them is replaced by the unit-trace condition. The
+    solve is accurate to about eps / gap, the gap being the second-smallest
+    singular value of C - I, so below `_REFINE_GAP` one inverse-iteration
+    step on C - I follows, unless C - I is exactly singular or the step is
+    not finite. When the multiplicity exceeds 1 the fixed point is not
+    unique; the routine then runs the channel from I/n for at most
+    `MAX_FALLBACK_ITERATIONS` steps, until successive states differ by at
+    most `RESIDUAL_TOL`, and flags non-uniqueness rather than fabricating a
+    choice. A run that does
     not settle (a periodic one) gives the fixed point it averages to: I/n
     projected onto the null space of C - I along its range, which a
     channel's eigenvalue 1, semisimple, makes complementary.
@@ -556,17 +564,21 @@ def channel_fixed_point(psi: KrausMap) -> FixedPointResult:
     """
     n = psi.dimension
     A = psi._real_form - np.eye(n * n)
-    multiplicity = int(np.sum(np.linalg.svd(A, compute_uv=False) <= DEGENERACY_GAP))
+    sv = np.linalg.svd(A, compute_uv=False)
+    multiplicity = int(np.sum(sv <= DEGENERACY_GAP))
 
     if multiplicity <= 1:
-        A[0] = 0.0
-        A[0, :n] = 1.0  # the diagonal coordinates come first
+        bordered = A.copy()
+        bordered[0] = 0.0
+        bordered[0, :n] = 1.0  # the diagonal coordinates come first
         e0 = np.zeros(n * n)
         e0[0] = 1.0
         try:
-            v = np.linalg.solve(A, e0)
+            v = np.linalg.solve(bordered, e0)
         except np.linalg.LinAlgError:
             raise FixedPointError("fixed direction has numerically zero trace") from None
+        if len(sv) > 1 and sv[-2] < _REFINE_GAP:
+            v = _inverse_step(A, v, n)
         Z = _from_coords(v)
     else:
         run = run_channel(psi, np.eye(n) / n, StoppingRule(RESIDUAL_TOL, MAX_FALLBACK_ITERATIONS))
@@ -586,6 +598,18 @@ def channel_fixed_point(psi: KrausMap) -> FixedPointResult:
     except ValueError as exc:
         raise FixedPointError(f"no PSD trace-1 fixed point at tolerance: {exc}") from exc
     return FixedPointResult(density, residual, multiplicity <= 1, multiplicity)
+
+
+def _inverse_step(A: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """One inverse-iteration step on A from the coordinates v, scaled to unit
+    trace; v itself where A is exactly singular or the step is not finite."""
+    try:
+        w = np.linalg.solve(A, v)
+    except np.linalg.LinAlgError:
+        return v
+    with np.errstate(all="ignore"):
+        w /= w[:n].sum()
+    return w if np.isfinite(w).all() else v
 
 
 @dataclass(frozen=True)

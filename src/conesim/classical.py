@@ -176,12 +176,18 @@ def run_consensus(sequence, x0, stop: StoppingRule | None = None, limit=None) ->
 
     def measure(states: np.ndarray):
         lo, hi = states.min(axis=1), states.max(axis=1)
-        # both Lyapunov values of a state are those of its extremes
-        extremes = np.column_stack((lo, hi))
-        spread = tsitsiklis_lyapunov(extremes)
         positive = lo > 0.0
-        proj = np.full(len(states), np.nan)
-        proj[positive] = birkhoff_lyapunov(extremes[positive])
+        if positive.all():
+            # both Lyapunov values of a state are those of its extremes:
+            # tsitsiklis_lyapunov and birkhoff_lyapunov of (lo, hi) are,
+            # bit for bit, hi - lo and |log hi - log lo|, even where the
+            # logs round out of order
+            spread, proj = hi - lo, np.abs(np.log(hi) - np.log(lo))
+        else:
+            extremes = np.column_stack((lo, hi))
+            spread = tsitsiklis_lyapunov(extremes)
+            proj = np.full(len(states), np.nan)
+            proj[positive] = birkhoff_lyapunov(extremes[positive])
         return spread, lo, hi, _sup_distance(states, limit_v), proj
 
     return iterate(
@@ -217,7 +223,7 @@ def run_dual_consensus(
         lambda A, z, out: np.dot(A.entries.T, z, out=out),
         measure,
         stop,
-        move=lambda steps: np.abs(steps).max(axis=1),
+        move=lambda steps: np.abs(steps, out=steps).max(axis=1),
         form=lambda A: A.entries,
         fixed=z.size,
     )

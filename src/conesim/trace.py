@@ -158,23 +158,42 @@ _NUMPY_MIN_ROWS = 128
 # (Hermitian matrices at n >= 17) fewer: a dual run of one map took 164
 # against 172 us per step at n = 32 (4 states by bytes, 256 KB per block
 # with the floor) and 93 against 99 us at n = 24 (7), 2 cores, numpy 2.4.6
-# on OpenBLAS. A run of one map fills its full-size blocks by doubling when
-# its row form has at most _DOUBLING_MAX_DIM rows, see `iterate`: the seven
-# corrected squares of a 256-state block cost as much as the Python steps
-# that about 1.1, 0.5, 0.9, 1.0, 1.1-1.6 and 2-4 full blocks save at 32, 48,
-# 64, 80, 96 and 128 rows (same machine). So at 80 to 128 rows a run ended
-# by its budget between about 500 and 1,100 steps is slower than stepped
-# (5.3 against 3.3 ms at 600 steps and 128 rows), and a longer one faster.
-# The larger blocks cost matrix runs at n = 8 (512-byte states, 128 to a
-# block by bytes) 7-9% at 1,050 steps: their measure takes longer per state.
-# _FIXED_TOL bounds how far a map may move the vector w it keeps (its rows
-# are checked to 1e-12, a Kraus sum to 1e-10).
+# on OpenBLAS. The larger blocks of a doubled run cost matrix runs at n = 8
+# (512-byte states, 128 to a block by bytes) 7-9% at 1,050 steps: their
+# measure takes longer per state.
+# A run of one map whose row form has at most _DOUBLING_MAX_DIM rows doubles
+# a block once the squares are built, and builds them when their cost, in
+# steps, is below the steps the run is expected to take (`_Powers.ready`):
+# _SQUARE_STEPS gives, by rows, the steps a build costs, fixed and per
+# square. Measured as the budget from which doubling every block of a run
+# from its first beats stepping every block (run_consensus on a lazy cycle,
+# tolerance 0, in process, interleaved; same machine): about 150 steps at 8
+# and 16 rows, 185 at 32, 250 at 48, 300-450 at 64, 600 at 80, 750 at 96
+# and 500-850 at 112 and 128, where a build of seven squares takes 1.5-2.8
+# ms. The rows below give those budgets for seven squares, and at 8 to 32
+# rows also for six, the squares of a 128-state block. A build is corrected
+# in parts of at most _CORRECT_FLOATS entries, one square at 128 rows:
+# seven squares took 1.9 ms corrected at once and 1.1-1.2 ms in parts of
+# one to four, and the parts' scratch is fresh memory, whose pages cost about
+# 3 us each to touch (917 KB took 690 us, against 57 us reused). _FIXED_TOL
+# bounds how far a map may move the vector w it keeps (its rows are checked
+# to 1e-12, a Kraus sum to 1e-10).
 _FIRST_BLOCK = 8
 _MIN_BLOCK = 16
 _MAX_BLOCK = 256
 _BLOCK_BYTES = 1 << 16
 _DOUBLING_MAX_DIM = 128
+_SQUARE_STEPS = (
+    (16, 60, 10),
+    (32, 60, 20),
+    (48, 50, 28),
+    (64, 50, 45),
+    (80, 50, 80),
+    (96, 50, 100),
+    (128, 50, 105),
+)
 _FIXED_TOL = 1e-8
+_CORRECT_FLOATS = 1 << 14
 
 
 def iterate(
@@ -188,15 +207,21 @@ def iterate(
     each of its maps is coerced and checked against the state when pulled.
 
     Maps are applied into a block of states, each state written by
-    `apply(map, state, out)`, except in the full-size blocks of a run of one
+    `apply(map, state, out)`, except in the doubled blocks of a run of one
     map. For those, `form(map)` gives the map's row form M, a square array
     with apply(map, x) = x @ M, and when `maps` is one map repeated and M has
-    at most `_DOUBLING_MAX_DIM` rows a full-size block, of `_MAX_BLOCK` states
-    whatever their bytes, is filled by doubling (`_double`), from powers of M
-    squared once per run that keep w, 1 on the first `fixed` coordinates and
-    0 on the rest, as M keeps it (`_Powers`).
-    Blocks growing toward the cap, a block cut short by the budget, and the
-    replay of a block that raised are applied one map at a time.
+    at most `_DOUBLING_MAX_DIM` rows a block may be filled by doubling
+    (`_double`), from powers of M squared once per run that keep w, 1 on the
+    first `fixed` coordinates and 0 on the rest, as M keeps it (`_Powers`).
+    Every block doubles once the squares are built, the growing blocks and
+    one cut short by the budget too. They are built at the first block where
+    the squares needed by the largest block the budget allows cost fewer
+    steps than the run is expected to take yet (`_expected_steps`): all the
+    budget allows when the tolerance is 0, else the steps its level needs
+    at the rate it fell over the block before, but at least to the block's
+    end.
+    Other blocks, and the replay of a block that raised, are applied one map
+    at a time.
 
     `measure(states)` returns the block's columns (lyapunov, lambda_min,
     lambda_max, dist_to_limit, projective_lyapunov: None for a column the run
@@ -227,20 +252,26 @@ def iterate(
     else:
         cap = _MAX_BLOCK
     it = iter(maps)
+    first = last = math.nan
+    span = 0
     while t < stop.max_iterations:
-        n = min(size, stop.max_iterations - t)
+        left = stop.max_iterations - t
+        n = min(size, left)
         states = np.empty((n + 1,) + state.shape, state.dtype)
         states[0] = state
-        pulled = []
+        doubling = powers is not None and powers.ready(
+            left, _expected_steps(t, n, left, first, last, span, stop.tolerance)
+        )
         try:
-            doubling = powers is not None and n == cap
-            for k, m in enumerate(islice(it, n), 1):
-                pulled.append(m)
-                if not doubling:
-                    apply(m, states[k - 1], states[k])
             if doubling:
+                pulled = list(islice(it, n))
                 _double(states, powers)
-            states = states[: len(pulled) + 1]
+            else:
+                pulled = []
+                for k, m in enumerate(islice(it, n), 1):
+                    pulled.append(m)
+                    apply(m, states[k - 1], states[k])
+                states = states[: len(pulled) + 1]
             if not np.isfinite(states).all():
                 raise ValueError("state entries must be finite")
             columns = measure(states[1:])
@@ -250,7 +281,7 @@ def iterate(
                 raise
             # replay the block one map at a time, ending with the error: it
             # is raised only if no earlier state stops the run
-            it, size = chain(pulled, _raising(exc)), 1
+            it, size, powers = chain(pulled, _raising(exc)), 1, None
             continue
         hits = np.flatnonzero(level < stop.tolerance)
         k = int(hits[0]) + 1 if hits.size else len(pulled)
@@ -263,6 +294,7 @@ def iterate(
         if len(pulled) < n:
             status = TerminalStatus.INCOMPLETE_SEQUENCE
             break
+        first, last, span = level[0], level[-1], n - 1
         size = min(2 * size, cap)
     return _trace(blocks, status, state, t)
 
@@ -275,6 +307,21 @@ def _width(columns) -> np.ndarray:
         return columns[2] - columns[1]
 
 
+def _expected_steps(t: int, n: int, left: int, first, last, span: int, tolerance: float):
+    """The steps a run at step t, about to take a block of n, is expected to
+    take yet, at most the `left` its budget allows: all of them when only
+    the budget can stop it; else, when its level fell from `first` to
+    `last` over the `span` steps before, as many as it needs at that rate to
+    fall below tolerance, but at least to the block's end; else twice the
+    steps it will have taken by the block's end."""
+    if tolerance == 0.0:
+        return left
+    if 0.0 < last < first:
+        needed = span * math.log(tolerance / last) / math.log(last / first)
+        return min(left, max(t + n, needed))
+    return min(left, 2 * (t + n))
+
+
 def _double(states: np.ndarray, powers: _Powers) -> None:
     """Fill rows 1.. of `states` from row 0 by doubling: rows [f, 2f) are
     rows [0, f) times M^f, and a last k < f rows are the k rows g before
@@ -285,76 +332,122 @@ def _double(states: np.ndarray, powers: _Powers) -> None:
         k = min(f, rows - f)
         j = (k - 1).bit_length()
         g = 1 << j
-        np.dot(states[f - g : f - g + k], powers[j], out=states[f : f + k])
+        np.dot(states[f - g : f - g + k], powers.powers[j], out=states[f : f + k])
         f *= 2
 
 
 class _Powers:
-    """M^(2^j) of a run's row form M, squared on first use.
+    """M^(2^j) of a run's row form M, squared as a run's blocks need them.
 
     A square doubles the error of the power it squares, so the rounding of
     the first squares would grow 2^j-fold, and along a direction the map
     keeps the run would drift by it from block to block. That direction is
     w, 1 on the first `fixed` coordinates and 0 on the rest: on each side
     where M fixes w within _FIXED_TOL (w M = w, a fixed state; M w = w, a
-    conserved pairing) each square is corrected to map w exactly as the
+    conserved pairing) each power is corrected to map w exactly as the
     power maps it, w + d with d = M^(2^j) w - w carried apart from w, so
     that a doubled run drifts along w only by the rounding of its products,
-    as a stepped run does."""
+    as a stepped run does. The squares of a build are taken one after the
+    other and then corrected together, a side at a time, as one stack whose
+    kept sums run along its contiguous rows: a run that keeps only a fixed
+    state squares M^T, whose rows sum to w."""
 
     def __init__(self, M: np.ndarray, fixed: int) -> None:
         self.powers, self.fixed = [M], fixed
         self.w = (np.arange(len(M)) < fixed).astype(float)
+        self.cost = next(c for rows, *c in _SQUARE_STEPS if len(M) <= rows)
 
     @cached_property
     def sides(self) -> list:
-        """(left, d) for each side where M fixes w, d = M w - w or w M - w;
-        the right side last, so that its pairing is the one kept exactly."""
-        M, sides = self.powers[0], []
+        """[left, d] for each side where M fixes w, d = w M - w (left) or
+        M w - w; the right side last, so that its pairing is the one kept
+        exactly."""
+        M, m, w, sides = self.powers[0], self.fixed, self.w, []
         for left in (True, False):
-            d = -_residual(M.T if left else M, self.fixed, self.w, 0.0)
-            if np.abs(d).max() <= _FIXED_TOL:
-                sides.append((left, d))
+            R = M.T if left else M
+            # a plain sum decides the side, an exact one gives its d
+            if np.abs(R[:, :m].sum(axis=1) - w).max() <= _FIXED_TOL:
+                sides.append([left, -_residual(R[None], m, w, 0.0)[0]])
         return sides
 
-    def __getitem__(self, j: int) -> np.ndarray:
-        while j >= len(self.powers):
-            P = self.powers[-1]
-            Q = P @ P
-            for k, (left, d) in enumerate(self.sides):
+    def ready(self, left: int, expected: float) -> bool:
+        """Whether the next block doubles, with `left` steps left in the
+        budget and `expected` steps expected yet: once squares are built,
+        which then reach every block the budget allows; before, when the
+        squares needed by the largest block the budget allows cost fewer
+        steps than expected, by `_SQUARE_STEPS`, and they are then built."""
+        if len(self.powers) > 1:
+            return True
+        # a block of n states takes powers up to M^(2^top), 2^(top + 1) <= n + 1
+        top = (min(left, _MAX_BLOCK) + 1).bit_length() - 2
+        if expected < self.cost[0] + top * self.cost[1]:
+            return False
+        self.build(top)
+        return True
+
+    def build(self, j: int) -> None:
+        """Square the powers up to M^(2^j), then correct the new ones."""
+        sides = self.sides
+        flip = [left for left, _ in sides] == [True]
+        P = self.powers[-1].T if flip else self.powers[-1]
+        S = np.empty((j + 1 - len(self.powers),) + P.shape)
+        for k in range(len(S)):
+            P = np.matmul(P, P, out=S[k])
+        for side in sides:
+            # R: the new powers as rows that sum to w + d
+            swap = side[0] != flip
+            R = S.swapaxes(1, 2).copy() if swap else S
+            P = self.powers[-1].T if side[0] else self.powers[-1]
+            D, d = np.empty(S.shape[:2]), side[1]
+            for k in range(len(S)):
                 # P^2 w - w = P (P w - w) + (P w - w)
-                d = d + (P.T if left else P) @ d
-                R = Q.T if left else Q
-                _keep(R, self.fixed, _residual(R, self.fixed, self.w, d))
-                self.sides[k] = (left, d)
-            self.powers.append(Q)
-        return self.powers[j]
+                d = D[k] = d + P @ d
+                P = R[k]
+            # in parts of at most _CORRECT_FLOATS, see above
+            m = self.fixed
+            c = max(1, _CORRECT_FLOATS // R[0, :, :m].size)
+            buf = np.empty(R[:c, :, :m].shape)
+            for k in range(0, len(R), c):
+                part, scratch = R[k : k + c], buf[: len(R) - k]
+                _keep(part, m, _residual(part, m, self.w, D[k : k + c], scratch), scratch)
+            if swap:
+                S[...] = R.swapaxes(1, 2)
+            side[1] = d
+        self.powers.extend(S.swapaxes(1, 2) if flip else S)
 
 
-def _residual(Q: np.ndarray, m: int, w: np.ndarray, d) -> np.ndarray:
-    """w + d minus the sums of the first m entries of each row of Q, the sums
-    exact but for a rounding far below eps: the entries are split into parts
-    on one grid, whose sums are exact, and remainders below its spacing."""
-    head = Q[:, :m]
-    top = np.abs(head).max()
+def _residual(R: np.ndarray, m: int, w: np.ndarray, D, buf=None) -> np.ndarray:
+    """w + D minus the sums of the first m entries of each row of the stack
+    R, the sums exact but for a rounding far below eps: the entries are
+    split into parts on one grid, whose sums are exact, and remainders below
+    its spacing. `buf`, of the shape of R's first m columns, is scratch."""
+    head = R[..., :m]
+    top = max(head.max(), -head.min())
     if top == 0.0:
-        return w + d
+        return w + D
     sigma = 2.0 ** (math.ceil(math.log2(m * top)) + 1)
-    hi = (head + sigma) - sigma
-    # w - sum(hi) is exact: both are multiples of the grid's spacing below sigma
-    return (w - hi.sum(axis=1)) + (d - (head - hi).sum(axis=1))
+    hi = np.add(head, sigma, out=buf)
+    hi -= sigma
+    # sums of parts on the grid are exact in any order, and w - sum(hi) too:
+    # both are multiples of the grid's spacing below sigma
+    ones = np.ones(m)
+    r = w - hi @ ones
+    return r + (D - np.subtract(head, hi, out=hi) @ ones)
 
 
-def _keep(Q: np.ndarray, m: int, r: np.ndarray) -> None:
+def _keep(R: np.ndarray, m: int, r: np.ndarray, buf: np.ndarray) -> None:
     """Add each row's residual r to its entry of least magnitude among the
     first m that exceed it, whose rounding is far below eps, so that no
-    entry changes sign."""
-    head = Q[:, :m]
-    size = np.abs(head)
-    size[size <= np.abs(r)[:, None]] = np.inf
-    k = size.argmin(axis=1)
-    rows = np.flatnonzero(size[np.arange(len(Q)), k] < np.inf)
-    head[rows, k[rows]] += r[rows]
+    entry changes sign. R is a C-contiguous stack, written in place; `buf`,
+    of the shape of its first m columns, is scratch."""
+    rows, r = R.reshape(-1, R.shape[-1]), r.reshape(-1)
+    gap = np.abs(rows[:, :m], out=buf.reshape(len(rows), m))
+    np.subtract(np.abs(r)[:, None], gap, out=gap)
+    # the entries that exceed |r| are those of negative gap, and read as
+    # int64 a negative float's bits are the least for the least magnitude
+    k = gap.view(np.int64).argmin(axis=1)
+    i = np.arange(len(rows))
+    rows[i, k] += np.where(gap[i, k] < 0.0, r, 0.0)
 
 
 def _raising(exc: Exception):

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import astuple, fields
+from functools import cached_property
 from itertools import islice
 from pathlib import Path, PurePath
 
@@ -15,6 +16,7 @@ from conesim import (
     StoppingRule,
     TerminalStatus,
     TraceRecord,
+    apply_channel,
     birkhoff_lyapunov,
     serialize_scenario,
     tsitsiklis_lyapunov,
@@ -59,7 +61,7 @@ from conesim.scenario import (
     _require_number,
     complex_array_from_pairs,
 )
-from conesim.trace import CSV_HEADER, TraceInvariantError
+from conesim.trace import _FIXED_TOL, CSV_HEADER, TraceInvariantError
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -239,6 +241,30 @@ def mixing_cycle(n, steps, rng):
     a[idx, (idx + 1) % n] += fwd
     a[idx, (idx - 1) % n] += bwd
     return a / a.sum(axis=1, keepdims=True)
+
+
+def reference_levels(name, maps, state, steps):
+    """The level that each state of a one-map run (`name` as in the doubling
+    and block driver tests) is compared with the tolerance, by plain
+    per-step iteration: the spread or spectral width from t = 0, the
+    move from the state before from t = 1 (inf at t = 0)."""
+    if name == "consensus":
+        xs = [np.asarray(state, dtype=float)]
+        for _ in range(steps):
+            xs.append(maps @ xs[-1])
+        return [x.max() - x.min() for x in xs]
+    if name == "dual_consensus":
+        zs = [np.asarray(state, dtype=float)]
+        for _ in range(steps):
+            zs.append(maps.T @ zs[-1])
+        return [math.inf] + [np.abs(b - a).max() for a, b in zip(zs, zs[1:])]
+    if name == "noncommutative":
+        trace = reference_run_noncommutative_consensus(maps, state, StoppingRule(0.0, steps))
+        return [r.lambda_max - r.lambda_min for r in trace.records]
+    Zs = [np.asarray(state, dtype=complex)]
+    for _ in range(steps):
+        Zs.append(apply_channel(maps, Zs[-1]))
+    return [math.inf] + [np.linalg.norm(b - a) for a, b in zip(Zs, Zs[1:])]
 
 
 def reference_iterate(maps, state, apply, record, stop, move=None) -> SimulationTrace:
@@ -909,3 +935,78 @@ def reference_parse_output(data) -> tuple[str, str]:
         raise _err(f"{path}.summary", f"collides with {path}.trace_csv: {summary!r}, {trace_csv!r}")
     return trace_csv, summary
 
+
+
+# --- the corrected powers that `trace._Powers` replaced ----------------------
+
+
+class ReferencePowers:
+    """Reference kernel: `trace._Powers` as it squared one power at a time,
+    correcting each square before the next on one side after the other,
+    over the transposed view for the left side.
+
+    M^(2^j) of a run's row form M, squared on first use.
+
+    A square doubles the error of the power it squares, so the rounding of
+    the first squares would grow 2^j-fold, and along a direction the map
+    keeps the run would drift by it from block to block. That direction is
+    w, 1 on the first `fixed` coordinates and 0 on the rest: on each side
+    where M fixes w within _FIXED_TOL (w M = w, a fixed state; M w = w, a
+    conserved pairing) each square is corrected to map w exactly as the
+    power maps it, w + d with d = M^(2^j) w - w carried apart from w, so
+    that a doubled run drifts along w only by the rounding of its products,
+    as a stepped run does."""
+
+    def __init__(self, M: np.ndarray, fixed: int) -> None:
+        self.powers, self.fixed = [M], fixed
+        self.w = (np.arange(len(M)) < fixed).astype(float)
+
+    @cached_property
+    def sides(self) -> list:
+        """(left, d) for each side where M fixes w, d = M w - w or w M - w;
+        the right side last, so that its pairing is the one kept exactly."""
+        M, sides = self.powers[0], []
+        for left in (True, False):
+            d = -reference_residual(M.T if left else M, self.fixed, self.w, 0.0)
+            if np.abs(d).max() <= _FIXED_TOL:
+                sides.append((left, d))
+        return sides
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        while j >= len(self.powers):
+            P = self.powers[-1]
+            Q = P @ P
+            for k, (left, d) in enumerate(self.sides):
+                # P^2 w - w = P (P w - w) + (P w - w)
+                d = d + (P.T if left else P) @ d
+                R = Q.T if left else Q
+                reference_keep(R, self.fixed, reference_residual(R, self.fixed, self.w, d))
+                self.sides[k] = (left, d)
+            self.powers.append(Q)
+        return self.powers[j]
+
+
+def reference_residual(Q: np.ndarray, m: int, w: np.ndarray, d) -> np.ndarray:
+    """w + d minus the sums of the first m entries of each row of Q, the sums
+    exact but for a rounding far below eps: the entries are split into parts
+    on one grid, whose sums are exact, and remainders below its spacing."""
+    head = Q[:, :m]
+    top = np.abs(head).max()
+    if top == 0.0:
+        return w + d
+    sigma = 2.0 ** (math.ceil(math.log2(m * top)) + 1)
+    hi = (head + sigma) - sigma
+    # w - sum(hi) is exact: both are multiples of the grid's spacing below sigma
+    return (w - hi.sum(axis=1)) + (d - (head - hi).sum(axis=1))
+
+
+def reference_keep(Q: np.ndarray, m: int, r: np.ndarray) -> None:
+    """Add each row's residual r to its entry of least magnitude among the
+    first m that exceed it, whose rounding is far below eps, so that no
+    entry changes sign."""
+    head = Q[:, :m]
+    size = np.abs(head)
+    size[size <= np.abs(r)[:, None]] = np.inf
+    k = size.argmin(axis=1)
+    rows = np.flatnonzero(size[np.arange(len(Q)), k] < np.inf)
+    head[rows, k[rows]] += r[rows]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conesim.channels
 from conesim import (
     KrausMap,
     StoppingRule,
@@ -28,7 +29,7 @@ from conesim import (
     spin_rotation_special_cases,
     spontaneous_emission_spectral_shift,
 )
-from conesim.channels import RESIDUAL_TOL, _as_density_array
+from conesim.channels import _REFINE_GAP, RESIDUAL_TOL, _as_density_array
 from helpers import (
     compose,
     lyapunov_values,
@@ -410,6 +411,41 @@ class TestChannelFixedPoint:
         run = run_channel(periodic_channel(), np.eye(4) / 4, StoppingRule(0.0, 1000))
         assert run.status is TerminalStatus.MAX_ITERATIONS
         assert np.diagonal(run.final_state).real.tolist() == [0.0, 0.25, 0.5, 0.25]
+
+    def test_nearly_degenerate_fixed_points_take_one_inverse_step(self):
+        # a z-rotation by |alpha| < 0.02 nearly keeps the x-axis that the
+        # x-rotation keeps: the gap of C - I falls to 1e-8, and the solve
+        # alone was up to 2.4e-13 from I/2 on these 300 maps; C - I is
+        # exactly singular for 40 of them, which keep the solve
+        rng = np.random.default_rng(2010)
+        worst = 0.0
+        for _ in range(300):
+            alpha, beta, p = rng.uniform(-0.02, 0.02), rng.uniform(-3.0, 3.0), rng.uniform(0.01, 0.99)
+            result = channel_fixed_point(make_spin_rotation_map(alpha, beta, p))
+            worst = max(worst, np.max(np.abs(result.density - np.eye(2) / 2)))
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize(
+        "psi",
+        [
+            # C - I exactly singular: the step is skipped
+            make_spin_rotation_map(0.007110321101399766, 2.4431067323518683, 0.44152165358095824),
+            # a clear gap: no step
+            make_spin_rotation_map(0.7, 1.1, 0.3),
+            random_kraus_map(3, 2, 5),
+        ],
+        ids=["singular", "spin_gap", "random_gap"],
+    )
+    def test_fixed_points_without_a_step_keep_the_solve_bits(self, psi, monkeypatch):
+        n = psi.dimension
+        gap = np.linalg.svd(psi._real_form - np.eye(n * n), compute_uv=False)[-2]
+        refined = channel_fixed_point(psi)
+        monkeypatch.setattr(conesim.channels, "_REFINE_GAP", 0.0)
+        solved = channel_fixed_point(psi)
+        assert refined.density.tobytes() == solved.density.tobytes()
+        if gap < _REFINE_GAP:
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(psi._real_form - np.eye(n * n), np.ones(n * n))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(deadline=None, max_examples=25)

@@ -1,19 +1,22 @@
-"""Runs of one map, whose full-size blocks are filled by doubling, against the
+"""Runs of one map, whose blocks may be filled by doubling, against the
 per-step reference.
 
-`conesim.trace.iterate` fills a full-size block of a run of one map from its
-first state by doubling, rows [f, 2f) being rows [0, f) times M^f, when the
-run's row form M has at most `_DOUBLING_MAX_DIM` rows: A^T for
-`run_consensus`, A for `run_dual_consensus`, C for the Kraus dual and C^T for
-the channel at n <= 8. Such a run's blocks grow to `_MAX_BLOCK` states
-whatever its states' bytes. The powers round differently from the steps, so a
-doubled run matches `helpers`' per-step reference within the run bound of
+`conesim.trace.iterate` fills a block of a run of one map from its first
+state by doubling, rows [f, 2f) being rows [0, f) times M^f, when the run's
+row form M has at most `_DOUBLING_MAX_DIM` rows: A^T for `run_consensus`, A
+for `run_dual_consensus`, C for the Kraus dual and C^T for the channel at
+n <= 8. Such a run's blocks grow to `_MAX_BLOCK` states whatever their
+bytes. Its squares are built at the first block where their cost, by
+`_SQUARE_STEPS`, is below the steps the run is expected to take, and from
+then on every block doubles, a block cut short by the budget too; a budget
+too short to pay for them leaves every block stepped, bit for bit, as it
+leaves sequences and maps above the size rules (`tests/test_block_driver.py`).
+The powers round differently from the steps, so a doubled run matches
+`helpers`' per-step reference within the run bound of
 `helpers.assert_same_run`, with the same status and iteration count wherever
-the stopping level is clear of the tolerance. Blocks that grow toward the
-cap, blocks cut short by the budget, sequences and maps above the size rules
-step one map at a time, bit for bit (`tests/test_block_driver.py`). The
-pairings a run conserves drift no more than the per-step reference's over
-runs as long as the longest benchmark runs and longer.
+the stopping level is clear of the tolerance. The pairings a run conserves
+drift no more than the per-step reference's over runs as long as the longest
+benchmark runs and longer.
 """
 import math
 
@@ -26,7 +29,6 @@ import conesim.trace
 from conesim import (
     KrausMap,
     StoppingRule,
-    apply_channel,
     random_kraus_map,
     random_stochastic_matrix,
     run_channel,
@@ -41,12 +43,14 @@ from conesim.trace import (
     _FIRST_BLOCK,
     _MAX_BLOCK,
     _MIN_BLOCK,
+    _SQUARE_STEPS,
 )
 from helpers import (
     assert_same_run,
     mixing_cycle,
     random_density,
     random_hermitian,
+    reference_levels,
     reference_run_channel,
     reference_run_consensus,
     reference_run_dual_consensus,
@@ -103,29 +107,6 @@ def _lazy_kraus(n, rng):
     return KrausMap((math.sqrt(1.0 - eps) * np.eye(n),) + tuple(math.sqrt(eps) * ops))
 
 
-def _levels(name, maps, state, steps):
-    """The level that each state of a run is compared with the tolerance, by
-    plain per-step iteration: the spread or spectral width from t = 0, the
-    move from the state before from t = 1 (inf at t = 0)."""
-    if name == "consensus":
-        xs = [np.asarray(state, dtype=float)]
-        for _ in range(steps):
-            xs.append(maps @ xs[-1])
-        return [x.max() - x.min() for x in xs]
-    if name == "dual_consensus":
-        zs = [np.asarray(state, dtype=float)]
-        for _ in range(steps):
-            zs.append(maps.T @ zs[-1])
-        return [math.inf] + [np.abs(b - a).max() for a, b in zip(zs, zs[1:])]
-    if name == "noncommutative":
-        trace = reference_run_noncommutative_consensus(maps, state, StoppingRule(0.0, steps))
-        return [r.lambda_max - r.lambda_min for r in trace.records]
-    Zs = [np.asarray(state, dtype=complex)]
-    for _ in range(steps):
-        Zs.append(apply_channel(maps, Zs[-1]))
-    return [math.inf] + [np.linalg.norm(b - a) for a, b in zip(Zs, Zs[1:])]
-
-
 @st.composite
 def doubled_runs(draw):
     name = draw(st.sampled_from(sorted(RUNS)))
@@ -179,7 +160,7 @@ def test_doubled_runs_match_the_per_step_reference(case):
     if case["stop_at"] is not None:
         # between the levels of the drawn step and the one before it, and
         # clear of every level of the run by far more than the run bound
-        levels = np.array(_levels(name, maps, state, case["budget"]))
+        levels = np.array(reference_levels(name, maps, state, case["budget"]))
         k = case["stop_at"]
         assume(np.isfinite(levels[k - 1]) and levels[k] > 0.0)
         tolerance = math.sqrt(levels[k - 1] * levels[k])
@@ -191,13 +172,17 @@ def test_doubled_runs_match_the_per_step_reference(case):
 
 
 class _Counted:
-    """`_double`, counting its calls."""
+    """`_double`, recording the number of states of each block it fills."""
 
     def __init__(self, double):
-        self.double, self.calls = double, 0
+        self.double, self.sizes = double, []
+
+    @property
+    def calls(self):
+        return len(self.sizes)
 
     def __call__(self, states, powers):
-        self.calls += 1
+        self.sizes.append(len(states) - 1)
         return self.double(states, powers)
 
 
@@ -217,26 +202,44 @@ ONE_MAP_RUNS += [
 
 
 @pytest.mark.parametrize("name, n", ONE_MAP_RUNS)
-def test_only_full_size_blocks_of_one_map_double(name, n, doubling):
+def test_blocks_double_where_the_squares_pay(name, n, doubling):
     run, ref_run, matrices = RUNS[name]
     rng = np.random.default_rng(11)
     maps = _lazy_kraus(n, rng) if matrices else _lazy_stochastic(n, rng)
     state = random_density(rng, n) if matrices else rng.uniform(0.5, 2.0, n)
-    start, cap = _first_full_block()
-    # up to the first full block, and a block cut short by the budget, the
-    # run steps one map at a time, bit for bit
-    for budget in (start, start + cap - 1):
+    rows = n * n if matrices else n
+    fixed_cost, per_square = next(c for most, *c in _SQUARE_STEPS if rows <= most)
+    # a budget that pays for all seven squares from the first block: every
+    # block doubles, the last one, cut short by the budget, too
+    budget = 2 * (fixed_cost + 7 * per_square) + 300
+    edges, _ = _block_edges(None, budget)
+    assert edges[-1] > budget
+    stop = StoppingRule(0.0, budget)
+    trace = run(maps, state, stop)
+    assert doubling.sizes == list(np.diff([0] + edges[:-1] + [budget]))
+    assert_same_run(trace, ref_run(maps, state, stop), _scale(state))
+    # a budget that pays for none of the squares its blocks need: every
+    # block steps, bit for bit
+    doubling.sizes.clear()
+    for budget in (1, _FIRST_BLOCK, fixed_cost + per_square):
         stop = StoppingRule(0.0, budget)
         trace = run(maps, state, stop)
         assert doubling.calls == 0
         ref = ref_run(maps, state, stop)
         assert repr(trace.records) == repr(ref.records)
         assert trace.final_state.tobytes() == ref.final_state.tobytes()
-    run(maps, state, StoppingRule(0.0, start + 2 * cap))
-    assert doubling.calls == 2
+    # a tolerance stop soon after the first block, with an ample budget: the
+    # level's decay says the run ends before the squares would pay
+    levels = reference_levels(name, maps, state, 20)
+    tolerance = math.sqrt(levels[19] * levels[20])
+    stop = StoppingRule(tolerance, 10**6)
+    trace = run(maps, state, stop)
+    assert doubling.calls == 0
+    assert trace.iterations <= 20
+    assert repr(trace.records) == repr(ref_run(maps, state, stop).records)
     # a sequence of the same map steps one map at a time
-    run([maps] * (start + cap), state, StoppingRule(0.0, start + cap))
-    assert doubling.calls == 2
+    run([maps] * 600, state, StoppingRule(0.0, 600))
+    assert doubling.calls == 0
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

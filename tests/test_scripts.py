@@ -65,6 +65,9 @@ def test_step_digest_is_the_same_at_1_and_2_blas_threads():
         "dual n=8",
         "channel n=2",
         "consensus n=48",
-        "all",
-    ]
+    ] + [
+        f"{run} {steps} steps n={n}"
+        for n in (32, 128)
+        for run, steps in (("consensus", 200), ("dual_consensus", 1000))
+    ] + ["all"]
     assert outputs[0] == outputs[1]
