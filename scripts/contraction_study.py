@@ -34,7 +34,7 @@ def stochastic_matrix_study(seed: int) -> None:
     print(f"{'n':>3} {'density':>8} {'diameter':>12} {'certified':>10} {'observed':>10}")
     for n in (2, 4, 8):
         for density in (None, 0.6):
-            a = random_stochastic_matrix(n, rng, density).entries
+            a = random_stochastic_matrix(n, rng, density)
             pairs = [
                 (10.0 ** rng.uniform(-2, 2, n), 10.0 ** rng.uniform(-2, 2, n))
                 for _ in range(200)

@@ -59,7 +59,7 @@ def lazy_map(n: int, rng: np.random.Generator) -> KrausMap:
 
 def lazy_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
     """0.9 I + 0.1 a random stochastic matrix: slowly mixing."""
-    return 0.9 * np.eye(n) + 0.1 * random_stochastic_matrix(n, rng).entries
+    return 0.9 * np.eye(n) + 0.1 * random_stochastic_matrix(n, rng)
 
 
 def random_density(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -669,7 +669,7 @@ def build_classical_embedding(A) -> KrausMap:
     A, so the Kraus condition is exactly row-stochasticity, and the dual map
     leaves diagonal matrices diagonal, acting on their diagonals as A does.
     """
-    a = as_stochastic_matrix(A).entries
+    a = as_stochastic_matrix(A)
     n = len(a)
     k = np.arange(n)
     rows = (k + k[:, None]) % n  # rows[i, k] = (k + i) mod n

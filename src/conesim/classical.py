@@ -17,7 +17,6 @@ from .cones import (
 from .trace import SimulationTrace, StoppingRule, _check_count, iterate
 
 __all__ = [
-    "StochasticMatrix",
     "ConnectivityReport",
     "ContractionCheckReport",
     "random_stochastic_matrix",
@@ -32,36 +31,6 @@ __all__ = [
 ]
 
 ROW_SUM_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class StochasticMatrix:
-    """Nonnegative square matrix with unit row sums.
-
-    Rows are never renormalized silently; a row off by more than ROW_SUM_TOL
-    is a construction error so that scenario-file bugs fail loudly.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.array(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ValueError("StochasticMatrix requires a square 2-d array")
-        _check_stochastic(m)
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
-
-    @classmethod
-    def _checked(cls, m: np.ndarray) -> StochasticMatrix:
-        """A StochasticMatrix of read-only entries `_check_stochastic` passed."""
-        A = object.__new__(cls)
-        object.__setattr__(A, "entries", m)
-        return A
-
-    @property
-    def n(self) -> int:
-        return int(self.entries.shape[0])
 
 
 def _check_stochastic(m: np.ndarray) -> None:
@@ -86,13 +55,23 @@ def _check_stochastic(m: np.ndarray) -> None:
     raise ValueError(f"row {i} sums to {float(sums[i])!r}, expected 1 within {ROW_SUM_TOL}")
 
 
-def as_stochastic_matrix(A) -> StochasticMatrix:
-    return A if isinstance(A, StochasticMatrix) else StochasticMatrix(np.asarray(A, dtype=float))
+def as_stochastic_matrix(A, ndim: int = 2) -> np.ndarray:
+    """A as a read-only float64 copy of a nonnegative square matrix with unit
+    row sums, or with ndim 3 of a (T, n, n) stack of them. Rows are never
+    renormalized silently: a row off by more than ROW_SUM_TOL fails loudly.
+    The copy keeps a checked matrix fixed: a run replays the matrices of a
+    block that raised, and a generator may refill one buffer between pulls."""
+    m = np.array(A, dtype=float)
+    if m.ndim != ndim or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
+        raise ValueError("StochasticMatrix requires a square 2-d array")
+    _check_stochastic(m)
+    m.flags.writeable = False
+    return m
 
 
 def random_stochastic_matrix(
     n: int, rng: np.random.Generator, density: float | None = None
-) -> StochasticMatrix:
+) -> np.ndarray:
     """Draw i.i.d. uniform entries and normalize rows.
 
     An optional sparsity mask keeps each entry with probability `density`,
@@ -104,10 +83,10 @@ def random_stochastic_matrix(
 
 def random_stochastic_matrices(
     n: int, count: int, rng: np.random.Generator, density: float | None = None
-) -> list[StochasticMatrix]:
-    """`count` draws of `random_stochastic_matrix`, bit for bit, from one
-    draw of the stream each takes in turn (its entries, then its mask) and
-    one check of the stack."""
+) -> np.ndarray:
+    """`count` draws of `random_stochastic_matrix`, bit for bit, as one
+    read-only (count, n, n) stack, from one draw of the stream each takes in
+    turn (its entries, then its mask) and one check of the stack."""
     if density is not None and not (0.0 < density <= 1.0):
         raise ValueError(f"density must be in (0, 1], got {density}")
     entries = rng.uniform(size=(count, n, n) if density is None else (count, 2, n, n))
@@ -115,28 +94,25 @@ def random_stochastic_matrices(
         mask = entries[:, 1] < density
         mask[:, np.arange(n), np.arange(n)] = True
         entries = entries[:, 0] * mask
-    entries = entries / entries.sum(axis=-1, keepdims=True)
-    _check_stochastic(entries)
-    entries.flags.writeable = False
-    return [StochasticMatrix._checked(m) for m in entries]
+    return as_stochastic_matrix(entries / entries.sum(axis=-1, keepdims=True), 3)
 
 
-def _matrices(dynamics, n: int | None = None) -> Iterator[StochasticMatrix]:
+def _matrices(dynamics, n: int | None = None) -> Iterator[np.ndarray]:
     """A run's matrices, by the rule of `trace.iterate`, each checked against
     the state dimension n (by default the first matrix's)."""
 
-    def fit(A) -> StochasticMatrix:
+    def fit(A: np.ndarray) -> np.ndarray:
         nonlocal n
-        A = as_stochastic_matrix(A)
-        n = n or A.n
-        if A.n != n:
-            raise ValueError(f"dimension mismatch: map is {A.n}, state is {n}")
+        n = n or A.shape[-1]
+        if A.shape[-1] != n:
+            raise ValueError(f"dimension mismatch: map is {A.shape[-1]}, state is {n}")
         return A
 
-    single = isinstance(dynamics, np.ndarray) and dynamics.ndim == 2
-    if single or isinstance(dynamics, StochasticMatrix):
-        return repeat(fit(dynamics))
-    return map(fit, dynamics)
+    if isinstance(dynamics, np.ndarray) and dynamics.ndim == 2:
+        return repeat(fit(as_stochastic_matrix(dynamics)))
+    if isinstance(dynamics, np.ndarray) and dynamics.ndim == 3:
+        return iter(fit(as_stochastic_matrix(dynamics, 3)))
+    return (fit(as_stochastic_matrix(A)) for A in dynamics)
 
 
 def _check_vector(x, n: int | None = None) -> np.ndarray:
@@ -152,14 +128,14 @@ def _check_vector(x, n: int | None = None) -> np.ndarray:
 def consensus_step(A, x) -> np.ndarray:
     """One averaging update A @ x; each output entry is a convex combination
     of the inputs."""
-    mat = as_stochastic_matrix(A)
-    return mat.entries @ _check_vector(x, mat.n)
+    a = as_stochastic_matrix(A)
+    return a @ _check_vector(x, len(a))
 
 
 def dual_consensus_step(A, z) -> np.ndarray:
     """Dual update A^T @ z, which conserves the total mass sum(z)."""
-    mat = as_stochastic_matrix(A)
-    return mat.entries.T @ _check_vector(z, mat.n)
+    a = as_stochastic_matrix(A)
+    return a.T @ _check_vector(z, len(a))
 
 
 def run_consensus(sequence, x0, stop: StoppingRule | None = None, limit=None) -> SimulationTrace:
@@ -193,10 +169,10 @@ def run_consensus(sequence, x0, stop: StoppingRule | None = None, limit=None) ->
     return iterate(
         _matrices(sequence, x.size),
         x,
-        lambda A, x, out: np.dot(A.entries, x, out=out),
+        lambda A, x, out: np.dot(A, x, out=out),
         measure,
         stop,
-        form=lambda A: A.entries.T,
+        form=lambda A: A.T,
         fixed=x.size,
     )
 
@@ -220,11 +196,11 @@ def run_dual_consensus(
     return iterate(
         _matrices(sequence, z.size),
         z,
-        lambda A, z, out: np.dot(A.entries.T, z, out=out),
+        lambda A, z, out: np.dot(A.T, z, out=out),
         measure,
         stop,
         move=lambda steps: np.abs(steps, out=steps).max(axis=1),
-        form=lambda A: A.entries,
+        form=lambda A: A,
         fixed=z.size,
     )
 
@@ -234,8 +210,6 @@ def _sup_distance(states: np.ndarray, limit: np.ndarray | None) -> np.ndarray | 
 
 
 def _as_nonneg_matrix(A) -> np.ndarray:
-    if isinstance(A, StochasticMatrix):
-        return A.entries
     m = np.asarray(A, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError("expected a square 2-d array")
@@ -360,13 +334,12 @@ def check_connectivity(
     pulled += len(window)
     if pulled < count:
         raise ValueError(f"sequence has only {pulled} matrices, requested {count}")
-    n = window[0].n
+    n = len(window[0])
 
     union = np.zeros((n, n), dtype=bool)
     min_pos = np.inf
     diag_pos = True
-    for m in window:
-        e = m.entries
+    for e in window:
         pos = e > 0.0
         union |= pos
         if pos.any():

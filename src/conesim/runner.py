@@ -53,16 +53,19 @@ def _diameter_windows(s: Scenario) -> tuple[list[dict], int | None, float | None
     """Projective diameters of the cumulative matrix products over the first
     diameter_powers steps (plain powers for a constant matrix)."""
     k = s.analysis.diameter_powers
-    seq = s.dynamics[:k] if isinstance(s.dynamics, tuple) else [s.dynamics] * k
+    seq = s.dynamics[:k] if s.dynamics.ndim == 3 else [s.dynamics] * k
     transpose = s.kind == "classical_dual"
     windows: list[dict] = []
     first_finite_k: int | None = None
     factor: float | None = None
     product: np.ndarray | None = None
-    for k, mat in enumerate(seq, start=1):
-        step = mat.entries.T if transpose else mat.entries
+    for k, a in enumerate(seq, start=1):
+        step = a.T if transpose else a
         product = step if product is None else step @ product
-        diam = projective_diameter(product)
+        # a zero row (classical_dual's transposes only) maps the open orthant
+        # onto its boundary: Birkhoff's bound certifies nothing for that
+        # window (Seneta 2006 defines it for allowable matrices only)
+        diam = projective_diameter(product) if product.any(axis=1).all() else math.inf
         windows.append({"k": k, "value": _json_extended(diam)})
         if math.isfinite(diam) and first_finite_k is None:
             first_finite_k = k

@@ -52,7 +52,7 @@ from .channels import (
     make_spin_rotation_map,
     make_spontaneous_emission_map,
 )
-from .classical import StochasticMatrix
+from .classical import as_stochastic_matrix
 from .trace import StoppingRule
 
 __all__ = [
@@ -175,12 +175,12 @@ def _parse_rows(data, n: int, path: str, entry) -> list:
     return rows
 
 
-def _parse_stochastic_matrix(data, n: int, path: str) -> StochasticMatrix:
+def _parse_stochastic_matrix(data, n: int, path: str) -> np.ndarray:
     entries = _number_grid(data, (n, n))
     if entries is None:
         entries = np.array(_parse_rows(data, n, path, _require_number))
     try:
-        return StochasticMatrix(entries)
+        return as_stochastic_matrix(entries)
     except ValueError as exc:
         raise _err(path, str(exc)) from exc
 
@@ -276,16 +276,17 @@ class AnalysisFlags:
 class Scenario:
     """A validated scenario, as `parse_scenario` returns it.
 
-    `dynamics` is a StochasticMatrix for `matrix`, a tuple of them for
-    `matrices`, and a KrausMap for `kraus_operators` and both builders;
-    `builder` keeps a builder's exact parameters. The states are read-only
-    arrays: real vectors for the classical kinds and `embedded`, complex
-    matrices otherwise (`expected_limit` of `embedded` is a matrix too).
+    `dynamics` is a checked read-only float64 array, (n, n) for `matrix`
+    and one (T, n, n) stack for `matrices`, or a KrausMap for
+    `kraus_operators` and both builders; `builder` keeps a builder's exact
+    parameters. The states are read-only arrays: real vectors for the
+    classical kinds and `embedded`, complex matrices otherwise
+    (`expected_limit` of `embedded` is a matrix too).
     """
 
     kind: str
     dimension: int
-    dynamics: StochasticMatrix | tuple[StochasticMatrix, ...] | KrausMap
+    dynamics: np.ndarray | KrausMap
     initial_state: np.ndarray
     stop: StoppingRule = field(default_factory=StoppingRule)
     analysis: AnalysisFlags = field(default_factory=AnalysisFlags)
@@ -318,10 +319,8 @@ def _parse_dynamics(data, kind: str, n: int):
         seq = data["matrices"]
         if not isinstance(seq, list) or not seq:
             raise _err(f"{path}.matrices", "expected a nonempty list of matrices")
-        mats = tuple(
-            _parse_stochastic_matrix(m, n, f"{path}.matrices[{t}]") for t, m in enumerate(seq)
-        )
-        return mats, None
+        mats = [_parse_stochastic_matrix(m, n, f"{path}.matrices[{t}]") for t, m in enumerate(seq)]
+        return _read_only(np.stack(mats)), None
 
     if spec == "kraus_operators":
         seq = data["kraus_operators"]
@@ -543,9 +542,7 @@ def _dynamics_to_jsonable(s: Scenario) -> dict:
         return {"builder": {"name": name, **values}}
     if isinstance(s.dynamics, KrausMap):
         return {"kraus_operators": pairs_from_complex_array(s.dynamics.operators)}
-    if isinstance(s.dynamics, tuple):
-        return {"matrices": [m.entries.tolist() for m in s.dynamics]}
-    return {"matrix": s.dynamics.entries.tolist()}
+    return {"matrices" if s.dynamics.ndim == 3 else "matrix": s.dynamics.tolist()}
 
 
 def scenario_to_jsonable(s: Scenario) -> dict:

@@ -202,9 +202,11 @@ def iterate(
     """Run state(t+1) = apply(map(t), state(t)) until `stop` fires.
 
     `maps` is an iterable, built by every run from its dynamics argument by
-    one rule on both cones: a single map (a StochasticMatrix or 2-d array, a
-    KrausMap) is checked once and repeated; anything else is iterated, and
-    each of its maps is coerced and checked against the state when pulled.
+    one rule on both cones: a single map (a 2-d array, a KrausMap) is checked
+    once and repeated; a 3-d array is a finite sequence of matrices, checked
+    once in full and iterated along its first axis; anything else is
+    iterated, and each of its maps is coerced and checked against the state
+    when pulled.
 
     Maps are applied into a block of states, each state written by
     `apply(map, state, out)`, except in the doubled blocks of a run of one

@@ -40,7 +40,6 @@ from conesim.channels import (
 )
 from conesim.classical import (
     ConnectivityReport,
-    StochasticMatrix,
     _as_nonneg_matrix,
     _check_vector,
     _matrices,
@@ -135,12 +134,11 @@ def reference_check_connectivity(
     reachability by repeated squaring."""
     count = window_start + horizon + 1
     mats = list(islice(_matrices(sequence), count))[window_start:]
-    n = mats[0].n
+    n = len(mats[0])
     union = np.zeros((n, n), dtype=bool)
     min_pos = np.inf
     diag_pos = True
-    for m in mats:
-        e = m.entries
+    for e in mats:
         pos = e > 0.0
         union |= pos
         if pos.any():
@@ -169,7 +167,7 @@ def reference_check_connectivity(
 
 def reference_random_stochastic_matrix(
     n: int, rng: np.random.Generator, density: float | None = None
-) -> StochasticMatrix:
+) -> np.ndarray:
     """Reference kernel: `random_stochastic_matrix` as it was before it took
     one matrix of the block draw, each matrix drawn and checked alone."""
     if density is not None and not (0.0 < density <= 1.0):
@@ -180,7 +178,7 @@ def reference_random_stochastic_matrix(
         np.fill_diagonal(mask, True)
         entries = entries * mask
     entries = entries / entries.sum(axis=1, keepdims=True)
-    return StochasticMatrix(entries)
+    return as_stochastic_matrix(entries)
 
 
 # --- traces as records, and the per-row kernels the columnar trace replaced ---
@@ -309,7 +307,7 @@ def reference_run_consensus(sequence, x0, stop=None, limit=None) -> SimulationTr
         return TraceRecord(t, v, float(state.min()), float(state.max()), dist, proj), v
 
     maps = _matrices(sequence, x.size)
-    return reference_iterate(maps, x, lambda A, x: A.entries @ x, record, stop)
+    return reference_iterate(maps, x, lambda A, x: A @ x, record, stop)
 
 
 def reference_run_dual_consensus(sequence, z0, stop=None, limit=None) -> SimulationTrace:
@@ -324,7 +322,7 @@ def reference_run_dual_consensus(sequence, z0, stop=None, limit=None) -> Simulat
     return reference_iterate(
         _matrices(sequence, z.size),
         z,
-        lambda A, z: A.entries.T @ z,
+        lambda A, z: A.T @ z,
         record,
         stop,
         move=lambda new, old: float(np.max(np.abs(new - old))),
@@ -659,7 +657,7 @@ def reference_classical_embedding(A) -> KrausMap:
     """Reference kernel: the embedding's operators as the products S_i W_i of
     a shift permutation S_i e_k = e_{(k+i) mod n} and the diagonal weight
     (W_i)_kk = sqrt(a_{k,(k+i) mod n}), built one matrix at a time."""
-    a = as_stochastic_matrix(A).entries
+    a = as_stochastic_matrix(A)
     n = len(a)
     ops = []
     for i in range(n):
@@ -712,13 +710,7 @@ def reference_estimate_image_radius(phi: KrausMap, samples: int, seed: int = 0):
 def scenario_arrays(s) -> list[np.ndarray]:
     """The arrays a parsed Scenario holds: dynamics, then the states."""
     d = s.dynamics
-    if isinstance(d, KrausMap):
-        arrays = [d.operators]
-    elif isinstance(d, tuple):
-        arrays = [m.entries for m in d]
-    else:
-        arrays = [d.entries]
-    arrays.append(s.initial_state)
+    arrays = [d.operators if isinstance(d, KrausMap) else d, s.initial_state]
     if s.expected_limit is not None:
         arrays.append(s.expected_limit)
     return arrays
@@ -757,10 +749,10 @@ def _reference_rows(data, n: int, path: str, entry) -> list:
     return rows
 
 
-def _reference_stochastic_matrix(data, n: int, path: str) -> StochasticMatrix:
+def _reference_stochastic_matrix(data, n: int, path: str) -> np.ndarray:
     entries = np.array(_reference_rows(data, n, path, _require_number))
     try:
-        return StochasticMatrix(entries)
+        return as_stochastic_matrix(entries)
     except ValueError as exc:
         raise _err(path, str(exc)) from exc
 

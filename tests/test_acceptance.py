@@ -248,7 +248,7 @@ def test_criterion_10_embedding_equivalence():
             state = np.diag(x).astype(complex)
             for _ in range(100):
                 state = apply_dual(embedding, state)
-                x = a.entries @ x
+                x = a @ x
                 assert np.max(np.abs(np.diagonal(state).real - x)) <= 1e-11
 
 

@@ -92,7 +92,7 @@ def _lazy_stochastic(n, rng):
     lazy = rng.uniform(0.3, 0.95)
     return lazy * np.eye(n) + (1.0 - lazy) * random_stochastic_matrix(
         n, rng, density=rng.choice([None, 0.5])
-    ).entries
+    )
 
 
 def _unitary(n, rng):

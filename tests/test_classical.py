@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conesim import (
-    StochasticMatrix,
     StoppingRule,
     TerminalStatus,
     birkhoff_lyapunov,
+    build_classical_embedding,
     check_birkhoff_contraction,
     check_connectivity,
     consensus_step,
@@ -23,7 +23,7 @@ from conesim import (
     run_consensus,
     run_dual_consensus,
 )
-from conesim.classical import _check_stochastic
+from conesim.classical import _check_stochastic, as_stochastic_matrix
 
 from helpers import (
     lyapunov_values,
@@ -51,24 +51,34 @@ def brute_force_diameter(a: np.ndarray):
 
 
 class TestStochasticMatrix:
+    """The check every classical map passes, `as_stochastic_matrix`."""
+
     def test_rejects_bad_row_sum(self):
         with pytest.raises(ValueError, match="row 1 sums to"):
-            StochasticMatrix(np.array([[0.5, 0.5], [0.5, 0.4]]))
+            as_stochastic_matrix(np.array([[0.5, 0.5], [0.5, 0.4]]))
 
     def test_rejects_negative_entry(self):
         with pytest.raises(ValueError, match="negative entry"):
-            StochasticMatrix(np.array([[1.5, -0.5], [0.5, 0.5]]))
+            as_stochastic_matrix(np.array([[1.5, -0.5], [0.5, 0.5]]))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            StochasticMatrix(np.ones((2, 3)) / 3)
+            as_stochastic_matrix(np.ones((2, 3)) / 3)
 
     def test_no_silent_renormalization(self):
         with pytest.raises(ValueError):
-            StochasticMatrix(np.array([[0.45, 0.45], [0.5, 0.5]]))
+            as_stochastic_matrix(np.array([[0.45, 0.45], [0.5, 0.5]]))
+
+    def test_holds_a_read_only_float_copy(self):
+        caller = np.array([[1, 0], [0, 1]])
+        A = as_stochastic_matrix(caller)
+        assert A.dtype == np.float64 and not A.flags.writeable
+        assert not np.shares_memory(A, caller) and caller.flags.writeable
+        checked = as_stochastic_matrix(A)
+        assert checked is not A and np.array_equal(checked, A)
 
 
-# matrices that fail the check, each with the message StochasticMatrix gives
+# matrices that fail the check, each with the message the check gives
 DEFECTS = [
     np.array([[0.5, 0.5], [0.5, 0.4]]),
     np.array([[1.5, -0.5], [0.5, 0.5]]),
@@ -80,7 +90,7 @@ DEFECTS = [
 
 def _message(m):
     with pytest.raises(ValueError) as info:
-        StochasticMatrix(m)
+        as_stochastic_matrix(m)
     return str(info.value)
 
 
@@ -96,18 +106,17 @@ class TestBlockDraw:
         block = random_stochastic_matrices(n, count, np.random.default_rng(seed), density)
         rng = np.random.default_rng(seed)
         singles = [reference_random_stochastic_matrix(n, rng, density) for _ in range(count)]
-        assert len(block) == count
-        for A, B in zip(block, singles):
-            assert isinstance(A, StochasticMatrix)
-            assert A.entries.tobytes() == B.entries.tobytes()
-            assert not A.entries.flags.writeable
+        singles = np.stack(singles)
+        assert block.shape == (count, n, n) and block.dtype == np.float64
+        assert block.tobytes() == singles.tobytes()
+        assert not block.flags.writeable
         # and the stream goes on where the per-matrix draws leave it
         after = np.random.default_rng(seed)
         random_stochastic_matrices(n, count, after, density)
         assert after.uniform() == rng.uniform()
         rng = np.random.default_rng(seed)
         one = random_stochastic_matrix(n, rng, density)
-        assert one.entries.tobytes() == block[0].entries.tobytes()
+        assert one.tobytes() == block[0].tobytes() and not one.flags.writeable
 
     @pytest.mark.parametrize("density", [0.0, -0.5, 1.5])
     def test_rejects_a_density_outside_the_unit_interval(self, density):
@@ -364,7 +373,7 @@ class TestBirkhoffContraction:
         bound = contraction_ratio(projective_diameter(A))
         for _ in range(5):
             x = 10.0 ** rng.uniform(-2, 2, n)
-            assert birkhoff_lyapunov(A.entries @ x) <= bound * birkhoff_lyapunov(x) + 1e-9
+            assert birkhoff_lyapunov(A @ x) <= bound * birkhoff_lyapunov(x) + 1e-9
 
 
 class TestConnectivity:
@@ -460,7 +469,7 @@ class TestSequences:
         rng = np.random.default_rng(2)
         for _ in range(20):
             m = random_stochastic_matrix(6, rng, density=0.1)
-            assert np.all(m.entries.diagonal() > 0.0)
+            assert np.all(m.diagonal() > 0.0)
 
     def test_density_must_be_in_the_unit_interval(self):
         rng = np.random.default_rng(7)
@@ -470,7 +479,7 @@ class TestSequences:
         # rejected before any draw: the stream goes on as a fresh one
         fresh = random_stochastic_matrix(3, np.random.default_rng(7), density=1.0)
         again = random_stochastic_matrix(3, rng, density=1.0)
-        assert again.entries.tobytes() == fresh.entries.tobytes()
+        assert again.tobytes() == fresh.tobytes()
 
     def test_dimension_consistency_enforced(self):
         with pytest.raises(ValueError, match="dimension mismatch: map is 3, state is 2"):
@@ -479,9 +488,77 @@ class TestSequences:
             run_consensus([np.eye(2), np.eye(3)], [0.0, 1.0])
 
 
+class TestArrayRule:
+    """A 2-d array is one map, checked once and repeated; a 3-d array is a
+    finite sequence, checked once in full before the first step; the maps of
+    anything else are checked when the run pulls them."""
+
+    BAD = np.array([[0.5, 0.5], [0.5, 0.4]])
+
+    def _stack(self):
+        # uniform averaging stops either run at t = 1 (spread 0, then a zero
+        # step), well before the bad matrix at index 5
+        stack = np.stack([np.full((2, 2), 0.5)] * 8)
+        stack[5] = self.BAD
+        return stack
+
+    @pytest.mark.parametrize("run", [run_consensus, run_dual_consensus])
+    def test_a_stack_raises_a_bad_matrix_before_the_first_step(self, run, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr("conesim.classical.iterate", no_step)
+        with pytest.raises(ValueError) as info:
+            run(self._stack(), [0.0, 1.0], StoppingRule(1e-10, 100))
+        assert str(info.value) == _message(self.BAD)
+
+    @pytest.mark.parametrize("run", [run_consensus, run_dual_consensus])
+    def test_a_list_checks_a_matrix_only_when_pulled(self, run):
+        trace = run(list(self._stack()), [0.0, 1.0], StoppingRule(1e-10, 100))
+        assert trace.status is TerminalStatus.CONVERGED and trace.iterations <= 2
+        with pytest.raises(ValueError) as info:
+            run(list(self._stack())[5:], [0.0, 1.0], StoppingRule(1e-10, 100))
+        assert str(info.value) == _message(self.BAD)
+
+    @pytest.mark.parametrize("run", [run_consensus, run_dual_consensus])
+    def test_an_empty_stack_ends_incomplete_at_t_0(self, run):
+        trace = run(np.empty((0, 2, 2)), [0.0, 1.0], StoppingRule(1e-10, 100))
+        assert trace.status is TerminalStatus.INCOMPLETE_SEQUENCE and trace.iterations == 0
+
+    def test_a_stack_is_checked_against_the_state(self):
+        with pytest.raises(ValueError, match="^dimension mismatch: map is 3, state is 2$"):
+            run_consensus(np.stack([np.eye(3)] * 2), [0.0, 1.0])
+
+    def test_a_stack_runs_as_its_list(self):
+        stack = random_stochastic_matrices(4, 30, np.random.default_rng(3))
+        x0 = [0.0, 1.0, 2.0, 3.0]
+        for run in (run_consensus, run_dual_consensus):
+            a = run(stack, x0, StoppingRule(0.0, 50))
+            b = run(list(stack), x0, StoppingRule(0.0, 50))
+            assert a.status is b.status is TerminalStatus.INCOMPLETE_SEQUENCE
+            assert a.final_state.tobytes() == b.final_state.tobytes()
+        report = check_connectivity(stack, 2, 5)
+        assert report == check_connectivity(list(stack), 2, 5)
+
+    @pytest.mark.parametrize(
+        "step", [consensus_step, dual_consensus_step, lambda A, x: build_classical_embedding(A)]
+    )
+    def test_single_step_helpers_reject_a_stack(self, step):
+        with pytest.raises(ValueError, match="^StochasticMatrix requires a square 2-d array$"):
+            step(np.stack([np.eye(2)] * 2), [0.0, 1.0])
+
+    @pytest.mark.parametrize("dynamics", [np.eye(2), np.stack([np.eye(2)] * 3)])
+    def test_the_callers_array_is_neither_written_nor_frozen(self, dynamics):
+        before = dynamics.copy()
+        for run in (run_consensus, run_dual_consensus):
+            run(dynamics, [0.0, 1.0], StoppingRule(1e-10, 5))
+        check_connectivity(dynamics, 0, 1)
+        assert dynamics.flags.writeable and dynamics.tobytes() == before.tobytes()
+
+
 CLASSICAL_REJECTIONS = {
     "nan_stochastic_entry": (
-        lambda: StochasticMatrix([[math.nan, 1.0], [0.0, 1.0]]),
+        lambda: as_stochastic_matrix([[math.nan, 1.0], [0.0, 1.0]]),
         "StochasticMatrix entries must be finite",
     ),
     "nan_state_entry": (

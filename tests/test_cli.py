@@ -385,6 +385,54 @@ class TestRunnerArtifacts:
         assert s["diameter"]["certified_contraction_factor"] == pytest.approx(1.0 / 3.0)
         assert s["certified_contraction_factor"] == s["diameter"]["certified_contraction_factor"]
 
+    # everyone copies agent 0: A^T has a zero row, so it maps the open
+    # orthant onto its boundary and no window of its powers certifies
+    COPY_AGENT_0 = [[1.0, 0.0], [1.0, 0.0]]
+    UNIFORM = [[0.5, 0.5], [0.5, 0.5]]
+
+    @pytest.mark.parametrize("via_cli", [False, True])
+    def test_a_zero_row_window_reads_plus_inf(self, tmp_path, via_cli):
+        doc = {
+            "kind": "classical_dual",
+            "dimension": 2,
+            "dynamics": {"matrix": self.COPY_AGENT_0},
+            "initial_state": [0.3, 0.7],
+            "analysis": {"compute_diameter": True, "diameter_powers": 3},
+        }
+        summary = self._run(tmp_path, doc, via_cli, exit_code=0)
+        assert summary["status"] == "converged"
+        assert [w["value"] for w in summary["diameter"]["windows"]] == ["+inf"] * 3
+        assert summary["diameter"]["first_finite_k"] is None
+        assert summary["diameter"]["certified_contraction_factor"] is None
+        assert summary["certified_contraction_factor"] is None
+
+    @pytest.mark.parametrize("via_cli", [False, True])
+    def test_windows_after_a_zero_row_window_go_on(self, tmp_path, via_cli):
+        # the second product has a zero row, the third is positive again
+        doc = {
+            "kind": "classical_dual",
+            "dimension": 2,
+            "dynamics": {"matrices": [self.UNIFORM, self.COPY_AGENT_0, self.UNIFORM]},
+            "initial_state": [0.3, 0.7],
+            "analysis": {"compute_diameter": True, "diameter_powers": 3},
+        }
+        summary = self._run(tmp_path, doc, via_cli, exit_code=2)
+        assert summary["status"] == "incomplete_sequence"
+        assert [w["value"] for w in summary["diameter"]["windows"]] == [0.0, "+inf", 0.0]
+        assert summary["diameter"]["first_finite_k"] == 1
+        assert summary["certified_contraction_factor"] == 0.0
+
+    @staticmethod
+    def _run(tmp_path, doc, via_cli, exit_code):
+        out = tmp_path / "out"
+        if via_cli:
+            path = write_scenario(tmp_path, doc)
+            assert main(["validate", str(path)]) == 0
+            assert main(["run", str(path), "--out-dir", str(out)]) == exit_code
+        else:
+            assert run_scenario(parse_scenario(doc), out_dir=out).exit_code == exit_code
+        return json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+
     def test_classical_dual_scenario_runs(self, tmp_path):
         doc = {
             "kind": "classical_dual",

@@ -97,7 +97,7 @@ def _first_full_block(state_bytes=None):
 def _lazy_stochastic(n, rng):
     lazy = rng.uniform(0.3, 0.95)
     density = rng.choice([None, 0.5])
-    return lazy * np.eye(n) + (1.0 - lazy) * random_stochastic_matrix(n, rng, density).entries
+    return lazy * np.eye(n) + (1.0 - lazy) * random_stochastic_matrix(n, rng, density)
 
 
 def _lazy_kraus(n, rng):

@@ -53,7 +53,7 @@ def row_forms(draw, max_rows):
         if kind == "stochastic":
             lazy = rng.uniform(0.0, 0.95)
             density = rng.choice([None, 0.3])
-            A = lazy * np.eye(n) + (1.0 - lazy) * random_stochastic_matrix(n, rng, density).entries
+            A = lazy * np.eye(n) + (1.0 - lazy) * random_stochastic_matrix(n, rng, density)
         else:
             weights = rng.dirichlet(np.ones(3))
             A = sum(p * np.eye(n)[rng.permutation(n)] for p in weights)

@@ -29,7 +29,6 @@ from conesim import (
 )
 from conesim.channels import KrausMap
 from conesim.cli import main as cli_main
-from conesim.classical import StochasticMatrix
 import conesim.channels
 from conesim.scenario import (
     MAX_POWER_ENTRIES,
@@ -391,7 +390,8 @@ class TestParsing:
             "initial_state": [1.0, 2.0],
         }
         s = parse_scenario(doc)
-        assert isinstance(s.dynamics, StochasticMatrix) and s.dynamics.n == 2
+        assert s.dynamics.shape == (2, 2) and s.dynamics.dtype == np.float64
+        assert not s.dynamics.flags.writeable
         assert s.initial_state.dtype == np.float64 and s.initial_state.shape == (2,)
 
 
@@ -561,7 +561,7 @@ class TestMaterialization:
             dynamics={"matrices": [[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [0.5, 0.5]]]},
         )
         mats = parse_scenario(doc).dynamics
-        assert isinstance(mats, tuple) and all(isinstance(m, StochasticMatrix) for m in mats)
+        assert mats.shape == (2, 2, 2) and mats.dtype == np.float64 and not mats.flags.writeable
         trace = run_consensus(mats, [0.0, 1.0], StoppingRule(0.0, 5))
         assert trace.status is TerminalStatus.INCOMPLETE_SEQUENCE and trace.iterations == 2
 
@@ -574,7 +574,7 @@ class TestBuiltins:
     def test_example_scenarios_are_internally_consistent(self):
         e1 = builtin_example("example1")
         assert e1.kind == "classical"
-        np.testing.assert_array_equal(e1.dynamics.entries, [[1.0, 0.0], [0.25, 0.75]])
+        np.testing.assert_array_equal(e1.dynamics, [[1.0, 0.0], [0.25, 0.75]])
         e2 = builtin_example("example2")
         assert e2.kind == "quantum_channel"
         b = e2.builder
@@ -710,10 +710,9 @@ def test_serialise_parse_round_trip(form, n, seed):
 
     dyn = doc["dynamics"]
     if "matrix" in dyn:
-        assert isinstance(s.dynamics, StochasticMatrix) and _holds(s.dynamics.entries, dyn["matrix"])
+        assert s.dynamics.ndim == 2 and _holds(s.dynamics, dyn["matrix"])
     elif "matrices" in dyn:
-        assert isinstance(s.dynamics, tuple) and len(s.dynamics) == len(dyn["matrices"])
-        assert all(_holds(m.entries, v) for m, v in zip(s.dynamics, dyn["matrices"]))
+        assert s.dynamics.ndim == 3 and _holds(s.dynamics, dyn["matrices"])
     elif "kraus_operators" in dyn:
         assert isinstance(s.dynamics, KrausMap) and s.builder is None
         assert _holds(s.dynamics.operators, dyn["kraus_operators"])
@@ -877,7 +876,7 @@ def test_numpy_scalars_in_a_dict_document_parse():
     doc["dynamics"] = {"matrix": [[np.float64(0.5), 0.5], [0.0, 1.0]]}
     s = parse_scenario(doc)
     assert s.initial_state.tolist() == [0.5, 1.0]
-    assert s.dynamics.entries.tolist() == [[0.5, 0.5], [0.0, 1.0]]
+    assert s.dynamics.tolist() == [[0.5, 0.5], [0.0, 1.0]]
 
 
 def test_negative_zero_keeps_its_sign():
@@ -885,7 +884,7 @@ def test_negative_zero_keeps_its_sign():
     doc["dynamics"] = {"matrix": [[1.0, -0.0], [-0.0, 1]]}
     s = parse_scenario(json.dumps(doc))
     assert np.signbit(s.initial_state).tolist() == [True, False]
-    assert np.signbit(s.dynamics.entries).tolist() == [[False, True], [True, False]]
+    assert np.signbit(s.dynamics).tolist() == [[False, True], [True, False]]
     doc = copy.deepcopy(EMISSION_SCENARIO)
     doc["initial_state"] = [[[1.0, -0.0], [-0.0, 0.0]], [[-0.0, -0.0], [0.0, 0.0]]]
     s = parse_scenario(json.dumps(doc))
