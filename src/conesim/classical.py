@@ -47,7 +47,7 @@ def _check_stochastic(m: np.ndarray) -> None:
     k = int(np.argmin(passes))
     m, sums = m[k], sums[k]
     if not np.all(np.isfinite(m)):
-        raise ValueError("StochasticMatrix entries must be finite")
+        raise ValueError("stochastic matrix entries must be finite")
     if np.any(m < 0.0):
         i, j = np.unravel_index(int(np.argmin(m)), m.shape)
         raise ValueError(f"negative entry at ({i},{j}): {m[i, j]}")
@@ -63,7 +63,8 @@ def as_stochastic_matrix(A, ndim: int = 2) -> np.ndarray:
     block that raised, and a generator may refill one buffer between pulls."""
     m = np.array(A, dtype=float)
     if m.ndim != ndim or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
-        raise ValueError("StochasticMatrix requires a square 2-d array")
+        wanted = "a square 2-d array" if ndim == 2 else "a (T, n, n) stack of square matrices"
+        raise ValueError(f"expected {wanted}")
     _check_stochastic(m)
     m.flags.writeable = False
     return m

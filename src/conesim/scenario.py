@@ -34,6 +34,11 @@ Complex scalars are two-element arrays [re, im]; complex matrices are
 row-major nested arrays of such pairs. Rotation angles are exact rational
 multiples of pi ("p/q" strings or plain numbers) so that the degenerate
 angle configurations can be detected exactly rather than from floats.
+
+Every number grid, from a vector to a whole `matrices` stack or Kraus
+operator list, is read in one pass by `_read_grid`, or walked to name its
+first bad entry. A stack's row sums are checked after all its entries, at
+once; a failing stack is named by its first failing matrix.
 """
 from __future__ import annotations
 
@@ -131,21 +136,18 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _require_pair(pair, path: str) -> tuple[float, float]:
-    if not isinstance(pair, list) or len(pair) != 2:
-        raise _err(path, "complex entries are [re, im] pairs")
-    return _require_number(pair[0], f"{path}[0]"), _require_number(pair[1], f"{path}[1]")
-
-
-def _number_grid(data, shape: tuple[int, ...]) -> np.ndarray | None:
+def _number_grid(data, shape: tuple) -> np.ndarray | None:
     """`data` as a float array of `shape` when it is nested lists of exactly
-    that shape with finite int and float leaves (not bool), else None.
+    that shape with finite int and float leaves (not bool), else None. A
+    first length of None takes any nonempty list, as a stack's.
 
     Each nesting level is checked at once, by the set of its types and
-    lengths, instead of one call per entry. On None the caller's per-entry
-    loop runs: it names the first bad entry, or accepts what this does not
-    (numpy scalars in a dict document, say).
+    lengths, instead of one call per entry. On None `_walk_grid` runs: it
+    names the first bad entry, or accepts what this does not (numpy scalars
+    in a dict document, say).
     """
+    if shape[0] is None and type(data) is list:
+        shape = (len(data), *shape[1:])  # an empty stack fails at its next level
     level = [data]
     for size in shape:
         if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
@@ -163,42 +165,49 @@ def _number_grid(data, shape: tuple[int, ...]) -> np.ndarray | None:
     return arr
 
 
-def _parse_rows(data, n: int, path: str, entry) -> list:
-    """n rows of n entries, each checked by entry(value, path)."""
-    if not isinstance(data, list) or len(data) != n:
-        raise _err(path, f"expected {n} rows")
-    rows = []
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != n:
-            raise _err(f"{path}[{i}]", f"expected {n} entries")
-        rows.append([entry(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
-    return rows
+def _walk_grid(data, levels: tuple, path: str):
+    """`data` as nested lists of floats, read one entry at a time: `levels`
+    holds one (length, message) pair per nesting level, a length of None
+    taking any nonempty list. Raises for the first bad entry in document
+    order, with the message of its level."""
+    if not levels:
+        return _require_number(data, path)
+    (size, message), inner = levels[0], levels[1:]
+    if not isinstance(data, list) or (not data if size is None else len(data) != size):
+        raise _err(path, message)
+    return [_walk_grid(v, inner, f"{path}[{i}]") for i, v in enumerate(data)]
 
 
-def _parse_stochastic_matrix(data, n: int, path: str) -> np.ndarray:
-    entries = _number_grid(data, (n, n))
-    if entries is None:
-        entries = np.array(_parse_rows(data, n, path, _require_number))
+def _read_grid(data, levels: tuple, path: str) -> np.ndarray:
+    """The one reader of a document's number grids, `levels` as in
+    `_walk_grid`: one pass over a well-formed grid, the walk otherwise."""
+    grid = _number_grid(data, tuple(size for size, _ in levels))
+    if grid is None:
+        grid = np.array(_walk_grid(data, levels, path), dtype=float)
+    return grid
+
+
+def _square(n: int, pairs: bool = False) -> tuple:
+    """The levels of an n x n matrix, of numbers or of [re, im] pairs."""
+    rows = ((n, f"expected {n} rows"), (n, f"expected {n} entries"))
+    return rows + ((2, "complex entries are [re, im] pairs"),) if pairs else rows
+
+
+def _parse_stochastic(grid: np.ndarray, path: str) -> np.ndarray:
+    """`grid`, an (n, n) matrix or a (T, n, n) stack, checked row-stochastic
+    at once; a failing stack is named by its first failing matrix."""
     try:
-        return as_stochastic_matrix(entries)
+        return as_stochastic_matrix(grid, grid.ndim)
     except ValueError as exc:
-        raise _err(path, str(exc)) from exc
+        if grid.ndim == 2:
+            raise _err(path, str(exc)) from exc
+        for t, m in enumerate(grid):
+            _parse_stochastic(m, f"{path}[{t}]")
+        raise
 
 
 def _parse_real_vector(data, n: int, path: str) -> np.ndarray:
-    arr = _number_grid(data, (n,))
-    if arr is None:
-        if not isinstance(data, list) or len(data) != n:
-            raise _err(path, f"expected a vector of length {n}")
-        arr = np.array([_require_number(v, f"{path}[{i}]") for i, v in enumerate(data)])
-    return _read_only(arr)
-
-
-def _parse_complex_matrix(data, n: int, path: str) -> np.ndarray:
-    pairs = _number_grid(data, (n, n, 2))
-    if pairs is None:
-        pairs = _parse_rows(data, n, path, _require_pair)
-    return _read_only(complex_array_from_pairs(pairs))
+    return _read_only(_read_grid(data, ((n, f"expected a vector of length {n}"),), path))
 
 
 def complex_array_from_pairs(data) -> np.ndarray:
@@ -312,46 +321,35 @@ def _parse_dynamics(data, kind: str, n: int):
     if kind in QUANTUM_KINDS and spec not in ("kraus_operators", "builder"):
         raise _err(path, f"kind {kind!r} requires 'kraus_operators' or 'builder'")
 
-    if spec == "matrix":
-        return _parse_stochastic_matrix(data["matrix"], n, f"{path}.matrix"), None
-
-    if spec == "matrices":
-        seq = data["matrices"]
-        if not isinstance(seq, list) or not seq:
-            raise _err(f"{path}.matrices", "expected a nonempty list of matrices")
-        mats = [_parse_stochastic_matrix(m, n, f"{path}.matrices[{t}]") for t, m in enumerate(seq)]
-        return _read_only(np.stack(mats)), None
+    spath = f"{path}.{spec}"
+    if spec in ("matrix", "matrices"):
+        stack = ((None, "expected a nonempty list of matrices"),) if spec == "matrices" else ()
+        return _parse_stochastic(_read_grid(data[spec], stack + _square(n), spath), spath), None
 
     if spec == "kraus_operators":
-        seq = data["kraus_operators"]
-        if not isinstance(seq, list) or not seq:
-            raise _err(f"{path}.kraus_operators", "expected a nonempty list of operators")
-        ops = [
-            _parse_complex_matrix(op, n, f"{path}.kraus_operators[{k}]")
-            for k, op in enumerate(seq)
-        ]
+        levels = ((None, "expected a nonempty list of operators"), *_square(n, pairs=True))
+        ops = complex_array_from_pairs(_read_grid(data[spec], levels, spath))
         try:
             return KrausMap(ops), None
         except ValueError as exc:
-            raise _err(f"{path}.kraus_operators", str(exc)) from exc
+            raise _err(spath, str(exc)) from exc
 
-    bpath = f"{path}.builder"
-    builder = _object(data["builder"], bpath)
+    builder = _object(data["builder"], spath)
     name = builder.get("name")
     if not isinstance(name, str) or name not in _BUILDERS:
-        raise _err(bpath, f"unknown builder {name!r}; supported: {', '.join(_BUILDERS)}")
+        raise _err(spath, f"unknown builder {name!r}; supported: {', '.join(_BUILDERS)}")
     if n != 2:
-        raise _err(bpath, f"{name} is a qubit map, dimension must be 2, got {n}")
+        raise _err(spath, f"{name} is a qubit map, dimension must be 2, got {n}")
     params_type, build = _BUILDERS[name]
-    params = _read_block(params_type, {k: v for k, v in builder.items() if k != "name"}, bpath)
+    params = _read_block(params_type, {k: v for k, v in builder.items() if k != "name"}, spath)
     try:
         return build(params), params
     except (ValueError, OverflowError) as exc:
-        raise _err(bpath, str(exc)) from exc
+        raise _err(spath, str(exc)) from exc
 
 
 def _parse_hermitian(data, n: int, path: str) -> np.ndarray:
-    arr = _parse_complex_matrix(data, n, path)
+    arr = _read_only(complex_array_from_pairs(_read_grid(data, _square(n, pairs=True), path)))
     dev = float(np.max(np.abs(arr - arr.conj().T)))
     if dev > HERMITIAN_INPUT_TOL:
         raise _err(path, f"not Hermitian: max |X - X*| = {dev:.3e}")

@@ -58,7 +58,6 @@ from conesim.scenario import (
     _require_bool,
     _require_int,
     _require_number,
-    complex_array_from_pairs,
 )
 from conesim.trace import _FIXED_TOL, CSV_HEADER, TraceInvariantError
 
@@ -728,8 +727,8 @@ def assert_same_scenario(a, b) -> None:
 
 
 # --- the per-entry number parser of scenario documents -----------------------
-# One call per entry, each with its path: the reference for the one-pass grid
-# check that `parse_scenario` tries first.
+# One call per entry, each with its path: the reference for `_read_grid`, the
+# one-pass grid check that `parse_scenario` tries first.
 
 
 def _reference_pair(pair, path: str) -> tuple[float, float]:
@@ -749,45 +748,46 @@ def _reference_rows(data, n: int, path: str, entry) -> list:
     return rows
 
 
-def _reference_stochastic_matrix(data, n: int, path: str) -> np.ndarray:
-    entries = np.array(_reference_rows(data, n, path, _require_number))
-    try:
-        return as_stochastic_matrix(entries)
-    except ValueError as exc:
-        raise _err(path, str(exc)) from exc
-
-
 def _reference_real_vector(data, n: int, path: str) -> np.ndarray:
     if not isinstance(data, list) or len(data) != n:
         raise _err(path, f"expected a vector of length {n}")
-    arr = np.array([_require_number(v, f"{path}[{i}]") for i, v in enumerate(data)])
-    arr.flags.writeable = False
-    return arr
+    return np.array([_require_number(v, f"{path}[{i}]") for i, v in enumerate(data)])
 
 
-def _reference_complex_matrix(data, n: int, path: str) -> np.ndarray:
-    arr = complex_array_from_pairs(_reference_rows(data, n, path, _reference_pair))
-    arr.flags.writeable = False
-    return arr
+def _reference_matrix(data, n: int, path: str, pairs: bool) -> np.ndarray:
+    return np.array(_reference_rows(data, n, path, _reference_pair if pairs else _require_number))
+
+
+def _reference_stack(data, n: int, path: str, pairs: bool) -> np.ndarray:
+    """A `matrices` stack or a `kraus_operators` list, one matrix at a time."""
+    if not isinstance(data, list) or not data:
+        what = "operators" if pairs else "matrices"
+        raise _err(path, f"expected a nonempty list of {what}")
+    return np.array([_reference_matrix(m, n, f"{path}[{t}]", pairs) for t, m in enumerate(data)])
+
+
+def _reference_grid(data, levels: tuple, path: str) -> np.ndarray:
+    """`_read_grid` by the readers above, chosen by the grid's depth: a
+    vector, a matrix of numbers or of pairs, or a stack of such matrices."""
+    stack = levels[0][0] is None
+    depth, n = len(levels) - stack, levels[stack][0]
+    if depth == 1:
+        return _reference_real_vector(data, n, path)
+    read = _reference_stack if stack else _reference_matrix
+    return read(data, n, path, pairs=depth == 3)
 
 
 @contextmanager
 def per_entry_number_parsing():
-    """Within the block, `parse_scenario` reads every matrix, vector and
-    complex grid with the per-entry reference parser above."""
-    fields = {
-        "_parse_stochastic_matrix": _reference_stochastic_matrix,
-        "_parse_real_vector": _reference_real_vector,
-        "_parse_complex_matrix": _reference_complex_matrix,
-    }
-    saved = {name: getattr(conesim.scenario, name) for name in fields}
-    for name, reference in fields.items():
-        setattr(conesim.scenario, name, reference)
+    """Within the block, `parse_scenario` reads every vector, matrix,
+    `matrices` stack and Kraus operator list with the per-entry reference
+    parser above."""
+    saved = conesim.scenario._read_grid
+    conesim.scenario._read_grid = _reference_grid
     try:
         yield
     finally:
-        for name, original in saved.items():
-            setattr(conesim.scenario, name, original)
+        conesim.scenario._read_grid = saved
 
 
 # --- the field-by-field block readers of scenario documents -----------------

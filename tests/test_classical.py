@@ -544,7 +544,7 @@ class TestArrayRule:
         "step", [consensus_step, dual_consensus_step, lambda A, x: build_classical_embedding(A)]
     )
     def test_single_step_helpers_reject_a_stack(self, step):
-        with pytest.raises(ValueError, match="^StochasticMatrix requires a square 2-d array$"):
+        with pytest.raises(ValueError, match="^expected a square 2-d array$"):
             step(np.stack([np.eye(2)] * 2), [0.0, 1.0])
 
     @pytest.mark.parametrize("dynamics", [np.eye(2), np.stack([np.eye(2)] * 3)])
@@ -559,7 +559,11 @@ class TestArrayRule:
 CLASSICAL_REJECTIONS = {
     "nan_stochastic_entry": (
         lambda: as_stochastic_matrix([[math.nan, 1.0], [0.0, 1.0]]),
-        "StochasticMatrix entries must be finite",
+        "stochastic matrix entries must be finite",
+    ),
+    "non_square_stochastic_stack": (
+        lambda: as_stochastic_matrix(np.eye(2), 3),
+        "expected a (T, n, n) stack of square matrices",
     ),
     "nan_state_entry": (
         lambda: consensus_step(np.eye(2), [math.nan, 1.0]),

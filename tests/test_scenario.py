@@ -99,6 +99,15 @@ class TestParsing:
             with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
                 parse_scenario(doc)
 
+    def test_a_stack_is_read_whole_before_its_row_sums_are_checked(self):
+        # matrices[0]'s row 0 sums to 0.9, but the non-number in matrices[1]
+        # is named first: every matrix's shape and entries come before any
+        # row sum
+        dynamics = {"matrices": [[[0.5, 0.4], [0.0, 1.0]], [[1.0, 0.0], [0.0, "x"]]]}
+        message = "dynamics.matrices[1][1][1]: expected a number, got 'x'"
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            parse_scenario(dict(MINIMAL_CLASSICAL, dynamics=dynamics))
+
     def test_unknown_top_level_field(self):
         with pytest.raises(ScenarioError, match="unknown field"):
             parse_scenario(dict(MINIMAL_CLASSICAL, extra=1))
@@ -397,6 +406,7 @@ class TestParsing:
 
 SPIN = {"name": "spin_rotation", "alpha_over_pi": "7/32", "beta_over_pi": "11/32", "p": 0.3}
 IDENTITY_2 = [[1.0, 0.0], [0.0, 1.0]]
+PAIRS_IDENTITY_2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 
 
 def _classical(**fields):
@@ -440,6 +450,20 @@ REJECTIONS = {
     "empty_kraus_operators": (
         _quantum(dynamics={"kraus_operators": []}),
         "dynamics.kraus_operators: expected a nonempty list of operators",
+    ),
+    "later_matrix_row_sum": (
+        _classical(dynamics={"matrices": [IDENTITY_2, IDENTITY_2, [[0.5, 0.5], [0.4, 0.5]]]}),
+        "dynamics.matrices[2]: row 1 sums to 0.9, expected 1 within 1e-12",
+    ),
+    "later_matrix_negative_entry": (
+        _classical(dynamics={"matrices": [IDENTITY_2, [[1.5, -0.5], [0.0, 1.0]]]}),
+        "dynamics.matrices[1]: negative entry at (0,1): -0.5",
+    ),
+    "later_operator_bad_pair": (
+        _quantum(
+            dynamics={"kraus_operators": [PAIRS_IDENTITY_2, [[[1, 0], [0, 0]], [[0, 0], [0]]]]}
+        ),
+        "dynamics.kraus_operators[1][1][1]: complex entries are [re, im] pairs",
     ),
     "builder_missing_field": (
         _builder(**{k: v for k, v in SPIN.items() if k != "p"}),
@@ -852,18 +876,30 @@ def test_grid_check_matches_the_per_entry_parser(form, n, defect, seed):
 
 def test_valid_documents_skip_the_per_entry_loop(monkeypatch):
     require_number = conesim.scenario._require_number
+    check_stochastic = conesim.scenario.as_stochastic_matrix
 
     def per_entry(value, path):
         if "[" in path:
             raise AssertionError(f"{path} was checked on its own")
         return require_number(value, path)
 
+    checks = []
+
+    def stochastic(A, ndim=2):
+        checks.append(np.shape(A))
+        return check_stochastic(A, ndim)
+
     monkeypatch.setattr(conesim.scenario, "_require_number", per_entry)
-    monkeypatch.setattr(conesim.scenario, "_parse_rows", None)
+    monkeypatch.setattr(conesim.scenario, "_walk_grid", None)
+    monkeypatch.setattr(conesim.scenario, "as_stochastic_matrix", stochastic)
     rng = np.random.default_rng(5)
     for form in FORMS:
         for n in (1, 4):
-            parse_scenario(random_document(form, n, rng))
+            checks.clear()
+            s = parse_scenario(random_document(form, n, rng))
+            # a stack is checked at once, never one matrix at a time
+            if isinstance(s.dynamics, np.ndarray):
+                assert checks == [s.dynamics.shape]
 
 
 def test_numpy_scalars_in_a_dict_document_parse():
