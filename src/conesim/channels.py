@@ -89,6 +89,7 @@ class KrausMap:
     1.3 MB.
     """
 
+    # `kraus_power` builds its powers without __init__ and sets both fields
     operators: np.ndarray
     is_unital_channel: bool = field(init=False, default=False)
 
@@ -322,13 +323,23 @@ def apply_channel(psi: KrausMap, Z) -> np.ndarray:
 
 
 def kraus_power(phi: KrausMap, k: int) -> KrausMap:
-    """phi applied k times as one Kraus map: the m^k products V_i1 ... V_ik, i1 slowest."""
+    """phi applied k times as one Kraus map: the m^k products V_i1 ... V_ik, i1 slowest.
+
+    The products are not checked again: phi's Kraus sum, off by at most
+    KRAUS_TOL, may be off by up to (1 + KRAUS_TOL)^k - 1 in the power's. The
+    power keeps phi's `is_unital_channel`, as Psi(I) = I gives Psi^k(I) = I."""
     if _check_count("k", k) < 1:
         raise ValueError("power must be >= 1")
     V = ops = phi.operators
     for _ in range(k - 1):
         ops = (ops[:, None] @ V[None]).reshape(-1, phi.dimension, phi.dimension)
-    return phi if k == 1 else KrausMap(ops)
+    if k == 1:
+        return phi
+    ops.flags.writeable = False
+    power = object.__new__(KrausMap)
+    object.__setattr__(power, "operators", ops)
+    object.__setattr__(power, "is_unital_channel", phi.is_unital_channel)
+    return power
 
 
 def _spectral_measure(n: int, limit, lyapunov: bool) -> Callable:

@@ -3,13 +3,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .channels import (
-    FixedPointResult,
     build_classical_embedding,
     channel_fixed_point,
     duality_invariant_check,
@@ -21,13 +20,7 @@ from .channels import (
 )
 from .classical import projective_diameter, run_consensus, run_dual_consensus
 from .cones import contraction_ratio
-from .scenario import (
-    CLASSICAL_KINDS,
-    Scenario,
-    SpinRotationSpec,
-    _state_to_jsonable,
-    pairs_from_complex_array,
-)
+from .scenario import Scenario, SpinRotationSpec, _state_to_jsonable, pairs_from_complex_array
 from .trace import SimulationTrace, StoppingRule, TerminalStatus, _check_count
 
 __all__ = ["RunResult", "run_scenario"]
@@ -49,15 +42,14 @@ def _json_extended(d: float | None) -> float | str | None:
     return d if d is None or math.isfinite(d) else "+inf"
 
 
-def _diameter_windows(s: Scenario) -> tuple[list[dict], int | None, float | None]:
-    """Projective diameters of the cumulative matrix products over the first
-    diameter_powers steps (plain powers for a constant matrix)."""
+def _diameter_windows(s: Scenario) -> dict:
+    """The diameter block: projective diameters of the cumulative matrix
+    products over the first diameter_powers steps (plain powers for a
+    constant matrix), and the first finite window with its factor."""
     k = s.analysis.diameter_powers
     seq = s.dynamics[:k] if s.dynamics.ndim == 3 else [s.dynamics] * k
     transpose = s.kind == "classical_dual"
-    windows: list[dict] = []
-    first_finite_k: int | None = None
-    factor: float | None = None
+    block: dict = {"windows": [], "first_finite_k": None, "certified_contraction_factor": None}
     product: np.ndarray | None = None
     for k, a in enumerate(seq, start=1):
         step = a.T if transpose else a
@@ -66,11 +58,11 @@ def _diameter_windows(s: Scenario) -> tuple[list[dict], int | None, float | None
         # onto its boundary: Birkhoff's bound certifies nothing for that
         # window (Seneta 2006 defines it for allowable matrices only)
         diam = projective_diameter(product) if product.any(axis=1).all() else math.inf
-        windows.append({"k": k, "value": _json_extended(diam)})
-        if math.isfinite(diam) and first_finite_k is None:
-            first_finite_k = k
-            factor = contraction_ratio(diam)
-    return windows, first_finite_k, factor
+        block["windows"].append({"k": k, "value": _json_extended(diam)})
+        if math.isfinite(diam) and block["first_finite_k"] is None:
+            block["first_finite_k"] = k
+            block["certified_contraction_factor"] = contraction_ratio(diam)
+    return block
 
 
 def run_scenario(
@@ -96,32 +88,22 @@ def run_scenario(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    summary: dict = {
-        "kind": s.kind,
-        "dimension": s.dimension,
-        "stopping": {"tolerance": stop.tolerance, "max_iterations": stop.max_iterations},
-    }
-
-    # the reported factor tanh(Δ/4): a finite image-radius bracket wins,
-    # otherwise the first finite product diameter gives it
-    factor: float | None = None
-    if s.kind in CLASSICAL_KINDS:
-        run = run_consensus if s.kind == "classical" else run_dual_consensus
-        trace = run(s.dynamics, s.initial_state, stop, s.expected_limit)
+    summary: dict = {"kind": s.kind, "dimension": s.dimension, "stopping": asdict(stop)}
+    classical = {"classical": run_consensus, "classical_dual": run_dual_consensus}.get(s.kind)
+    if classical is not None:
+        trace = classical(s.dynamics, s.initial_state, stop, s.expected_limit)
+        factor = None
     else:
         trace, factor = _run_quantum_like(s, stop, summary, seed_override)
 
     if s.analysis.compute_diameter:
         # embedded runs start diagonal and stay diagonal, so the classical
         # product-diameter certificate applies to their whole trajectory too
-        windows, first_k, diameter_factor = _diameter_windows(s)
-        summary["diameter"] = {
-            "windows": windows,
-            "first_finite_k": first_k,
-            "certified_contraction_factor": diameter_factor,
-        }
+        summary["diameter"] = _diameter_windows(s)
+        # the run's factor tanh(Δ/4): a finite image-radius bracket wins,
+        # else the first finite diameter window gives it
         if factor is None:
-            factor = diameter_factor
+            factor = summary["diameter"]["certified_contraction_factor"]
 
     summary["status"] = trace.status.value
     summary["iterations"] = trace.iterations
@@ -147,91 +129,75 @@ def run_scenario(
 def _run_quantum_like(
     s: Scenario, stop: StoppingRule, summary: dict, seed_override: int | None
 ) -> tuple[SimulationTrace, float | None]:
-    """Run a Kraus map scenario and its analyses; also return tanh(2R/4), the
-    factor of the diameter bracket [R, 2R], when the image radius R is finite."""
+    """Run a Kraus map scenario and its analyses (image radius, fixed point,
+    run, duality), filling their summary blocks.
+
+    Also return the run's factor tanh(2R/4), that of the diameter bracket
+    [R, 2R], when the sampled image radius R is finite, else None: the
+    diameter windows' factor then stands in. The fixed point's
+    `hypothesis_certified` says that R is finite, and is None without an
+    estimate. On `embedded` R is sampled on the whole positive definite
+    cone, while the diameter windows certify the diagonal sub-cone the run
+    stays in.
+    """
+    channel = s.kind == "quantum_channel"
     if s.kind == "embedded":
         phi = build_classical_embedding(s.dynamics)
         state0 = np.diag(s.initial_state).astype(complex)
     else:
-        phi = s.dynamics
-        state0 = s.initial_state
-
+        phi, state0 = s.dynamics, s.initial_state
     b = s.builder
     if isinstance(b, SpinRotationSpec):
         cases = spin_rotation_special_cases(b.alpha_over_pi, b.beta_over_pi)
         summary["spin_rotation_special_cases"] = list(cases)
 
-    est = s.analysis.estimate_image_radius
-    est_seed = seed_override if seed_override is not None else (est.seed if est else 0)
-
-    # one radius estimate per run: it decides the fixed point's
-    # hypothesis_certified and the run's factor, and fills the image_radius
-    # block
     factor = certified = None
+    est = s.analysis.estimate_image_radius
     if est is not None:
+        seed = est.seed if seed_override is None else seed_override
         target = kraus_power(phi, est.power) if est.power > 1 else phi
-        estimate = estimate_image_radius(target, est.samples, est_seed)
+        estimate = estimate_image_radius(target, est.samples, seed)
         upper = 2.0 * estimate.radius
-        factor = contraction_ratio(upper)
         certified = math.isfinite(upper)
+        summary["image_radius"] = {
+            "lower": _json_extended(estimate.radius),
+            "upper": _json_extended(upper),
+            "contraction_factor": contraction_ratio(upper),
+            "samples": est.samples,
+            "seed": seed,
+            "power": est.power,
+            "samples_drawn": estimate.samples_drawn,
+            "witness": pairs_from_complex_array(estimate.attained_at),
+        }
+        if certified:
+            factor = summary["image_radius"]["contraction_factor"]
 
-    fp: FixedPointResult | None = None
+    limit, zbar = s.expected_limit, None
     if s.analysis.fixed_point:
         fp = channel_fixed_point(phi)
+        zbar = fp.density
         summary["fixed_point"] = {
-            "matrix": pairs_from_complex_array(fp.density),
+            "matrix": pairs_from_complex_array(zbar),
             "residual": fp.residual,
             "unique": fp.unique,
             "eigenvalue_one_multiplicity": fp.eigenvalue_one_multiplicity,
             "hypothesis_certified": certified,
         }
+        # the channel tends to its fixed point, the dual to tr(zbar X0) I
+        if limit is None and channel:
+            limit = zbar
+        elif limit is None:
+            limit = float(np.trace(zbar @ state0).real) * np.eye(s.dimension, dtype=complex)
 
-    limit = s.expected_limit
-    if limit is None and fp is not None:
-        if s.kind == "quantum_channel":
-            limit = fp.density
-        else:
-            consensus_value = float(np.trace(fp.density @ state0).real)
-            limit = consensus_value * np.eye(s.dimension, dtype=complex)
-
-    if s.kind == "quantum_channel":
-        trace = run_channel(phi, state0, stop, limit)
-    else:
-        trace = run_noncommutative_consensus(phi, state0, stop, limit)
-
-    if est is not None:
-        summary["image_radius"] = {
-            "lower": _json_extended(estimate.radius),
-            "upper": _json_extended(upper),
-            "contraction_factor": factor,
-            "samples": est.samples,
-            "seed": est_seed,
-            "power": est.power,
-            "samples_drawn": estimate.samples_drawn,
-            "witness": pairs_from_complex_array(estimate.attained_at),
-        }
+    run = run_channel if channel else run_noncommutative_consensus
+    trace = run(phi, state0, stop, limit)
 
     if s.analysis.duality_check:
-        if s.kind == "quantum_channel":
-            z_probe = state0
-            x_probe = np.zeros((s.dimension, s.dimension), dtype=complex)
-            x_probe[0, 0] = 1.0
-        else:
-            z_probe = np.eye(s.dimension, dtype=complex) / s.dimension
-            x_probe = state0
-        report = duality_invariant_check(
-            phi,
-            z_probe,
-            x_probe,
-            s.analysis.duality_steps,
-            zbar=fp.density if fp is not None else None,
-        )
-        summary["duality"] = {
-            "steps": report.steps,
-            "max_pairing_error": report.max_pairing_error,
-            "ok": report.pairing_ok,
-            "final_pairing_value": report.final_pairing_value,
-            "limit_value": report.limit_value,
-            "limit_error": report.limit_error,
-        }
-    return trace, factor if certified else None
+        # probes (Z0, X0): the channel's start against E_00, the maximally
+        # mixed state against the dual's start
+        eye = np.eye(s.dimension, dtype=complex)
+        z0, x0 = (state0, np.outer(eye[0], eye[0])) if channel else (eye / s.dimension, state0)
+        report = asdict(duality_invariant_check(phi, z0, x0, s.analysis.duality_steps, zbar=zbar))
+        report["ok"] = report.pop("pairing_ok")
+        summary["duality"] = report
+    return trace, factor

@@ -70,6 +70,18 @@ class TestKrausMap:
         with pytest.raises(ValueError, match="dimension"):
             KrausMap((np.eye(2, dtype=complex), np.eye(3, dtype=complex)))
 
+    def test_a_stack_names_its_first_operator_at_fault(self):
+        # operators are read in order, and the first at fault is named
+        stack = np.eye(2) * np.ones((3, 1, 1)) / math.sqrt(3)
+        stack[2, 1, 0] = math.inf
+        with pytest.raises(ValueError, match="^operator 2 has non-finite entries$"):
+            KrausMap(stack)
+        with pytest.raises(ValueError, match=r"^operator 0 is not square: shape \(2, 3\)$"):
+            KrausMap(np.ones((3, 2, 3)))
+        ops = (np.eye(2), np.eye(2), np.eye(3))
+        with pytest.raises(ValueError, match="^operator 2 has dimension 3, expected 2$"):
+            KrausMap(ops)
+
     def test_random_map_needs_a_dimension(self):
         with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
             random_kraus_map(0, 2)
@@ -161,6 +173,21 @@ class TestComposition:
         phi = spin_map()
         assert kraus_power(phi, 3).operator_count == 8
         assert kraus_power(phi, 1) is phi
+
+    def test_a_power_is_not_checked_again(self):
+        # a Kraus sum off by 0.9e-10 passes, its square's is off by 1.8e-10
+        s = math.sqrt(1 + 0.9e-10)
+        rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
+        phi = KrausMap((math.sqrt(0.7) * s * np.eye(2), math.sqrt(0.3) * s * rotation))
+        power = kraus_power(phi, 2)
+        products = (phi.operators[:, None] @ phi.operators[None]).reshape(4, 2, 2)
+        np.testing.assert_array_equal(power.operators, products)
+        assert not power.operators.flags.writeable
+        assert power.is_unital_channel and phi.is_unital_channel
+        # built without __init__, a power must still carry every field a checked map has
+        assert vars(power).keys() == vars(KrausMap(phi.operators)).keys()
+        with pytest.raises(ValueError, match="deviates from identity by 1.8"):
+            KrausMap(products)
 
     def test_power_must_be_a_positive_integer(self):
         with pytest.raises(ValueError, match="power must be >= 1"):

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -444,3 +445,107 @@ class TestRunnerArtifacts:
         result = run_scenario(parse_scenario(doc), out_dir=tmp_path)
         assert result.status is TerminalStatus.CONVERGED
         np.testing.assert_allclose(result.summary["final_state"], [0.5, 0.5], atol=1e-10)
+
+    # one document per kind, each with every analysis its kind allows
+    SUMMARY_DOCS = {
+        "classical": {"matrix": [[0.3, 0.7], [0.6, 0.4]]},
+        "classical_dual": {"matrix": [[0.3, 0.7], [0.6, 0.4]]},
+        "embedded": {"matrix": [[0.3, 0.7], [0.6, 0.4]]},
+        "quantum_dual": {
+            "builder": {
+                "name": "spin_rotation", "alpha_over_pi": "1/4", "beta_over_pi": "1/3", "p": 0.5
+            }
+        },
+        "quantum_channel": {"builder": {"name": "spontaneous_emission", "gamma": 0.2}},
+    }
+    KRAUS_ANALYSES = {
+        "estimate_image_radius": {"samples": 50, "power": 2},
+        "fixed_point": True,
+        "duality_check": True,
+        "duality_steps": 20,
+    }
+    BLOCK_KEYS = {
+        "stopping": {"tolerance", "max_iterations"},
+        "diameter": {"windows", "first_finite_k", "certified_contraction_factor"},
+        "image_radius": {
+            "lower", "upper", "contraction_factor", "samples", "seed", "power", "samples_drawn",
+            "witness",
+        },
+        "fixed_point": {
+            "matrix", "residual", "unique", "eigenvalue_one_multiplicity", "hypothesis_certified"
+        },
+        "duality": {
+            "steps", "max_pairing_error", "ok", "final_pairing_value", "limit_value",
+            "limit_error",
+        },
+    }
+
+    def test_summary_keys_of_every_kind_are_pinned(self, tmp_path):
+        common = {
+            "kind", "dimension", "stopping", "status", "iterations", "final_lyapunov",
+            "certified_contraction_factor", "expected_limit_distance_final", "final_state",
+        }
+        blocks = {
+            "classical": {"diameter"},
+            "classical_dual": {"diameter"},
+            "embedded": {"diameter", "image_radius", "fixed_point", "duality"},
+            "quantum_dual": {
+                "image_radius", "fixed_point", "duality", "spin_rotation_special_cases"
+            },
+            "quantum_channel": {"image_radius", "fixed_point", "duality"},
+        }
+        summaries = {}
+        for kind, dynamics in self.SUMMARY_DOCS.items():
+            doc = {"kind": kind, "dimension": 2, "dynamics": dynamics}
+            if kind in ("classical", "classical_dual", "embedded"):
+                doc["initial_state"] = [0.2, 0.9]
+                doc["analysis"] = {"compute_diameter": True, "diameter_powers": 2}
+            else:
+                doc["initial_state"] = [[[0.5, 0.0], [0.1, 0.0]], [[0.1, 0.0], [0.5, 0.0]]]
+            if kind not in ("classical", "classical_dual"):
+                doc["analysis"] = {**doc.get("analysis", {}), **self.KRAUS_ANALYSES}
+            out = tmp_path / kind
+            run_scenario(parse_scenario(doc), out_dir=out)
+            s = json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+            assert set(s) == common | blocks[kind], kind
+            for name in set(s) & set(self.BLOCK_KEYS):
+                assert set(s[name]) == self.BLOCK_KEYS[name], (kind, name)
+            assert all(set(w) == {"k", "value"} for w in s.get("diameter", {}).get("windows", []))
+            summaries[kind] = s
+        # on `embedded` a finite image-radius bracket gives the run its factor,
+        # ahead of the first finite diameter window's
+        s = summaries["embedded"]
+        assert s["image_radius"]["upper"] < math.inf
+        assert s["fixed_point"]["hypothesis_certified"] is True
+        assert s["certified_contraction_factor"] == s["image_radius"]["contraction_factor"]
+        assert s["certified_contraction_factor"] == pytest.approx(0.96974, abs=1e-5)
+        assert s["diameter"]["first_finite_k"] == 1
+        assert s["diameter"]["certified_contraction_factor"] == pytest.approx(0.30334, abs=1e-5)
+
+    # sqrt(0.7 s) and sqrt(0.3 s), s = 1 + 0.9e-10: a Kraus sum off by 0.9e-10
+    NEAR_TOLERANCE_OPERATORS = [
+        [[[0.8366600265717252, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.8366600265717252, 0.0]]],
+        [[[0.0, 0.0], [-0.5477225575298136, 0.0]], [[0.5477225575298136, 0.0], [0.0, 0.0]]],
+    ]
+
+    def test_a_power_near_the_kraus_tolerance_validates_and_runs(self, tmp_path, capsys):
+        doc = {
+            "kind": "quantum_dual",
+            "dimension": 2,
+            "dynamics": {"kraus_operators": self.NEAR_TOLERANCE_OPERATORS},
+            "initial_state": [[[2.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [1.0, 0.0]]],
+            "analysis": {"estimate_image_radius": {"samples": 50, "power": 2}},
+        }
+        path = write_scenario(tmp_path, doc)
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+        s = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert s["status"] == "converged" and s["image_radius"]["power"] == 2
+        # the square's four products, off by 1.8e-10, are refused as a document
+        ops = complex_array_from_pairs(self.NEAR_TOLERANCE_OPERATORS)
+        products = (ops[:, None] @ ops[None]).reshape(4, 2, 2)
+        doc["dynamics"] = {"kraus_operators": pairs_from_complex_array(products)}
+        path = write_scenario(tmp_path, doc, "products.json")
+        capsys.readouterr()
+        assert main(["validate", str(path)]) == 1
+        assert "sum V*V deviates from identity by 1.800e-10" in capsys.readouterr().err

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from conesim import (
     FixedPointError,
+    KrausMap,
     build_classical_embedding,
     channel_fixed_point,
     estimate_image_radius,
@@ -137,3 +138,19 @@ def test_image_radius_matches_the_kraus_sum_reference(phi, power, seed):
     probes = np.concatenate(reference_probes(target.dimension, 200, seed))
     if np.count_nonzero(_reference_radii(target, probes) >= r - tol) == 1:
         np.testing.assert_array_equal(new.attained_at, ref.attained_at)
+
+
+@given(kraus_maps(), st.integers(2, 3), st.integers(0, 2**32 - 1))
+@settings(deadline=None, max_examples=60)
+def test_an_unchecked_power_has_the_checked_maps_radius_bit_for_bit(phi, power, seed):
+    # kraus_power hands its products to the map it returns without a second
+    # Kraus-sum check; for a valid map nothing else may change
+    if phi.operator_count**power > 64:
+        power = 2
+    target = kraus_power(phi, power)
+    checked = KrausMap(target.operators)
+    np.testing.assert_array_equal(target.operators, checked.operators)
+    assert target.is_unital_channel == checked.is_unital_channel
+    new, ref = (estimate_image_radius(m, 50, seed) for m in (target, checked))
+    assert new.radius == ref.radius and new.samples_drawn == ref.samples_drawn
+    np.testing.assert_array_equal(new.attained_at, ref.attained_at)
