@@ -189,10 +189,12 @@ def _check_dims(phi: KrausMap, X: np.ndarray) -> KrausMap:
 
 def _symmetrize(M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Hermitian part of a matrix or of each matrix in a stack, written into
-    `out` (a new array when None)."""
+    `out` (a new array when None). M, which the caller gives up, is halved in
+    place before its adjoint is added, so the part of finite entries is finite."""
+    parts = M.view(float)
+    parts *= 0.5  # each part exactly; a complex 0.5 can flip the sign of a zero
     out = np.conjugate(M.swapaxes(-1, -2), out=np.empty_like(M) if out is None else out)
     out += M
-    out *= 0.5
     return out
 
 
@@ -240,14 +242,13 @@ def _to_coords(X: np.ndarray) -> np.ndarray:
     return view[..., read] * read_weight
 
 
-def _from_coords(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The Hermitian matrix of real coordinates, or of each row of a stack,
-    written into `out` (a new array when None); the lower triangle is the
-    exact conjugate of the upper and the diagonal exactly real."""
+def _from_coords(c: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix of real coordinates, or of each row of a stack;
+    the lower triangle is the exact conjugate of the upper and the diagonal
+    exactly real."""
     n = math.isqrt(c.shape[-1])
     _, _, write, write_weight, zero = _coordinate_gathers(n)
-    if out is None:
-        out = np.empty(c.shape[:-1] + (n, n), complex)
+    out = np.empty(c.shape[:-1] + (n, n), complex)
     view = out.reshape(c.shape).view(float)
     np.multiply(c[..., write], write_weight, out=view)
     view[..., zero] = 0.0
@@ -786,11 +787,7 @@ def random_kraus_map(n: int, m: int, seed_or_rng=0) -> KrausMap:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if m < 1:
         raise ValueError(f"operator count must be >= 1, got {m}")
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
-    )
+    rng = np.random.default_rng(seed_or_rng)  # a Generator is returned as it is
     g = rng.standard_normal((m * n, n)) + 1j * rng.standard_normal((m * n, n))
     q, _ = np.linalg.qr(g)
     return KrausMap(q.reshape(m, n, n))

@@ -206,10 +206,6 @@ def _parse_stochastic(grid: np.ndarray, path: str) -> np.ndarray:
         raise
 
 
-def _parse_real_vector(data, n: int, path: str) -> np.ndarray:
-    return _read_only(_read_grid(data, ((n, f"expected a vector of length {n}"),), path))
-
-
 def complex_array_from_pairs(data) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
     # assigned, not re + 1j * im, which loses the sign of a -0.0 part
@@ -348,20 +344,17 @@ def _parse_dynamics(data, kind: str, n: int):
         raise _err(spath, str(exc)) from exc
 
 
-def _parse_hermitian(data, n: int, path: str) -> np.ndarray:
+def _parse_state(data, n: int, path: str, vector: bool, density: bool = False) -> np.ndarray:
+    """The state at `path` as a read-only array: a real vector of length n,
+    else an n x n Hermitian matrix of [re, im] pairs, which `density` also
+    checks to be a density matrix."""
+    if vector:
+        return _read_only(_read_grid(data, ((n, f"expected a vector of length {n}"),), path))
     arr = _read_only(complex_array_from_pairs(_read_grid(data, _square(n, pairs=True), path)))
     dev = float(np.max(np.abs(arr - arr.conj().T)))
     if dev > HERMITIAN_INPUT_TOL:
         raise _err(path, f"not Hermitian: max |X - X*| = {dev:.3e}")
-    return arr
-
-
-def _parse_initial_state(data, kind: str, n: int) -> np.ndarray:
-    path = "initial_state"
-    if kind in CLASSICAL_KINDS or kind == "embedded":
-        return _parse_real_vector(data, n, path)
-    arr = _parse_hermitian(data, n, path)
-    if kind == "quantum_channel":
+    if density:
         try:
             _as_density_array(arr)
         except ValueError as exc:
@@ -406,7 +399,16 @@ def _read_field(f, value, path: str):
     return None if value is None else _read_block(EstimateSettings, value, path)
 
 
-def _parse_analysis(data, kind: str) -> AnalysisFlags:
+# entries (32 MB real, 64 MB complex) that the real n^2 x n^2 form of an
+# image-radius estimate or a fixed point, or the estimate's Kraus power, may hold
+MAX_POWER_ENTRIES = 1 << 22
+
+
+def _parse_analysis(data, kind: str, dynamics, n: int) -> AnalysisFlags:
+    """The analysis block, checked against the kind and bounded in size: an
+    analysis whose real form (n^4 entries) or Kraus power (m^power operators
+    of n x n entries) would exceed MAX_POWER_ENTRIES is rejected; counted,
+    nothing is built."""
     analysis = _read_block(AnalysisFlags, data, "analysis")
     quantum_like = kind in QUANTUM_KINDS or kind == "embedded"
     if analysis.compute_diameter and kind in QUANTUM_KINDS:
@@ -414,24 +416,12 @@ def _parse_analysis(data, kind: str) -> AnalysisFlags:
     for name in ("estimate_image_radius", "fixed_point", "duality_check"):
         if getattr(analysis, name) and not quantum_like:
             raise _err(f"analysis.{name}", f"not applicable to kind {kind!r}")
-    return analysis
-
-
-# complex entries (64 MB) that the Kraus power of an image-radius estimate,
-# or the n^2 x n^2 Liouville matrix of an estimate or fixed point, may hold
-MAX_POWER_ENTRIES = 1 << 22
-
-
-def _check_sizes(analysis: AnalysisFlags, dynamics, n: int) -> None:
-    """Reject an analysis whose Liouville matrix (n^4 entries) or Kraus power
-    (m^power operators of n x n entries) would exceed MAX_POWER_ENTRIES;
-    counted, nothing is built."""
     for name in ("fixed_point", "estimate_image_radius"):
         if getattr(analysis, name) and n**4 > MAX_POWER_ENTRIES:
             count = f"the {n * n}x{n * n} Liouville matrix has {n**4} complex entries"
             raise _err(f"analysis.{name}", f"{count}, limit {MAX_POWER_ENTRIES}")
     if analysis.estimate_image_radius is None:
-        return
+        return analysis
     m = dynamics.operator_count if isinstance(dynamics, KrausMap) else n  # embedded: n
     p = analysis.estimate_image_radius.power
     if m > 1 and p > 1024:
@@ -440,22 +430,13 @@ def _check_sizes(analysis: AnalysisFlags, dynamics, n: int) -> None:
     else:
         entries = m**p * n * n
         if entries <= MAX_POWER_ENTRIES:
-            return
+            return analysis
         count = str(entries)
     raise _err(
         "analysis.estimate_image_radius.power",
         f"{m}^{p} operators of {n}x{n} make {count} complex entries, "
         f"limit {MAX_POWER_ENTRIES}",
     )
-
-
-def _parse_expected_limit(data, kind: str, n: int) -> np.ndarray | None:
-    if data is None:
-        return None
-    path = "expected_limit"
-    if kind in CLASSICAL_KINDS:
-        return _parse_real_vector(data, n, path)
-    return _parse_hermitian(data, n, path)
 
 
 def _parse_output(data) -> tuple[str, str]:
@@ -508,11 +489,13 @@ def parse_scenario(source) -> Scenario:
     n = _require_int(obj["dimension"], "dimension", 1)
 
     dynamics, builder = _parse_dynamics(obj["dynamics"], kind, n)
-    initial_state = _parse_initial_state(obj["initial_state"], kind, n)
+    classical = kind in CLASSICAL_KINDS  # the one place a kind picks its states' shapes
+    vector, density = classical or kind == "embedded", kind == "quantum_channel"
+    initial_state = _parse_state(obj["initial_state"], n, "initial_state", vector, density)
     stop = _read_block(StoppingRule, obj.get("stop"), "stop")
-    analysis = _parse_analysis(obj.get("analysis"), kind)
-    _check_sizes(analysis, dynamics, n)
-    expected = _parse_expected_limit(obj.get("expected_limit"), kind, n)
+    analysis = _parse_analysis(obj.get("analysis"), kind, dynamics, n)
+    limit = obj.get("expected_limit")
+    expected = None if limit is None else _parse_state(limit, n, "expected_limit", classical)
     trace_csv, summary_path = _parse_output(obj.get("output"))
 
     return Scenario(

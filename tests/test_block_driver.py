@@ -320,9 +320,24 @@ def test_overflowing_matrix_states_raise():
 
 def test_overflowing_stacked_steps_raise():
     # above the size rule the state is finite and the stacked products of the
-    # first step overflow
-    X0 = np.full((9, 9), np.finfo(float).max / 2, dtype=complex)
-    _assert_overflow_raises(random_kraus_map(9, 3, 0), X0)
+    # first step overflow: the first column of the unitary 9 x 9 DFT sums to
+    # 3, so the first column of X V is 2.7 max
+    dft = np.fft.fft(np.eye(9)) / 3.0
+    X0 = np.full((9, 9), 0.9 * np.finfo(float).max, dtype=complex)
+    _assert_overflow_raises(KrausMap(dft[None]), X0)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_a_wide_state_keeps_its_finite_hermitian_part(n):
+    # the identity dual on either side of the size rule: each step's
+    # Hermitian part is halved before it is summed, so entries of +-1e308
+    # stay finite, and the unchanged state runs out of its budget
+    X0 = np.zeros((n, n), dtype=complex)
+    X0[0, 0], X0[1, 1] = 1e308, -1e308
+    trace = run_noncommutative_consensus(KrausMap(np.eye(n)[None]), X0, StoppingRule(1e-10, 5))
+    assert trace.status is TerminalStatus.MAX_ITERATIONS
+    assert trace.iterations == 5
+    assert np.array_equal(trace.final_state, X0)
 
 
 def _scale(m, x, out):

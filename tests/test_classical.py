@@ -332,6 +332,7 @@ class TestBirkhoffContraction:
         assert report.certified
         assert report.contraction_bound == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert report.violations == 0
+        assert report.satisfied
         assert report.worst_ratio <= 1.0 / 3.0 + 1e-9
 
     def test_identity_is_isometry(self):
@@ -341,6 +342,7 @@ class TestBirkhoffContraction:
         assert report.contraction_bound == 1.0
         assert report.worst_ratio == pytest.approx(1.0, abs=1e-12)
         assert report.violations == 0
+        assert report.satisfied
 
     def test_rank_one_collapses_all_pairs(self):
         rng = np.random.default_rng(5)
@@ -360,7 +362,9 @@ class TestBirkhoffContraction:
         A = np.array([[0.6, 0.4], [0.3, 0.7]])
         pairs = [(np.array([1.0, 2.0]), np.array([2.0, 1.0]))]
         pairs.append((np.array([1.0, 3.0]), np.array([2.0, 1.0])))
-        assert check_birkhoff_contraction(A, pairs, slack=-1.0).violations == 2
+        report = check_birkhoff_contraction(A, pairs, slack=-1.0)
+        assert report.violations == 2
+        assert not report.satisfied
         with pytest.raises(ValueError, match="slack must not be NaN"):
             check_birkhoff_contraction(A, pairs, slack=math.nan)
 
